@@ -1,10 +1,13 @@
 """Config-driven command line front end.
 
-Commands: check, simulate, estimate, mbrw-build, report.  Every run
-writes a manifest (command line, hashes, seed, version) sufficient to
-reproduce its outputs bitwise.  Exit codes: 0 success, 1 usage error,
-2 input/consistency error, 3 all replicates failed.  Scientific verdicts
-never change the exit code.
+Commands: check, simulate, estimate, mbrw-build, report.  check,
+simulate and estimate write a manifest (command line, hashes, seed,
+version) sufficient to reproduce their outputs bitwise.
+
+Exit codes: 0 ok, 1 usage, 2 bad input or I/O, 3 all replicates capped.
+Code 2 comes from one place, ``main``, which prints any MatcascadeError
+or OSError as a one-line ``error: ...`` message; a traceback means a bug.
+Scientific verdicts never change the exit code.
 """
 
 from __future__ import annotations
@@ -19,12 +22,12 @@ import sys
 import numpy as np
 
 from . import __version__
-from .model import ModelError, load_model, save_model, validate_model
-from .spectral import SpectralError
+from .model import (MatcascadeError, load_model, parses, read_json,
+                    save_model, validate_model)
 from .conditions import (check_alpha_moment, check_complex, check_harmonic,
                          exponential_profile)
-from .engine import (SimulationError, batch_from_binary, batch_to_binary,
-                     batch_to_csv, simulate_batch, DEFAULT_CAP)
+from .engine import (batch_from_binary, batch_to_binary, batch_to_csv,
+                     simulate_batch, DEFAULT_CAP)
 from .estimate import (EstimateError, estimate_harmonic, estimate_laplace,
                        estimate_moment, fit_power_decay,
                        fit_stretched_exponential, tail_curve)
@@ -82,11 +85,7 @@ def _render_table(reports):
 
 
 def cmd_check(args):
-    try:
-        model = load_model(args.model)
-    except ModelError as e:
-        print(f"error: cannot read model: {e}", file=sys.stderr)
-        return EXIT_INPUT
+    model = load_model(args.model)
     os.makedirs(args.out, exist_ok=True)
 
     rows = []
@@ -102,25 +101,21 @@ def cmd_check(args):
         },
         "assumptions": [], "notes": [validation.norm_convention],
     })
-    try:
-        if model.is_complex:
-            for alpha in args.alpha:
-                rep = check_complex(model, alpha, beta_grid=args.beta or None)
-                rows.append(_report_to_row(rep))
-        else:
-            for alpha in args.alpha:
-                rep = check_alpha_moment(model, alpha, n_max=args.n_max)
-                rows.append(_report_to_row(rep))
-            for lam in args.lam:
-                rows.append(_report_to_row(check_harmonic(model, lam)))
-            if model.min_offspring() >= 2:
-                for eps in args.epsilon:
-                    rep_a, rep_b = exponential_profile(model, eps)
-                    rows.append(_report_to_row(rep_a))
-                    rows.append(_report_to_row(rep_b))
-    except (ModelError, SpectralError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+    if model.is_complex:
+        for alpha in args.alpha:
+            rep = check_complex(model, alpha, beta_grid=args.beta or None)
+            rows.append(_report_to_row(rep))
+    else:
+        for alpha in args.alpha:
+            rep = check_alpha_moment(model, alpha, n_max=args.n_max)
+            rows.append(_report_to_row(rep))
+        for lam in args.lam:
+            rows.append(_report_to_row(check_harmonic(model, lam)))
+        if model.min_offspring() >= 2:
+            for eps in args.epsilon:
+                rep_a, rep_b = exponential_profile(model, eps)
+                rows.append(_report_to_row(rep_a))
+                rows.append(_report_to_row(rep_b))
 
     with open(os.path.join(args.out, "conditions.json"), "w",
               encoding="utf-8") as f:
@@ -139,18 +134,10 @@ def cmd_simulate(args):
     if args.replicates < 1:
         print("error: --replicates must be >= 1", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        model = load_model(args.model)
-    except ModelError as e:
-        print(f"error: cannot read model: {e}", file=sys.stderr)
-        return EXIT_INPUT
+    model = load_model(args.model)
     os.makedirs(args.out, exist_ok=True)
-    try:
-        batch = simulate_batch(model, args.n, args.replicates, args.seed,
-                               cap=args.cap)
-    except (SimulationError, SpectralError, ModelError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+    batch = simulate_batch(model, args.n, args.replicates, args.seed,
+                           cap=args.cap)
     if batch.capped_count == batch.replicates:
         print("error: every replicate exceeded the population cap",
               file=sys.stderr)
@@ -176,91 +163,74 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
-def _load_or_simulate(args, model):
-    if args.fresh:
-        return simulate_batch(model, args.n, args.replicates, args.seed,
-                              cap=args.cap), model.content_hash()
-    meta_path = os.path.join(args.batch, "batch_meta.json")
-    try:
-        with open(meta_path, encoding="utf-8") as f:
-            meta = json.load(f)
-    except OSError as e:
-        raise EstimateError(f"cannot read batch metadata: {e}") from e
-    batch = batch_from_binary(os.path.join(args.batch, "batch.bin"),
-                              model_id=meta.get("model_id", ""),
-                              master_seed=meta.get("seed", -1))
-    return batch, meta.get("model_id", "")
-
-
 def cmd_estimate(args):
-    try:
-        model = load_model(args.model)
-    except ModelError as e:
-        print(f"error: cannot read model: {e}", file=sys.stderr)
-        return EXIT_INPUT
+    model = load_model(args.model)
     os.makedirs(args.out, exist_ok=True)
-    try:
-        batch, batch_model_id = _load_or_simulate(args, model)
-    except (EstimateError, SimulationError, ModelError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    if batch_model_id and batch_model_id != model.content_hash():
-        print("error: batch was produced from a different model "
-              "(hash mismatch); re-simulate or pass --fresh", file=sys.stderr)
-        return EXIT_INPUT
+    if args.fresh:
+        batch = simulate_batch(model, args.n, args.replicates, args.seed,
+                               cap=args.cap)
+    else:
+        _, meta = read_json(os.path.join(args.batch, "batch_meta.json"),
+                            "batch metadata", EstimateError)
+        if not isinstance(meta, dict):
+            raise EstimateError("batch metadata is not a JSON object")
+        batch = batch_from_binary(os.path.join(args.batch, "batch.bin"),
+                                  model_id=meta.get("model_id", ""),
+                                  master_seed=meta.get("seed", -1))
+    if batch.model_id and batch.model_id != model.content_hash():
+        raise EstimateError("batch was produced from a different model "
+                            "(hash mismatch); re-simulate or pass --fresh")
 
     out = {"n": batch.n, "replicates": batch.replicates}
-    try:
-        for alpha in args.alpha:
-            est = estimate_moment(batch, alpha, target="norm")
-            side = check_alpha_moment(model, alpha, n_max=args.n_max) \
-                if alpha > 1 and not model.is_complex else None
-            out.setdefault("moments", []).append({
-                "estimate": est.__dict__,
-                "condition": _report_to_row(side) if side else None,
-            })
-        y = np.ones(model.p)
-        for lam in args.lam:
-            est = estimate_harmonic(batch, lam, y)
-            side = check_harmonic(model, lam) if not model.is_complex else None
-            out.setdefault("harmonic", []).append({
-                "estimate": est.__dict__,
-                "condition": _report_to_row(side) if side else None,
-            })
-        if args.laplace_fit and not model.is_complex:
-            grid = [s * y for s in np.geomspace(args.t_min, args.t_max, 40)]
-            curve = estimate_laplace(batch, grid)
-            fits = {}
-            for name, fitter in (("power", fit_power_decay),
-                                 ("stretched", fit_stretched_exponential)):
-                try:
-                    fit = fitter(curve, replicates=batch.replicates)
-                    fits[name] = {k: v for k, v in fit.__dict__.items()
-                                  if k != "grid"}
-                    # plot-ready two-column file in the regression coordinates
-                    with open(os.path.join(args.out, f"{name}_fit_points.csv"),
-                              "w", encoding="utf-8") as f:
-                        if name == "power":
-                            f.write("log_norm_t,log_phi\n")
-                            rows_fit = ((math.log(s), math.log(phi))
-                                        for s, phi in fit.grid)
-                        else:
-                            f.write("log_norm_t,log_neg_log_phi\n")
-                            rows_fit = ((math.log(s), math.log(-math.log(phi)))
-                                        for s, phi in fit.grid)
-                        for a, b in rows_fit:
-                            f.write(f"{a!r},{b!r}\n")
-                except EstimateError as e:
-                    fits[name] = {"error": str(e)}
-            out["laplace_fits"] = fits
-            with open(os.path.join(args.out, "laplace_curve.csv"), "w",
-                      encoding="utf-8") as f:
-                f.write("norm_t,phi\n")
-                for t, phi in curve:
-                    f.write(f"{float(np.abs(t).sum())!r},{phi!r}\n")
-    except (EstimateError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+    for alpha in args.alpha:
+        est = estimate_moment(batch, alpha, target="norm")
+        side = check_alpha_moment(model, alpha, n_max=args.n_max) \
+            if alpha > 1 and not model.is_complex else None
+        out.setdefault("moments", []).append({
+            "estimate": est.__dict__,
+            "condition": _report_to_row(side) if side else None,
+        })
+    y = np.ones(model.p)
+    for lam in args.lam:
+        est = estimate_harmonic(batch, lam, y)
+        side = check_harmonic(model, lam) if not model.is_complex else None
+        out.setdefault("harmonic", []).append({
+            "estimate": est.__dict__,
+            "condition": _report_to_row(side) if side else None,
+        })
+    if args.laplace_fit and not model.is_complex:
+        if not (args.t_min > 0 and args.t_max > 0):
+            raise EstimateError("--t-min and --t-max must be positive")
+        grid = [s * y for s in np.geomspace(args.t_min, args.t_max, 40)]
+        curve = estimate_laplace(batch, grid)
+        fits = {}
+        for name, fitter in (("power", fit_power_decay),
+                             ("stretched", fit_stretched_exponential)):
+            try:
+                fit = fitter(curve, replicates=batch.replicates)
+                fits[name] = {k: v for k, v in fit.__dict__.items()
+                              if k != "grid"}
+                # plot-ready two-column file in the regression coordinates
+                with open(os.path.join(args.out, f"{name}_fit_points.csv"),
+                          "w", encoding="utf-8") as f:
+                    if name == "power":
+                        f.write("log_norm_t,log_phi\n")
+                        rows_fit = ((math.log(s), math.log(phi))
+                                    for s, phi in fit.grid)
+                    else:
+                        f.write("log_norm_t,log_neg_log_phi\n")
+                        rows_fit = ((math.log(s), math.log(-math.log(phi)))
+                                    for s, phi in fit.grid)
+                    for a, b in rows_fit:
+                        f.write(f"{a!r},{b!r}\n")
+            except EstimateError as e:
+                fits[name] = {"error": str(e)}
+        out["laplace_fits"] = fits
+        with open(os.path.join(args.out, "laplace_curve.csv"), "w",
+                  encoding="utf-8") as f:
+            f.write("norm_t,phi\n")
+            for t, phi in curve:
+                f.write(f"{float(np.abs(t).sum())!r},{phi!r}\n")
 
     with open(os.path.join(args.out, "estimates.json"), "w",
               encoding="utf-8") as f:
@@ -272,31 +242,23 @@ def cmd_estimate(args):
 
 
 def cmd_mbrw_build(args):
-    try:
-        spec = load_mbrw_spec(args.spec)
-        model = build_cascade_from_mbrw(spec, args.t)
-    except (ModelError, SpectralError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    os.makedirs(os.path.dirname(os.path.abspath(args.out_model)), exist_ok=True)
-    save_model(model, args.out_model)
+    spec = load_mbrw_spec(args.spec)
+    model = build_cascade_from_mbrw(spec, args.t)
     rows = [_report_to_row(r) for r in mbrw_condition_report(
         spec, args.t, alpha=args.alpha[0] if args.alpha else None,
         lam=args.lam[0] if args.lam else None, epsilon=args.epsilon[0])]
+    os.makedirs(os.path.dirname(os.path.abspath(args.out_model)), exist_ok=True)
+    save_model(model, args.out_model)
     if rows:
         print(_render_table(rows))
     print(f"wrote cascade model to {args.out_model}")
     return EXIT_OK
 
 
+@parses(MatcascadeError, "report")
 def cmd_report(args):
-    try:
-        with open(args.input, encoding="utf-8") as f:
-            rows = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        print(f"error: cannot read report: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    print(_render_table(rows if isinstance(rows, list) else [rows]))
+    _, doc = read_json(args.input, "report", MatcascadeError)
+    print(_render_table(doc if isinstance(doc, list) else [doc]))
     return EXIT_OK
 
 
@@ -371,7 +333,11 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (MatcascadeError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

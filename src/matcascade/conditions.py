@@ -61,7 +61,7 @@ def check_alpha_moment(model, alpha, n_max=3, support_cap=1_000_000):
     has positive probability.  Verdict "undecided" covers the gap.
     """
     if alpha <= 1:
-        raise ValueError("alpha must be > 1")
+        raise ModelError("alpha must be > 1")
     model._require_finite_atom()
     assumptions = []
     h_status, _ = _assumption_h_status(model)
@@ -138,7 +138,7 @@ def check_harmonic(model, lam):
     powers of the minimal row sum of the first child matrix.
     """
     if lam <= 0:
-        raise ValueError("lambda must be positive")
+        raise ModelError("lambda must be positive")
     model._require_finite_atom()
     assumptions = []
     pcp = positive_column_probability(model)
@@ -215,7 +215,7 @@ def exponential_profile(model, epsilon=0.0):
     feasibility of the matching lower bound.
     """
     if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
+        raise ModelError("epsilon must be >= 0")
     model._require_finite_atom()
     assumptions = []
     pcp = positive_column_probability(model)
@@ -285,7 +285,7 @@ def check_complex(model, alpha, beta_grid=None):
     two printed readings of the second-order quantity are both computed.
     """
     if alpha <= 1:
-        raise ValueError("alpha must be > 1")
+        raise ModelError("alpha must be > 1")
     if not model.is_complex:
         raise ModelError("check_complex requires a complex-mode model")
     model._require_finite_atom()
@@ -314,12 +314,12 @@ def check_complex(model, alpha, beta_grid=None):
                                assumptions_checked=assumptions, notes=notes)
 
     if not beta_grid:
-        raise ValueError("alpha > 2 requires a beta grid in (1, 2]")
+        raise ModelError("alpha > 2 requires a beta grid in (1, 2]")
     first = p ** (alpha - 1) * rho_hat_alpha
     best = None
     for beta in beta_grid:
         if not 1 < beta <= 2:
-            raise ValueError(f"beta={beta} outside (1, 2]")
+            raise ModelError(f"beta={beta} outside (1, 2]")
         rho_hat_beta = perron(moment_matrix(model, beta)).rho
         printed = p ** (alpha / beta) * rho_hat_beta
         powered = p ** (alpha / beta) * rho_hat_beta ** (alpha / beta)

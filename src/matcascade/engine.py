@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelError
+from .model import MatcascadeError, ModelError
 from .spectral import SpectralError, moment_matrix, perron, _entry_power
 
 DEFAULT_CAP = 10_000_000
@@ -29,7 +29,7 @@ BATCH_MAGIC = b"MCSB"
 BATCH_VERSION = 1
 
 
-class SimulationError(ValueError):
+class SimulationError(MatcascadeError):
     pass
 
 
@@ -416,19 +416,24 @@ def batch_to_binary(batch, path):
 
 
 def batch_from_binary(path, model_id="", master_seed=-1):
+    """Read a batch written by batch_to_binary; SimulationError unless the
+    file is one, of exactly the length its header implies."""
     with open(path, "rb") as f:
         blob = f.read()
-    if blob[:4] != BATCH_MAGIC:
-        raise SimulationError("not a batch file (bad magic)")
+    off = 28
+    if len(blob) < off or blob[:4] != BATCH_MAGIC:
+        raise SimulationError("not a batch file (bad magic or short header)")
     version, p, r, n, cx = struct.unpack("<IIQIB", blob[4:25])
     if version != BATCH_VERSION:
         raise SimulationError(f"unsupported batch version {version}")
-    off = 28
+    width = 2 * p if cx else p
+    expected = off + r + 8 * r * width
+    if len(blob) != expected:
+        raise SimulationError(
+            f"batch file has {len(blob)} bytes, its header implies {expected}")
     flags = np.frombuffer(blob[off:off + r], dtype=np.uint8)
     off += r
-    width = 2 * p if cx else p
-    payload = np.frombuffer(blob[off:off + 8 * r * width], dtype="<f8")
-    payload = payload.reshape(r, width)
+    payload = np.frombuffer(blob[off:], dtype="<f8").reshape(r, width)
     if cx:
         values = payload[:, 0::2] + 1j * payload[:, 1::2]
     else:

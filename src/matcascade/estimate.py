@@ -14,9 +14,10 @@ import numpy as np
 from scipy import stats
 
 from .engine import SampleBatch, simulate_batch, _simulate
+from .model import MatcascadeError
 
 
-class EstimateError(ValueError):
+class EstimateError(MatcascadeError):
     pass
 
 

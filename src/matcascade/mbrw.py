@@ -10,13 +10,12 @@ simulation engine enforces type bookkeeping for free.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Atom, CascadeModel, ModelError
+from .model import Atom, CascadeModel, ModelError, parses, read_json
 from .spectral import SpectralError, perron
 
 PROB_SUM_TOL = 1e-9
@@ -50,16 +49,11 @@ class MbrwSpectral:
 
 def load_mbrw_spec(path):
     """Read an MBRW spec file (JSON): per type, offspring configurations."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
-    except OSError as e:
-        raise ModelError(f"cannot read spec: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ModelError(f"parse error in {path}: {e}") from e
+    _, doc = read_json(path, "spec", ModelError)
     return spec_from_dict(doc)
 
 
+@parses(ModelError, "spec")
 def spec_from_dict(doc):
     p = int(doc["p"])
     if p < 1:
@@ -77,10 +71,11 @@ def spec_from_dict(doc):
                 raise ModelError(f"config probability {prob} outside (0, 1]")
             children = []
             for ch in raw["children"]:
-                j = int(ch["type"])
-                if not 1 <= j <= p:
-                    raise ModelError(f"child type {j} outside 1..{p}")
-                children.append((j, float(ch["disp"])))
+                j = float(ch["type"])
+                if not (j.is_integer() and 1 <= j <= p):
+                    raise ModelError(
+                        f"child type {ch['type']!r} is not an integer in 1..{p}")
+                children.append((int(j), float(ch["disp"])))
             configs.append(OffspringConfig(prob=prob, children=children))
             total += prob
         if abs(total - 1.0) > PROB_SUM_TOL:
@@ -224,7 +219,7 @@ def mbrw_condition_report(spec, t, alpha=None, lam=None, epsilon=0.0):
     p = spec.p
     if alpha is not None:
         if alpha <= 1:
-            raise ValueError("alpha must be > 1")
+            raise ModelError("alpha must be > 1")
         sp_a = mbrw_spectral(spec, alpha * t)
         crit = p ** (alpha - 1) * sp_a.rho_tilde / sp.rho_tilde ** alpha
         quantities = {
@@ -239,7 +234,7 @@ def mbrw_condition_report(spec, t, alpha=None, lam=None, epsilon=0.0):
                                        quantities=quantities, notes=notes))
     if lam is not None:
         if lam <= 0:
-            raise ValueError("lambda must be positive")
+            raise ModelError("lambda must be positive")
         n_law = _offspring_count_law(spec.offspring[0])
         p_n0 = n_law.get(0, 0.0)
         p_n1 = n_law.get(1, 0.0)

@@ -8,6 +8,7 @@ accepted for simulation only.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -20,8 +21,44 @@ PROB_SUM_TOL = 1e-9
 RHO_TOL = 1e-9
 
 
-class ModelError(ValueError):
+class MatcascadeError(ValueError):
+    """Bad input or arguments; the command line exits 2 on it."""
+
+
+class ModelError(MatcascadeError):
     """Malformed model file or contract violation."""
+
+
+def parses(error, what):
+    """Decorate a document parser so that a document of the wrong shape
+    (what indexing, int() and float() raise on it) raises error with a
+    one-line reason instead."""
+    def decorate(parse):
+        @functools.wraps(parse)
+        def wrapper(*args, **kwargs):
+            try:
+                return parse(*args, **kwargs)
+            except MatcascadeError:
+                raise
+            except (AttributeError, LookupError, OverflowError, TypeError,
+                    ValueError) as e:
+                reason = f"missing key {e}" if isinstance(e, KeyError) else e
+                raise error(f"malformed {what}: {reason}") from e
+        return wrapper
+    return decorate
+
+
+def read_json(path, what, error):
+    """(text, document) of the UTF-8 JSON file at path; error naming what
+    if it cannot be read or parsed."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            raw = f.read()
+        return raw, json.loads(raw)
+    except (OSError, UnicodeDecodeError) as e:
+        raise error(f"cannot read {what}: {e}") from e
+    except json.JSONDecodeError as e:
+        raise error(f"parse error in {path}: {e}") from e
 
 
 @dataclass
@@ -122,10 +159,9 @@ def _parse_entry(x, complex_mode):
 
 
 def _parse_matrix(rows, p, complex_mode):
-    dtype = complex if complex_mode else float
-    mat = np.empty((p, p), dtype=dtype)
     if len(rows) != p:
         raise ModelError(f"matrix has {len(rows)} rows, expected {p}")
+    mat = np.empty((p, p), dtype=complex if complex_mode else float)
     for i, row in enumerate(rows):
         if len(row) != p:
             raise ModelError(f"matrix row has {len(row)} entries, expected {p}")
@@ -138,13 +174,11 @@ def _parse_matrix(rows, p, complex_mode):
     return mat
 
 
+@parses(ModelError, "model")
 def model_from_dict(doc, source_hash=None):
-    try:
-        p = int(doc["p"])
-        mode = doc.get("mode", "finite-atom")
-        field_kind = doc.get("field", "real")
-    except (KeyError, TypeError) as e:
-        raise ModelError(f"missing model key: {e}") from e
+    p = int(doc["p"])
+    mode = doc.get("mode", "finite-atom")
+    field_kind = doc.get("field", "real")
     if p < 1:
         raise ModelError("dimension p must be >= 1")
     if field_kind not in ("real", "complex"):
@@ -204,15 +238,7 @@ def model_to_dict(model):
 
 def load_model(path):
     """Read a model file (JSON, UTF-8) and return a validated CascadeModel."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            raw = f.read()
-    except OSError as e:
-        raise ModelError(f"cannot read model: {e}") from e
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as e:
-        raise ModelError(f"parse error in {path}: {e}") from e
+    raw, doc = read_json(path, "model", ModelError)
     return model_from_dict(doc, source_hash=hashlib.sha256(raw.encode()).hexdigest())
 
 

@@ -11,14 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelError, primitivity
+from .model import MatcascadeError, ModelError, primitivity
 
 POWER_TOL = 1e-13
 POWER_MAXITER = 100_000
 RESIDUAL_TOL = 1e-10
 
 
-class SpectralError(ValueError):
+class SpectralError(MatcascadeError):
     """Non-primitive input or eigensolver failure."""
 
 
@@ -149,18 +149,15 @@ def intensity_measure(model, n, support_cap=1_000_000):
 
     nu_1 puts weight prob on each child matrix of each atom; nu_n is the
     left-multiplication convolution of nu_1 with nu_{n-1}.  Bitwise-equal
-    matrices are merged by weight (no epsilon merging).
+    matrices are merged by weight (no epsilon merging).  A depth that
+    would form more than support_cap products before merging is refused.
     """
     model._require_finite_atom()
     if n < 1:
-        raise ValueError("depth n must be >= 1")
+        raise SpectralError("depth n must be >= 1")
     branch = sum(a.n_children for a in model.atoms)
     if branch == 0:
         raise ModelError("model has no children in any atom")
-    if branch**n > support_cap:
-        raise ModelError(
-            f"projected support size {branch}^{n} exceeds cap {support_cap}; "
-            "use a smaller depth")
 
     dtype = complex if model.is_complex else float
     base_w = []
@@ -187,7 +184,11 @@ def intensity_measure(model, n, support_cap=1_000_000):
         return np.array(out_w), np.stack(out_m)
 
     weights, mats = merge(base_w, base_m)
-    for _ in range(n - 1):
+    for depth in range(2, n + 1):
+        if branch * len(weights) > support_cap:
+            raise ModelError(
+                f"depth {depth} would form {branch * len(weights)} products, "
+                f"exceeding cap {support_cap}; use a smaller depth")
         # left-multiply each depth-1 matrix onto the accumulated products
         new_w = np.multiply.outer(base_w, weights).reshape(-1)
         new_m = np.einsum("apq,mqr->ampr", base_m, mats).reshape(-1, model.p, model.p)

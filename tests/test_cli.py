@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -186,6 +187,124 @@ class TestReport:
 
     def test_missing_input(self, tmp_path):
         assert main(["report", "--input", str(tmp_path / "nope.json")]) == 2
+
+
+def _model(**atom):
+    """MODEL_A with its atom's fields replaced (None deletes a field)."""
+    doc = copy.deepcopy(MODEL_A)
+    doc["atoms"][0].update(atom)
+    doc["atoms"][0] = {k: v for k, v in doc["atoms"][0].items() if v is not None}
+    return doc
+
+
+def _spec(edit):
+    doc = copy.deepcopy(TT1)
+    edit(doc)
+    return doc
+
+
+def _first_child(doc):
+    return doc["types"][0]["offspring"][0]["children"][0]
+
+
+MALFORMED_MODELS = {
+    "missing-prob": _model(prob=None),
+    "missing-matrices": _model(matrices=None),
+    "text-entry": _model(matrices=[[["abc"]], [[0.5]]]),
+    "text-prob": _model(prob="x"),
+    "matrices-number": _model(matrices=3),
+    "text-p": dict(MODEL_A, p="x"),
+    "atoms-number": dict(MODEL_A, atoms=5),
+    "row-number": _model(matrices=[[5], [[0.5]]]),
+    "sampler-text-n-children": {
+        "p": 1, "mode": "sampler",
+        "sampler": {"family": "uniform", "params": {"n_children": "x"}}},
+}
+
+MALFORMED_SPECS = {
+    "missing-p": _spec(lambda d: d.pop("p")),
+    "missing-types": _spec(lambda d: d.pop("types")),
+    "missing-offspring": _spec(lambda d: d["types"][0].pop("offspring")),
+    "missing-prob": _spec(lambda d: d["types"][0]["offspring"][0].pop("prob")),
+    "missing-children": _spec(
+        lambda d: d["types"][0]["offspring"][0].pop("children")),
+    "missing-type": _spec(lambda d: _first_child(d).pop("type")),
+    "missing-disp": _spec(lambda d: _first_child(d).pop("disp")),
+    "text-type": _spec(lambda d: _first_child(d).update(type="a")),
+    "fractional-type": _spec(lambda d: _first_child(d).update(type=1.5)),
+}
+
+
+def _check_model(doc):
+    def argv(tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        return ["check", "--model", str(path), "--alpha", "2",
+                "--out", str(tmp_path / "o")]
+    return argv
+
+
+def _build_spec(doc, *flags):
+    def argv(tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        return ["mbrw-build", "--spec", str(path), "--t", "1.0", *flags,
+                "--out-model", str(tmp_path / "m.json")]
+    return argv
+
+
+def _estimate_batch(damage):
+    """estimate --batch on a simulate output that damage(directory) broke."""
+    def argv(tmp_path):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(MODEL_C))
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--model", str(model), "--n", "3",
+                     "--replicates", "20", "--seed", "1",
+                     "--out", str(sim)]) == 0
+        damage(sim)
+        return ["estimate", "--model", str(model), "--batch", str(sim),
+                "--alpha", "2", "--out", str(tmp_path / "e")]
+    return argv
+
+
+def _truncate(sim):
+    blob = (sim / "batch.bin").read_bytes()
+    (sim / "batch.bin").write_bytes(blob[:-5])
+
+
+def _report(doc):
+    def argv(tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(doc))
+        return ["report", "--input", str(path)]
+    return argv
+
+
+MALFORMED_INPUTS = {
+    **{f"model-{k}": _check_model(v) for k, v in MALFORMED_MODELS.items()},
+    **{f"spec-{k}": _build_spec(v) for k, v in MALFORMED_SPECS.items()},
+    "mbrw-build-alpha-1": _build_spec(TT1, "--alpha", "1"),
+    "mbrw-build-lambda-negative": _build_spec(TT1, "--lambda", "-1"),
+    "batch-truncated": _estimate_batch(_truncate),
+    "batch-bin-missing": _estimate_batch(lambda d: (d / "batch.bin").unlink()),
+    "batch-meta-not-json": _estimate_batch(
+        lambda d: (d / "batch_meta.json").write_text("{")),
+    "report-not-rows": _report([1]),
+    "report-row-incomplete": _report([{"theorem": "x"}]),
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+    def test_exit2_one_line(self, case, tmp_path, capsys):
+        argv = MALFORMED_INPUTS[case](tmp_path)
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.strip().split("\n")
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
 
 
 class TestUsage:

@@ -286,6 +286,17 @@ class TestSerialization:
         with pytest.raises(SimulationError, match="magic"):
             batch_from_binary(str(path))
 
+    @pytest.mark.parametrize("keep", [28, -8, -1])
+    def test_truncated(self, model_c, tmp_path, keep):
+        # header (28 bytes) + R flag bytes + 8 R p value bytes
+        path = tmp_path / "b.bin"
+        batch_to_binary(simulate_batch(model_c, 2, 3, 1), str(path))
+        blob = path.read_bytes()
+        assert len(blob) == 28 + 3 + 8 * 3 * 2
+        path.write_bytes(blob[:keep])
+        with pytest.raises(SimulationError, match=f"{len(blob[:keep])} bytes"):
+            batch_from_binary(str(path))
+
 
 class TestReplicateStreams:
     def test_streams_differ(self):

@@ -124,6 +124,19 @@ class TestIntensityMeasure:
         with pytest.raises(ModelError, match="cap"):
             intensity_measure(model_c, 4, support_cap=10)
 
+    def test_cap_counts_merged_support(self, model_a):
+        # 2^30 paths, but every depth's support is the single product 2^-30
+        nu = intensity_measure(model_a, 30)
+        assert len(nu.weights) == 1
+        assert nu.weights[0] == 2.0**30
+        assert nu.matrices[0, 0, 0] == 0.5**30
+
+    def test_cap_refuses_depth_by_products_formed(self, model_c):
+        # no products merge: depth 3 forms 8 products, depth 4 would form 16
+        assert len(intensity_measure(model_c, 3, support_cap=8).weights) == 8
+        with pytest.raises(ModelError, match="depth 4 would form 16 products"):
+            intensity_measure(model_c, 4, support_cap=15)
+
     @given(seed=st.integers(0, 300), n=st.integers(1, 3))
     @settings(max_examples=30, deadline=None)
     def test_total_weight_is_mean_offspring_power(self, seed, n):
