@@ -246,7 +246,8 @@ def cmd_mbrw_build(args):
     model = build_cascade_from_mbrw(spec, args.t)
     rows = [_report_to_row(r) for r in mbrw_condition_report(
         spec, args.t, alpha=args.alpha[0] if args.alpha else None,
-        lam=args.lam[0] if args.lam else None, epsilon=args.epsilon[0])]
+        lam=args.lam[0] if args.lam else None,
+        epsilon=args.epsilon[0] if args.epsilon else 0.0)]
     os.makedirs(os.path.dirname(os.path.abspath(args.out_model)), exist_ok=True)
     save_model(model, args.out_model)
     if rows:
@@ -317,7 +318,7 @@ def build_parser():
     pm.add_argument("--alpha", type=float, action="append", default=[])
     pm.add_argument("--lambda", dest="lam", type=float, action="append",
                     default=[])
-    pm.add_argument("--epsilon", type=float, action="append", default=[0.0])
+    pm.add_argument("--epsilon", type=float, action="append", default=[])
     pm.add_argument("--out-model", required=True)
     pm.set_defaults(func=cmd_mbrw_build)
 

@@ -52,6 +52,15 @@ def positive_column_probability(model):
     return total
 
 
+def _norm_moment(model, alpha):
+    """E ||sum_k |A_k|||^alpha, an exact finite sum over the atoms."""
+    p = model.p
+    return sum(
+        a.prob * matrix_norm(sum((np.abs(np.asarray(m)) for m in a.matrices),
+                                 start=np.zeros((p, p)))) ** alpha
+        for a in model.atoms)
+
+
 def check_alpha_moment(model, alpha, n_max=3, support_cap=1_000_000):
     """Sufficient and necessary moment criteria at order alpha > 1.
 
@@ -68,10 +77,7 @@ def check_alpha_moment(model, alpha, n_max=3, support_cap=1_000_000):
     assumptions.append(h_status)
 
     p = model.p
-    norm_moment = sum(
-        a.prob * matrix_norm(sum((np.abs(np.asarray(m)) for m in a.matrices),
-                                 start=np.zeros((p, p)))) ** alpha
-        for a in model.atoms)
+    norm_moment = _norm_moment(model, alpha)
     pcp = positive_column_probability(model)
 
     quantities = {
@@ -291,10 +297,7 @@ def check_complex(model, alpha, beta_grid=None):
     model._require_finite_atom()
     p = model.p
 
-    norm_moment = sum(
-        a.prob * matrix_norm(sum((np.abs(np.asarray(m)) for m in a.matrices),
-                                 start=np.zeros((p, p)))) ** alpha
-        for a in model.atoms)
+    norm_moment = _norm_moment(model, alpha)
     rho_hat_alpha = perron(moment_matrix(model, alpha)).rho
     quantities = {
         "alpha": alpha,

@@ -79,13 +79,8 @@ def _atom_tables(model, tilt=None):
     dtype = complex if model.is_complex else float
     stacks = []
     for a in model.atoms:
-        if a.n_children:
-            mats = np.stack([np.asarray(m, dtype=dtype) for m in a.matrices])
-            if tilt is not None:
-                mats = np.stack([_entry_power(m, tilt) for m in mats])
-        else:
-            mats = np.empty((0, model.p, model.p), dtype=dtype)
-        stacks.append(mats)
+        mats = np.array(a.matrices, dtype=dtype).reshape(-1, model.p, model.p)
+        stacks.append(mats if tilt is None else _entry_power(mats, tilt))
     nch = np.array([a.n_children for a in model.atoms], dtype=np.int64)
     return cum, stacks, nch
 
@@ -235,14 +230,7 @@ def _simulate(model, n, replicates, master_seed, cap, tilt, want_traj,
     p = model.p
 
     if tilt is None or tilt == 1:
-        validation_mat = model.mean_matrix() if model.mode == "finite-atom" else None
-        if validation_mat is not None:
-            triple = perron(validation_mat)
-        else:
-            from .model import _estimate_mean_matrix_mc
-            est, _ = _estimate_mean_matrix_mc(model, seed=master_seed)
-            triple = perron(est)
-        v = triple.v.astype(dtype)
+        v = perron(model.mean_matrix()).v.astype(dtype)
         rho_t = 1.0
     else:
         mt = moment_matrix(model, tilt)

@@ -121,6 +121,15 @@ def _check_common_offspring_law(spec, tol=1e-12):
     return ref
 
 
+def _tilted_weight(x):
+    """exp(x) for an exponent -s * displacement; ModelError if it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise ModelError(f"tilted displacement weight exp({x!r}) overflows "
+                         "the float range") from None
+
+
 def mbrw_spectral(spec, t):
     """Tilted reproduction matrix and its Perron data.
 
@@ -132,7 +141,7 @@ def mbrw_spectral(spec, t):
     for i, configs in enumerate(spec.offspring):
         for c in configs:
             for j, disp in c.children:
-                m[i, j - 1] += c.prob * math.exp(-t * disp)
+                m[i, j - 1] += c.prob * _tilted_weight(-t * disp)
     try:
         triple = perron(m)
     except SpectralError as e:
@@ -189,7 +198,7 @@ def build_cascade_from_mbrw(spec, t):
             a = np.zeros((p, p))
             for i, config in enumerate(picked):
                 j, disp = config.children[k]
-                a[i, j - 1] = math.exp(-t * disp) / rho
+                a[i, j - 1] = _tilted_weight(-t * disp) / rho
             mats.append(a)
         atoms.append(Atom(prob=w, matrices=mats))
     model = CascadeModel(p=p, mode="finite-atom", field_kind="real", atoms=atoms)
@@ -248,9 +257,9 @@ def mbrw_condition_report(spec, t, alpha=None, lam=None, epsilon=0.0):
         per_type_tilted = []
         per_type_plain = []
         for configs in spec.offspring:
-            e_t = sum(c.prob * math.exp(-(lam + epsilon) * t * c.children[0][1])
+            e_t = sum(c.prob * _tilted_weight(-(lam + epsilon) * t * c.children[0][1])
                       for c in configs if c.n_children >= 1)
-            e_p = sum(c.prob * math.exp(-(lam + epsilon) * c.children[0][1])
+            e_p = sum(c.prob * _tilted_weight(-(lam + epsilon) * c.children[0][1])
                       for c in configs if c.n_children >= 1)
             per_type_tilted.append(e_t)
             per_type_plain.append(e_p)
@@ -261,9 +270,9 @@ def mbrw_condition_report(spec, t, alpha=None, lam=None, epsilon=0.0):
         for w, n_children, picked in _coupled_atoms(spec):
             if n_children != 1:
                 continue
-            em_plain += w * max(math.exp(-(lam + epsilon) * c.children[0][1])
+            em_plain += w * max(_tilted_weight(-(lam + epsilon) * c.children[0][1])
                                 for c in picked)
-            em_tilted += w * max(math.exp(-(lam + epsilon) * t * c.children[0][1])
+            em_tilted += w * max(_tilted_weight(-(lam + epsilon) * t * c.children[0][1])
                                  for c in picked)
         quantities["E max_i exp(-(lam+eps)*S_1^i);N=1 (as printed)"] = em_plain
         quantities["E max_i exp(-(lam+eps)*t*S_1^i);N=1 (t-reading)"] = em_tilted

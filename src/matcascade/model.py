@@ -2,8 +2,8 @@
 
 A finite-atom model lists every realization of the offspring weights
 with its probability, so every expectation downstream is a finite sum.
-Sampler-backed models (fixed child count, i.i.d. random entries) are
-accepted for simulation only.
+Sampler-backed models (fixed child count, i.i.d. uniform or lognormal
+entries) are accepted for simulation only; their mean matrix is closed-form.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,13 +112,26 @@ class CascadeModel:
         engine starts from its Perron vector V.  The complex mean
         E sum_k A_k is a different matrix: the martingale has
         E Y_n = (E sum_k A_k)^n V, which is V only when (E sum_k A_k) V = V.
+        A sampler law with N children and i.i.d. entries has
+        M = N E[entry] J, J the all-ones matrix.
         """
-        self._require_finite_atom()
-        m = np.zeros((self.p, self.p))
-        for a in self.atoms:
-            for mat in a.matrices:
-                m += a.prob * np.abs(mat) if self.is_complex else a.prob * mat
-        return m
+        if self.mode == "sampler":
+            params = self.sampler.get("params", {})
+            if self.sampler["family"] == "uniform":
+                entry = (float(params.get("low", 0.0))
+                         + float(params.get("high", 1.0))) / 2
+            else:
+                log_entry = (float(params.get("mu", 0.0))
+                             + float(params.get("sigma", 1.0))**2 / 2)
+                try:
+                    entry = math.exp(log_entry)
+                except OverflowError:
+                    raise ModelError(f"lognormal sampler mean exp({log_entry!r}) "
+                                     "overflows the float range") from None
+            return np.full((self.p, self.p), int(params["n_children"]) * entry)
+        from .spectral import moment_matrix  # local import: spectral depends on model
+
+        return moment_matrix(self, 1)
 
     def content_hash(self):
         """Stable hash of the model content (used to tag sample batches)."""
@@ -139,7 +153,6 @@ class ValidationReport:
     perron: "PerronTriple | None"
     spectral_radius_deviation: float | None
     assumption_h: str  # "holds" or "fails: <reason>"
-    mean_matrix_stderr: np.ndarray | None = None  # sampler mode only
     norm_convention: str = "matrix norm: entrywise absolute sum; vector norm: L1"
 
     @property
@@ -196,6 +209,8 @@ def model_from_dict(doc, source_hash=None):
         params = sampler.get("params", {})
         if int(params.get("n_children", 0)) < 1:
             raise ModelError("sampler requires params.n_children >= 1")
+        if float(params.get("low", 0.0)) < 0 or float(params.get("sigma", 1.0)) < 0:
+            raise ModelError("sampler requires params.low >= 0 and params.sigma >= 0")
         return CascadeModel(p=p, mode=mode, field_kind=field_kind,
                             sampler=sampler, source_hash=source_hash)
 
@@ -277,45 +292,22 @@ def primitivity(mat, max_exponent=None):
     return False, None
 
 
-def _estimate_mean_matrix_mc(model, draws=20000, seed=0):
-    """Monte Carlo mean matrix for sampler models, with standard error."""
-    from .engine import _sampler_draw  # local import: engine depends on model
-
-    rng = np.random.default_rng(seed)
-    acc = np.zeros((model.p, model.p))
-    acc2 = np.zeros((model.p, model.p))
-    for _ in range(draws):
-        mats = _sampler_draw(model, rng, 1)[0]
-        s = np.abs(mats).sum(axis=0) if model.is_complex else mats.sum(axis=0)
-        acc += s
-        acc2 += s * s
-    mean = acc / draws
-    var = np.maximum(acc2 / draws - mean**2, 0.0)
-    return mean, np.sqrt(var / draws)
-
-
-def validate_model(model, mc_draws=20000, mc_seed=0):
+def validate_model(model):
     """Check the standing spectral assumption on the mean matrix.
 
-    Builds M = E sum_k A_k (exactly for finite-atom laws, by Monte Carlo
-    for sampler laws), decides primitivity by boolean powers, attaches
-    Perron data, and reports whether the maximal eigenvalue equals 1.
+    Builds M = E sum_k A_k exactly, decides primitivity by boolean powers,
+    attaches Perron data, and reports whether the maximal eigenvalue
+    equals 1.
     """
     from .spectral import perron
 
-    stderr = None
-    if model.mode == "finite-atom":
-        m = model.mean_matrix()
-    else:
-        m, stderr = _estimate_mean_matrix_mc(model, draws=mc_draws, seed=mc_seed)
-
+    m = model.mean_matrix()
     primitive, exponent = primitivity(m)
     if not primitive:
         return ValidationReport(
             mean_matrix=m, primitive=False, primitivity_exponent=None,
             perron=None, spectral_radius_deviation=None,
-            assumption_h="fails: mean matrix is not primitive",
-            mean_matrix_stderr=stderr)
+            assumption_h="fails: mean matrix is not primitive")
 
     triple = perron(m)
     deviation = abs(triple.rho - 1.0)
@@ -327,7 +319,7 @@ def validate_model(model, mc_draws=20000, mc_seed=0):
     return ValidationReport(
         mean_matrix=m, primitive=True, primitivity_exponent=exponent,
         perron=triple, spectral_radius_deviation=deviation,
-        assumption_h=verdict, mean_matrix_stderr=stderr)
+        assumption_h=verdict)
 
 
 def normalize_model(model):

@@ -3,6 +3,9 @@
 The depth-n intensity measure (expected occupation measure of the path
 products) is the linear substrate: once its finite support is known,
 every entrywise power sum over depth-n products is an exact weighted sum.
+The support is merged bitwise, in order of first occurrence, by array
+operations, and every mean or moment matrix is one weighted power sum
+over a stack of matrices, added in stack order.
 """
 
 from __future__ import annotations
@@ -126,9 +129,25 @@ def _entry_power(mat, t):
     a = np.abs(mat) if np.iscomplexobj(mat) else np.asarray(mat, dtype=float)
     if t <= 0 and np.any(a == 0):
         raise SpectralError(f"zero entry raised to power t={t}")
-    if t == 1:
-        return a.copy()
     return np.power(a, t)
+
+
+def _child_stack(model):
+    """Atom probability and matrix of every child of every atom, in atom
+    order: the depth-1 intensity measure before merging."""
+    model._require_finite_atom()
+    dtype = complex if model.is_complex else float
+    weights = np.array([a.prob for a in model.atoms for _ in a.matrices])
+    mats = np.array([m for a in model.atoms for m in a.matrices], dtype=dtype)
+    return weights, mats.reshape(-1, model.p, model.p)
+
+
+def _power_sum(weights, mats, t):
+    """sum_i weights[i] * mats[i]^t, entrywise powers, added in index order
+    onto a zero matrix (a sum over axis 0 would add pairwise when p = 1)."""
+    terms = np.zeros((len(weights) + 1,) + mats.shape[1:])
+    np.multiply(weights[:, None, None], _entry_power(mats, t), out=terms[1:])
+    return np.add.accumulate(terms, axis=0)[-1]
 
 
 def moment_matrix(model, t):
@@ -136,12 +155,22 @@ def moment_matrix(model, t):
 
     Complex models use the moduli of the entries.
     """
-    model._require_finite_atom()
-    out = np.zeros((model.p, model.p))
-    for atom in model.atoms:
-        for mat in atom.matrices:
-            out += atom.prob * _entry_power(mat, t)
-    return out
+    return _power_sum(*_child_stack(model), t)
+
+
+def _merge(weights, mats):
+    """Sum the weights of bitwise-equal matrices.
+
+    The support keeps the order of first occurrence, and each weight adds
+    its terms in input order.
+    """
+    flat = mats.reshape(len(mats), -1)
+    keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
+    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # groups by first occurrence
+    merged = np.zeros(len(first))
+    np.add.at(merged, np.argsort(order)[group], weights)
+    return merged, mats[first[order]]
 
 
 def intensity_measure(model, n, support_cap=1_000_000):
@@ -149,41 +178,18 @@ def intensity_measure(model, n, support_cap=1_000_000):
 
     nu_1 puts weight prob on each child matrix of each atom; nu_n is the
     left-multiplication convolution of nu_1 with nu_{n-1}.  Bitwise-equal
-    matrices are merged by weight (no epsilon merging).  A depth that
-    would form more than support_cap products before merging is refused.
+    matrices are merged by weight (no epsilon merging), and the support
+    keeps the order in which products first occur.  A depth that would
+    form more than support_cap products before merging is refused.
     """
-    model._require_finite_atom()
+    base_w, base_m = _child_stack(model)
     if n < 1:
         raise SpectralError("depth n must be >= 1")
-    branch = sum(a.n_children for a in model.atoms)
+    branch = len(base_w)
     if branch == 0:
         raise ModelError("model has no children in any atom")
 
-    dtype = complex if model.is_complex else float
-    base_w = []
-    base_m = []
-    for atom in model.atoms:
-        for mat in atom.matrices:
-            base_w.append(atom.prob)
-            base_m.append(np.asarray(mat, dtype=dtype))
-    base_w = np.array(base_w)
-    base_m = np.stack(base_m)
-
-    def merge(weights, mats):
-        seen: dict[bytes, int] = {}
-        out_w: list[float] = []
-        out_m = []
-        for w, m in zip(weights, mats):
-            key = m.tobytes()
-            if key in seen:
-                out_w[seen[key]] += w
-            else:
-                seen[key] = len(out_w)
-                out_w.append(w)
-                out_m.append(m)
-        return np.array(out_w), np.stack(out_m)
-
-    weights, mats = merge(base_w, base_m)
+    weights, mats = _merge(base_w, base_m)
     for depth in range(2, n + 1):
         if branch * len(weights) > support_cap:
             raise ModelError(
@@ -192,7 +198,7 @@ def intensity_measure(model, n, support_cap=1_000_000):
         # left-multiply each depth-1 matrix onto the accumulated products
         new_w = np.multiply.outer(base_w, weights).reshape(-1)
         new_m = np.einsum("apq,mqr->ampr", base_m, mats).reshape(-1, model.p, model.p)
-        weights, mats = merge(new_w, new_m)
+        weights, mats = _merge(new_w, new_m)
     return IntensityMeasure(depth=n, weights=weights, matrices=mats)
 
 
@@ -205,7 +211,4 @@ def n_step_moment_matrix(model, t, n, support_cap=1_000_000):
     if n == 1:
         return moment_matrix(model, t)
     nu = intensity_measure(model, n, support_cap=support_cap)
-    out = np.zeros((model.p, model.p))
-    for w, m in zip(nu.weights, nu.matrices):
-        out += w * _entry_power(m, t)
-    return out
+    return _power_sum(nu.weights, nu.matrices, t)

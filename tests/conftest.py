@@ -120,3 +120,43 @@ def brute_force_moment_matrix(model, t, n):
     for w, x in enumerate_paths(model, n):
         out += w * np.power(x, t)
     return out
+
+
+
+def reference_intensity_measure(model, n):
+    """(weights, matrices) of the depth-n intensity measure, with bitwise
+    equal products merged through a dict keyed on their bytes: the support
+    in order of first occurrence, each weight summed in input order.  The
+    products are formed as the library forms them."""
+    dtype = complex if model.is_complex else float
+    base_w = np.array([a.prob for a in model.atoms for _ in a.matrices])
+    base_m = np.stack([np.asarray(m, dtype=dtype)
+                       for a in model.atoms for m in a.matrices])
+
+    def merge(weights, mats):
+        seen = {}
+        out_w, out_m = [], []
+        for w, m in zip(weights, mats):
+            key = m.tobytes()
+            if key in seen:
+                out_w[seen[key]] += w
+            else:
+                seen[key] = len(out_w)
+                out_w.append(w)
+                out_m.append(m)
+        return np.array(out_w), np.stack(out_m)
+
+    weights, mats = merge(base_w, base_m)
+    for _ in range(n - 1):
+        new_w = np.multiply.outer(base_w, weights).reshape(-1)
+        new_m = np.einsum("apq,mqr->ampr", base_m, mats)
+        weights, mats = merge(new_w, new_m.reshape(-1, model.p, model.p))
+    return weights, mats
+
+
+def reference_power_sum(weights, mats, t):
+    """sum_i weights[i] * |mats[i]|^t entrywise, one term at a time."""
+    out = np.zeros(mats.shape[1:])
+    for w, m in zip(weights, mats):
+        out += w * np.power(np.abs(m), t)
+    return out

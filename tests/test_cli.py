@@ -167,6 +167,15 @@ class TestMbrwBuild:
         assert abs(m[0, 0] - 2 / 3) < 1e-12 and abs(m[0, 1] - 1 / 3) < 1e-12
         assert "C2.4a" in capsys.readouterr().out
 
+    def test_epsilon_reaches_report(self, tmp_path, capsys):
+        spec = tmp_path / "tt1.json"
+        spec.write_text(json.dumps(TT1))
+        code = main(["mbrw-build", "--spec", str(spec), "--t", "1", "--lambda", "1",
+                     "--epsilon", "0.7", "--out-model", str(tmp_path / "m.json")])
+        assert code == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert ["epsilon", "0.7"] in rows
+
     def test_bad_spec_exit2(self, tmp_path):
         spec = tmp_path / "bad.json"
         spec.write_text("{")
@@ -219,6 +228,9 @@ MALFORMED_MODELS = {
     "sampler-text-n-children": {
         "p": 1, "mode": "sampler",
         "sampler": {"family": "uniform", "params": {"n_children": "x"}}},
+    "sampler-mean-overflow": {
+        "p": 1, "mode": "sampler",
+        "sampler": {"family": "lognormal", "params": {"n_children": 2, "mu": 800}}},
 }
 
 MALFORMED_SPECS = {
@@ -232,6 +244,7 @@ MALFORMED_SPECS = {
     "missing-disp": _spec(lambda d: _first_child(d).pop("disp")),
     "text-type": _spec(lambda d: _first_child(d).update(type="a")),
     "fractional-type": _spec(lambda d: _first_child(d).update(type=1.5)),
+    "tilted-weight-overflow": _spec(lambda d: _first_child(d).update(disp=-1000)),
 }
 
 

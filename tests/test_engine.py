@@ -5,8 +5,7 @@ from matcascade.engine import (SimulationError, batch_from_binary,
                                batch_to_binary, batch_to_csv, replicate_rng,
                                simulate_batch, simulate_complex, simulate_Yn,
                                simulate_tilted, _sampler_draw, _simulate)
-from matcascade.model import (_estimate_mean_matrix_mc, model_from_dict,
-                              normalize_model)
+from matcascade.model import model_from_dict, normalize_model
 from matcascade.spectral import moment_matrix, perron
 from conftest import make_model, random_primitive_model
 
@@ -68,7 +67,7 @@ class TestSeedMatchedOracle:
     def sampler_oracle(self, model, n, seed, r):
         """Per-node expansion of replicate r drawing each node's matrices
         from the same sampler stream."""
-        v = perron(_estimate_mean_matrix_mc(model, seed=seed)[0]).v
+        v = perron(model.mean_matrix()).v
         rng = replicate_rng(seed, r)
         prods = [np.eye(model.p)]
         for _ in range(n):
@@ -87,6 +86,32 @@ class TestSeedMatchedOracle:
             np.testing.assert_allclose(batch.values[r],
                                        self.sampler_oracle(model, 4, seed, r),
                                        rtol=1e-12)
+
+
+SAMPLERS = {
+    "uniform": {"family": "uniform",
+                "params": {"n_children": 2, "low": 0.1, "high": 0.4}},
+    "lognormal": {"family": "lognormal",
+                  "params": {"n_children": 3, "mu": -1.5, "sigma": 0.4}},
+}
+
+
+class TestSamplerMeanMatrix:
+    @pytest.mark.parametrize("family", sorted(SAMPLERS))
+    def test_closed_form_matches_draws(self, family):
+        model = model_from_dict({"p": 2, "mode": "sampler",
+                                 "sampler": SAMPLERS[family]})
+        sums = _sampler_draw(model, np.random.default_rng(3), 10**5).sum(axis=1)
+        se = sums.std(axis=0) / np.sqrt(len(sums))
+        assert np.all(np.abs(sums.mean(axis=0) - model.mean_matrix()) <= 5 * se)
+
+    @pytest.mark.parametrize("family", sorted(SAMPLERS))
+    def test_v_does_not_depend_on_seed(self, family):
+        model = model_from_dict({"p": 2, "mode": "sampler",
+                                 "sampler": SAMPLERS[family]})
+        # Y_0 = V
+        np.testing.assert_array_equal(simulate_batch(model, 0, 1, 1).values,
+                                      simulate_batch(model, 0, 1, 2).values)
 
 
 class TestDeterminism:

@@ -73,6 +73,18 @@ class TestLoad:
             {"prob": 0.5, "matrices": [[[1.0]], [[1.0]]]}]})
         assert m.min_offspring() == 0
 
+    def test_childless_model_mean_matrix(self):
+        m = model_from_dict({"p": 2, "atoms": [{"prob": 1.0, "matrices": []}]})
+        np.testing.assert_array_equal(m.mean_matrix(), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("family,param", [("uniform", "low"),
+                                              ("lognormal", "sigma")])
+    def test_negative_sampler_parameter_rejected(self, family, param):
+        doc = {"p": 1, "mode": "sampler", "sampler": {
+            "family": family, "params": {"n_children": 2, param: -0.1}}}
+        with pytest.raises(ModelError, match=param):
+            model_from_dict(doc)
+
     def test_complex_entries(self, tmp_path):
         doc = {"p": 1, "field": "complex", "atoms": [
             {"prob": 1.0, "matrices": [[[[0.0, 0.5]]]]}]}

@@ -6,8 +6,10 @@ from matcascade.model import ModelError
 from matcascade.spectral import (IntensityMeasure, SpectralError, intensity_measure,
                                  matrix_norm, moment_matrix, n_step_moment_matrix,
                                  perron)
+from matcascade.mbrw import build_cascade_from_mbrw, spec_from_dict
 from conftest import (brute_force_moment_matrix, eig_perron_oracle, make_model,
-                      random_primitive_model)
+                      random_primitive_model, reference_intensity_measure,
+                      reference_power_sum)
 
 
 class TestMatrixNorm:
@@ -144,6 +146,78 @@ class TestIntensityMeasure:
         nu = intensity_measure(model, n)
         assert nu.total_weight == pytest.approx(model.mean_offspring() ** n,
                                                 rel=1e-12)
+
+
+def _walk_model():
+    """Two-type walk with extinction: type-inconsistent products vanish,
+    so many depth-n products are bitwise equal."""
+    def children(*cs):
+        return [{"type": j, "disp": d} for j, d in cs]
+
+    spec = spec_from_dict({"p": 2, "types": [
+        {"offspring": [{"prob": 0.1, "children": []},
+                       {"prob": 0.2, "children": children((2, 0.3))},
+                       {"prob": 0.7, "children": children((1, -0.2), (2, 0.5))}]},
+        {"offspring": [{"prob": 0.1, "children": []},
+                       {"prob": 0.2, "children": children((1, -0.4))},
+                       {"prob": 0.7, "children": children((2, 0.1), (1, 0.6))}]}]})
+    return build_cascade_from_mbrw(spec, 1.0)
+
+
+def _repeated_child_model(field_kind):
+    """Random p = 2 model in which one child matrix occurs twice."""
+    rng = np.random.default_rng(11)
+    shape = (3, 2, 2)
+    a, b, c = rng.uniform(0.05, 0.6, shape)
+    if field_kind == "complex":
+        a, b, c = (x * np.exp(2j * np.pi * rng.random((2, 2))) for x in (a, b, c))
+    return make_model(2, [(0.4, [a, b, a]), (0.6, [c, b])], field_kind=field_kind)
+
+
+def _scalar_model():
+    """p = 1 with three children: 26 distinct depth-5 products, more than
+    the 8 terms from which a numpy sum over axis 0 adds pairwise."""
+    return make_model(1, [(0.5, [[[0.3]], [[0.5]]]), (0.5, [[[0.45]]])])
+
+
+# (model, depth); in each, some depth-n products are bitwise equal
+REFERENCE_CASES = {
+    "model-a-depth-30": (lambda: make_model(1, [(1.0, [[[0.5]], [[0.5]]])]), 30),
+    "walk-depth-6": (_walk_model, 6),
+    "repeated-child-depth-4": (lambda: _repeated_child_model("real"), 4),
+    "complex-depth-4": (lambda: _repeated_child_model("complex"), 4),
+    "scalar-depth-5": (_scalar_model, 5),
+}
+
+
+class TestAgainstReference:
+    """The array merge and power sums against the reference that takes one
+    product at a time: equal bits, in the same support order."""
+
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_intensity_measure_bitwise(self, case):
+        make, n = REFERENCE_CASES[case]
+        model = make()
+        want_w, want_m = reference_intensity_measure(model, n)
+        assert len(want_w) < sum(a.n_children for a in model.atoms)**n
+        nu = intensity_measure(model, n)
+        assert nu.weights.dtype == want_w.dtype
+        assert nu.matrices.dtype == want_m.dtype
+        np.testing.assert_array_equal(nu.weights, want_w)
+        np.testing.assert_array_equal(nu.matrices, want_m)
+
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_power_sums_bitwise(self, case):
+        make, n = REFERENCE_CASES[case]
+        model = make()
+        measure = reference_intensity_measure(model, n)
+        probs = np.array([a.prob for a in model.atoms for _ in a.matrices])
+        children = np.stack([m for a in model.atoms for m in a.matrices])
+        for t in (1, 1.5, 2, 3):
+            np.testing.assert_array_equal(n_step_moment_matrix(model, t, n),
+                                          reference_power_sum(*measure, t))
+            np.testing.assert_array_equal(moment_matrix(model, t),
+                                          reference_power_sum(probs, children, t))
 
 
 class TestNStepMomentMatrix:
