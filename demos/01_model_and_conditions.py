@@ -6,7 +6,7 @@ Run:  python3 demos/01_model_and_conditions.py
 
 import numpy as np
 
-from matcascade.conditions import (check_alpha_moment, check_harmonic,
+from matcascade.conditions import (check_alpha_moments, check_harmonic,
                                    exponential_profile)
 from matcascade.model import model_from_dict, validate_model
 from matcascade.spectral import moment_matrix, perron
@@ -35,8 +35,8 @@ print("right eigenvector V =", triple.v)
 
 # does E ||Y||^alpha stay bounded?  The sufficient criterion compares the
 # dominant eigenvalue of the alpha-tilted moment matrix against p^(1-alpha).
-for alpha in (1.5, 2.0, 3.0):
-    rep = check_alpha_moment(model, alpha)
+alphas = (1.5, 2.0, 3.0)
+for alpha, rep in zip(alphas, check_alpha_moments(model, alphas)):
     crit = rep.quantities["p^(alpha-1)*rho_1(alpha)"]
     print(f"\nalpha = {alpha}: verdict {rep.verdict} "
           f"(criterion value {crit:.4f}, needs < 1)")

@@ -27,7 +27,7 @@ from .spectral import (
 )
 from .conditions import (
     ConditionReport,
-    check_alpha_moment,
+    check_alpha_moments,
     positive_column_probability,
     check_harmonic,
     exponential_profile,

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .model import (MatcascadeError, load_model, parses, read_json,
                     save_model, validate_model)
-from .conditions import (check_alpha_moment, check_complex, check_harmonic,
+from .conditions import (check_alpha_moments, check_complex, check_harmonic,
                          exponential_profile)
 from .engine import (batch_from_binary, batch_to_binary, batch_to_csv,
                      simulate_batch, DEFAULT_CAP)
@@ -37,11 +37,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_ALL_FAILED = 3
-
-
-def _file_hash(path):
-    with open(path, "rb") as f:
-        return hashlib.sha256(f.read()).hexdigest()
 
 
 def _write_manifest(outdir, args_ns, extra):
@@ -106,9 +101,8 @@ def cmd_check(args):
             rep = check_complex(model, alpha, beta_grid=args.beta or None)
             rows.append(_report_to_row(rep))
     else:
-        for alpha in args.alpha:
-            rep = check_alpha_moment(model, alpha, n_max=args.n_max)
-            rows.append(_report_to_row(rep))
+        rows += [_report_to_row(rep) for rep in
+                 check_alpha_moments(model, args.alpha, n_max=args.n_max)]
         for lam in args.lam:
             rows.append(_report_to_row(check_harmonic(model, lam)))
         if model.min_offspring() >= 2:
@@ -126,7 +120,7 @@ def cmd_check(args):
               encoding="utf-8") as f:
         f.write(table)
     print(table)
-    _write_manifest(args.out, args, {"model_hash": _file_hash(args.model)})
+    _write_manifest(args.out, args, {"model_hash": model.source_hash})
     return EXIT_OK
 
 
@@ -145,7 +139,7 @@ def cmd_simulate(args):
     batch_to_csv(batch, os.path.join(args.out, "batch.csv"))
     batch_to_binary(batch, os.path.join(args.out, "batch.bin"))
     meta = {
-        "model_hash": _file_hash(args.model),
+        "model_hash": model.source_hash,
         "model_id": batch.model_id,
         "n": batch.n, "replicates": batch.replicates,
         "seed": batch.master_seed,
@@ -182,10 +176,14 @@ def cmd_estimate(args):
                             "(hash mismatch); re-simulate or pass --fresh")
 
     out = {"n": batch.n, "replicates": batch.replicates}
+    # the exact side checks need a finite-atom real model
+    exact = model.mode == "finite-atom" and not model.is_complex
+    orders = [alpha for alpha in args.alpha if alpha > 1] if exact else []
+    sides = check_alpha_moments(model, orders, n_max=args.n_max) if orders else []
+    sides = dict(zip(orders, sides))
     for alpha in args.alpha:
         est = estimate_moment(batch, alpha, target="norm")
-        side = check_alpha_moment(model, alpha, n_max=args.n_max) \
-            if alpha > 1 and not model.is_complex else None
+        side = sides.get(alpha)
         out.setdefault("moments", []).append({
             "estimate": est.__dict__,
             "condition": _report_to_row(side) if side else None,
@@ -193,7 +191,7 @@ def cmd_estimate(args):
     y = np.ones(model.p)
     for lam in args.lam:
         est = estimate_harmonic(batch, lam, y)
-        side = check_harmonic(model, lam) if not model.is_complex else None
+        side = check_harmonic(model, lam) if exact else None
         out.setdefault("harmonic", []).append({
             "estimate": est.__dict__,
             "condition": _report_to_row(side) if side else None,
@@ -236,7 +234,7 @@ def cmd_estimate(args):
               encoding="utf-8") as f:
         json.dump(out, f, indent=2, sort_keys=True, default=str)
         f.write("\n")
-    _write_manifest(args.out, args, {"model_hash": _file_hash(args.model)})
+    _write_manifest(args.out, args, {"model_hash": model.source_hash})
     print(json.dumps(out, indent=2, sort_keys=True, default=str))
     return EXIT_OK
 
@@ -244,10 +242,11 @@ def cmd_estimate(args):
 def cmd_mbrw_build(args):
     spec = load_mbrw_spec(args.spec)
     model = build_cascade_from_mbrw(spec, args.t)
-    rows = [_report_to_row(r) for r in mbrw_condition_report(
-        spec, args.t, alpha=args.alpha[0] if args.alpha else None,
-        lam=args.lam[0] if args.lam else None,
-        epsilon=args.epsilon[0] if args.epsilon else 0.0)]
+    reports = [r for alpha in args.alpha
+               for r in mbrw_condition_report(spec, args.t, alpha=alpha)]
+    reports += [r for lam in args.lam for eps in args.epsilon or [0.0]
+                for r in mbrw_condition_report(spec, args.t, lam=lam, epsilon=eps)]
+    rows = [_report_to_row(r) for r in reports]
     os.makedirs(os.path.dirname(os.path.abspath(args.out_model)), exist_ok=True)
     save_model(model, args.out_model)
     if rows:

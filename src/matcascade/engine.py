@@ -141,7 +141,7 @@ def _fold(levels, sizes, depth, v):
     return y
 
 
-def _run_chunk(model, n, rngs, v, cap, tilt, dtype, want_traj, root_model=None):
+def _run_chunk(model, n, rngs, v, cap, tilt, dtype, want_traj, identity_root=False):
     """Simulate one chunk of replicates; returns (Y array, traj, extinct, capped).
 
     Each replicate consumes its own stream: one uniform per alive node per
@@ -150,16 +150,18 @@ def _run_chunk(model, n, rngs, v, cap, tilt, dtype, want_traj, root_model=None):
     growing there and reports NaN from that depth on.  A trajectory is the
     fold cut off at each depth.
 
-    root_model, when given, supplies the weight matrices of the first
-    generation only (same offspring law; used by the mutation diagnostic).
+    identity_root replaces the weight matrices of the first generation
+    of a finite-atom law by the identity (same offspring law; used by the
+    mutation diagnostic).
     """
     m0 = len(rngs)
     finite = model.mode == "finite-atom"
     if finite:
         cum, stacks, nch = _atom_tables(model, tilt=tilt)
         root_stacks = stacks
-        if root_model is not None:
-            _, root_stacks, _ = _atom_tables(root_model, tilt=tilt)
+        if identity_root:
+            eye = np.eye(model.p, dtype=dtype)
+            root_stacks = [np.broadcast_to(eye, stack.shape) for stack in stacks]
     else:
         n_children = int(model.sampler["params"]["n_children"])
 
@@ -245,13 +247,12 @@ def _simulate(model, n, replicates, master_seed, cap, tilt, want_traj,
     extinct = np.zeros(replicates, dtype=bool)
     capped = np.zeros(replicates, dtype=bool)
     trajs = [] if want_traj else None
-    root_model = _identity_root_model(model) if identity_root else None
 
     for start in range(0, replicates, chunk):
         stop = min(start + chunk, replicates)
         rngs = [replicate_rng(master_seed, r) for r in range(start, stop)]
         y, traj, ext, cpd = _run_chunk(model, n, rngs, v, cap, tilt, dtype,
-                                       want_traj, root_model=root_model)
+                                       want_traj, identity_root=identity_root)
         values[start:stop] = y
         extinct[start:stop] = ext
         capped[start:stop] = cpd
@@ -263,21 +264,6 @@ def _simulate(model, n, replicates, master_seed, cap, tilt, want_traj,
     else:
         traj_full = None
     return values, traj_full, extinct, capped, rho_t
-
-
-def _identity_root_model(model):
-    """Model whose root-generation weights are replaced by the identity.
-
-    Used only by the fixed-point mutation diagnostic: keeps the offspring
-    law but drops the depth-1 matrices.
-    """
-    from .model import Atom, CascadeModel
-
-    eye = np.eye(model.p, dtype=complex if model.is_complex else float)
-    atoms = [Atom(prob=a.prob, matrices=[eye.copy() for _ in a.matrices])
-             for a in model.atoms]
-    return CascadeModel(p=model.p, mode=model.mode, field_kind=model.field_kind,
-                        atoms=atoms, sampler=model.sampler)
 
 
 def simulate_Yn(model, n, seed, cap=DEFAULT_CAP):
@@ -352,6 +338,11 @@ def _hat_model(model):
 # ---------------------------------------------------------------------------
 # batch serialization
 
+def _float_columns(values):
+    """The (R, p) values as float64 columns, re/im interleaved when complex."""
+    return np.ascontiguousarray(values).view(np.float64)
+
+
 def batch_to_csv(batch, path):
     """CSV: replicate, extinct_flag, capped_flag, then Y columns.
 
@@ -359,23 +350,21 @@ def batch_to_csv(batch, path):
     rerun with identical flags reproduces the file bytes.
     """
     p = batch.p
-    cx = np.iscomplexobj(batch.values)
-    if cx:
+    if np.iscomplexobj(batch.values):
         cols = [f"Y{j+1}_re,Y{j+1}_im" for j in range(p)]
     else:
         cols = [f"Y{j+1}" for j in range(p)]
+    columns = _float_columns(batch.values)
     with open(path, "w", encoding="utf-8") as f:
         f.write("replicate,extinct,capped," + ",".join(cols) + "\n")
-        for r in range(batch.replicates):
-            row = [str(r), str(int(batch.extinct[r])), str(int(batch.capped[r]))]
-            for j in range(p):
-                z = batch.values[r, j]
-                if cx:
-                    row.append(repr(float(z.real)))
-                    row.append(repr(float(z.imag)))
-                else:
-                    row.append(repr(float(z)))
-            f.write(",".join(row) + "\n")
+        # rows become Python floats one chunk at a time, to bound memory
+        for start in range(0, batch.replicates, CHUNK):
+            block = slice(start, start + CHUNK)
+            rows = zip(batch.extinct[block].tolist(), batch.capped[block].tolist(),
+                       columns[block].tolist())
+            for r, (extinct, capped, values) in enumerate(rows, start):
+                f.write(f"{r},{int(extinct)},{int(capped)},"
+                        + ",".join(map(repr, values)) + "\n")
 
 
 def batch_to_binary(batch, path):
@@ -391,16 +380,10 @@ def batch_to_binary(batch, path):
         "<IIQIB3x", BATCH_VERSION, batch.p, batch.replicates, batch.n, int(cx))
     flags = (batch.extinct.astype(np.uint8)
              | (batch.capped.astype(np.uint8) << 1))
-    if cx:
-        payload = np.empty((batch.replicates, 2 * batch.p))
-        payload[:, 0::2] = batch.values.real
-        payload[:, 1::2] = batch.values.imag
-    else:
-        payload = batch.values.astype(float)
     with open(path, "wb") as f:
         f.write(header)
         f.write(flags.tobytes())
-        f.write(payload.astype("<f8").tobytes())
+        f.write(_float_columns(batch.values).astype("<f8").tobytes())
 
 
 def batch_from_binary(path, model_id="", master_seed=-1):
@@ -422,10 +405,7 @@ def batch_from_binary(path, model_id="", master_seed=-1):
     flags = np.frombuffer(blob[off:off + r], dtype=np.uint8)
     off += r
     payload = np.frombuffer(blob[off:], dtype="<f8").reshape(r, width)
-    if cx:
-        values = payload[:, 0::2] + 1j * payload[:, 1::2]
-    else:
-        values = payload.copy()
+    values = (payload.view(complex) if cx else payload).copy()
     return SampleBatch(model_id=model_id, n=n, replicates=r, values=values,
                        master_seed=master_seed,
                        field_kind="complex" if cx else "real",

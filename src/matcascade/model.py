@@ -50,12 +50,12 @@ def parses(error, what):
 
 
 def read_json(path, what, error):
-    """(text, document) of the UTF-8 JSON file at path; error naming what
+    """(bytes, document) of the UTF-8 JSON file at path; error naming what
     if it cannot be read or parsed."""
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, "rb") as f:
             raw = f.read()
-        return raw, json.loads(raw)
+        return raw, json.loads(raw.decode("utf-8"))
     except (OSError, UnicodeDecodeError) as e:
         raise error(f"cannot read {what}: {e}") from e
     except json.JSONDecodeError as e:
@@ -252,9 +252,10 @@ def model_to_dict(model):
 
 
 def load_model(path):
-    """Read a model file (JSON, UTF-8) and return a validated CascadeModel."""
+    """Read a model file (JSON, UTF-8) and return a validated CascadeModel
+    whose source_hash is the SHA-256 of the file's bytes."""
     raw, doc = read_json(path, "model", ModelError)
-    return model_from_dict(doc, source_hash=hashlib.sha256(raw.encode()).hexdigest())
+    return model_from_dict(doc, source_hash=hashlib.sha256(raw).hexdigest())
 
 
 def save_model(model, path):

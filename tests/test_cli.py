@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import math
 
@@ -98,6 +99,21 @@ class TestSimulate:
               "50", "--seed", "3", "--workers", "8", "--out", str(o2)])
         assert (o1 / "batch.bin").read_bytes() == (o2 / "batch.bin").read_bytes()
 
+    def test_crlf_model_one_hash(self, tmp_path):
+        # the batch is tagged with the hash of the file's bytes, as the manifest is
+        path = tmp_path / "model-crlf.json"
+        path.write_bytes(json.dumps(MODEL_C, indent=2).replace("\n", "\r\n").encode())
+        out = tmp_path / "sim"
+        assert main(["simulate", "--model", str(path), "--n", "3",
+                     "--replicates", "10", "--seed", "1", "--out", str(out)]) == 0
+        meta = json.loads((out / "batch_meta.json").read_text())
+        assert meta["model_hash"] == meta["model_id"]
+        assert meta["model_id"] == hashlib.sha256(path.read_bytes()).hexdigest()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["model_hash"] == meta["model_id"]
+        assert main(["estimate", "--model", str(path), "--batch", str(out),
+                     "--alpha", "2", "--out", str(tmp_path / "e")]) == 0
+
     def test_zero_replicates_usage_error(self, model_a_path, tmp_path):
         code = main(["simulate", "--model", model_a_path, "--n", "2",
                      "--replicates", "0", "--seed", "1",
@@ -148,6 +164,22 @@ class TestEstimate:
         header = (out / "power_fit_points.csv").read_text().split("\n")[0]
         assert header == "log_norm_t,log_phi"
 
+    @pytest.mark.parametrize("flags", [["--alpha", "2", "--lambda", "1"], []])
+    def test_fresh_sampler_model(self, tmp_path, flags):
+        # the estimators run on sampler batches; the exact side checks,
+        # which need a finite-atom model, are left out
+        path = tmp_path / "sampler.json"
+        path.write_text(json.dumps({"p": 2, "mode": "sampler", "sampler": {
+            "family": "uniform",
+            "params": {"n_children": 2, "low": 0.1, "high": 0.4}}}))
+        out = tmp_path / "est"
+        assert main(["estimate", "--model", str(path), "--fresh", "--n", "3",
+                     "--replicates", "200", *flags, "--out", str(out)]) == 0
+        doc = json.loads((out / "estimates.json").read_text())
+        rows = doc.get("moments", []) + doc.get("harmonic", [])
+        assert len(rows) == len(flags) // 2
+        assert all(row["condition"] is None for row in rows)
+
     def test_missing_batch_exit2(self, model_c_path, tmp_path):
         code = main(["estimate", "--model", model_c_path, "--batch",
                      str(tmp_path / "missing"), "--out", str(tmp_path / "e")])
@@ -175,6 +207,24 @@ class TestMbrwBuild:
         assert code == 0
         rows = [line.split() for line in capsys.readouterr().out.splitlines()]
         assert ["epsilon", "0.7"] in rows
+
+    def test_every_repeat_reported(self, tmp_path, capsys):
+        spec = tmp_path / "tt1.json"
+        spec.write_text(json.dumps(TT1))
+        code = main(["mbrw-build", "--spec", str(spec), "--t", "1",
+                     "--alpha", "2", "--alpha", "3", "--lambda", "1", "--lambda", "2",
+                     "--epsilon", "0", "--epsilon", "0.5",
+                     "--out-model", str(tmp_path / "m.json")])
+        assert code == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        theorems = [row[0] for row in rows if row and row[0].startswith("[")]
+        assert theorems == ["[C2.4a]"] * 2 + ["[C2.4b]"] * 4
+        orders = [row for row in rows if row and row[0] in ("alpha", "lambda", "epsilon")]
+        assert orders == [["alpha", "2"], ["alpha", "3"],
+                          ["lambda", "1"], ["epsilon", "0"],
+                          ["lambda", "1"], ["epsilon", "0.5"],
+                          ["lambda", "2"], ["epsilon", "0"],
+                          ["lambda", "2"], ["epsilon", "0.5"]]
 
     def test_bad_spec_exit2(self, tmp_path):
         spec = tmp_path / "bad.json"

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from matcascade.conditions import (check_alpha_moment, check_complex,
+from matcascade.conditions import (check_alpha_moments, check_complex,
                                    check_harmonic, exponential_profile,
                                    positive_column_probability)
-from matcascade.model import CascadeModel, ModelError, scale_model
+from matcascade import conditions
+from matcascade.model import CascadeModel, ModelError, normalize_model, scale_model
+from matcascade.spectral import SpectralError, n_step_moment_matrix, perron
 from conftest import make_model
 
 
@@ -26,14 +28,14 @@ class TestPositiveColumn:
 
 class TestAlphaMoment:
     def test_model_a(self, model_a):
-        rep = check_alpha_moment(model_a, 2, n_max=2)
+        rep = check_alpha_moments(model_a, [2], n_max=2)[0]
         assert rep.verdict == "holds"
         assert rep.quantities["rho_1(alpha)"] == pytest.approx(0.5, abs=1e-14)
         # p=1: the dimensional factor is 1, classical scalar criterion
         assert rep.quantities["p^(alpha-1)*rho_1(alpha)"] == pytest.approx(0.5)
 
     def test_model_c(self, model_c):
-        rep = check_alpha_moment(model_c, 2, n_max=1)
+        rep = check_alpha_moments(model_c, [2], n_max=1)[0]
         assert rep.verdict == "holds"
         assert rep.quantities["rho_1(alpha)"] == pytest.approx(0.3, abs=1e-13)
         assert rep.quantities["p^(alpha-1)*rho_1(alpha)"] == pytest.approx(
@@ -41,13 +43,13 @@ class TestAlphaMoment:
         assert rep.quantities["positive_column_probability"] == 1.0
 
     def test_model_d1_holds(self, model_d1):
-        rep = check_alpha_moment(model_d1, 2)
+        rep = check_alpha_moments(model_d1, [2])[0]
         assert rep.verdict == "holds"
         # oracle: 2 E A^2 = 0.49 + 0.09
         assert rep.quantities["rho_1(alpha)"] == pytest.approx(0.58, abs=1e-14)
 
     def test_model_d2_fails(self, model_d2):
-        rep = check_alpha_moment(model_d2, 2, n_max=2)
+        rep = check_alpha_moments(model_d2, [2], n_max=2)[0]
         assert rep.verdict == "fails"
         # oracle: 2(0.25 * 3.61 + 0.75 * (1/30)^2)
         want = 2 * (0.25 * 3.61 + 0.75 * (0.1 / 3) ** 2)
@@ -57,30 +59,98 @@ class TestAlphaMoment:
     def test_undecided_gap(self, model_b):
         # single idempotent chain: rho_n(2) = 0.5 < 1 at every depth but
         # p^(alpha-1) rho_n(2) = 1 exactly, so neither criterion resolves
-        rep = check_alpha_moment(model_b, 2, n_max=3)
+        rep = check_alpha_moments(model_b, [2], n_max=3)[0]
         assert rep.quantities["rho_1(alpha)"] == pytest.approx(0.5, abs=1e-14)
         assert rep.quantities["p^(alpha-1)*rho_1(alpha)"] >= 1
         assert rep.verdict == "undecided"
 
     def test_norm_moment_frozen(self, model_c):
-        rep = check_alpha_moment(model_c, 2, n_max=1)
+        rep = check_alpha_moments(model_c, [2], n_max=1)[0]
         # ||A_1 + A_2|| = 2 deterministically, squared
         assert rep.quantities["E||sum_k A_k||^alpha"] == pytest.approx(4.0)
 
     def test_not_applicable_without_assumption(self, model_a):
-        rep = check_alpha_moment(scale_model(model_a, 2.0), 2)
+        rep = check_alpha_moments(scale_model(model_a, 2.0), [2])[0]
         assert rep.verdict == "not-applicable"
 
     def test_alpha_range(self, model_a):
         with pytest.raises(ValueError):
-            check_alpha_moment(model_a, 1.0)
+            check_alpha_moments(model_a, [1.0])[0]
 
     def test_sampler_rejected(self):
         m = CascadeModel(p=1, mode="sampler", field_kind="real",
                          sampler={"family": "uniform",
                                   "params": {"n_children": 2}})
         with pytest.raises(ModelError):
-            check_alpha_moment(m, 2)
+            check_alpha_moments(m, [2])[0]
+
+
+class TestSharedMeasures:
+    """check_alpha_moments builds each depth-n measure once for every alpha."""
+
+    @pytest.fixture
+    def model7(self):
+        # p = 3, seven child matrices over two atoms: 7^n depth-n products
+        rng = np.random.default_rng(11)
+        mats = [rng.uniform(0.05, 1.0, size=(3, 3)) for _ in range(7)]
+        return normalize_model(make_model(3, [(0.25, mats[:3]), (0.75, mats[3:])]))
+
+    @pytest.fixture
+    def built_depths(self, monkeypatch):
+        depths = []
+        build = conditions.intensity_measure
+
+        def counting(model, n, **kwargs):
+            depths.append(n)
+            return build(model, n, **kwargs)
+
+        monkeypatch.setattr(conditions, "intensity_measure", counting)
+        return depths
+
+    def test_one_build_per_depth(self, model7, built_depths):
+        alphas = [1.5, 2, 3]
+        reports = conditions.check_alpha_moments(model7, alphas, n_max=6)
+        assert built_depths == [2, 3, 4, 5, 6]
+        assert [r.quantities["alpha"] for r in reports] == alphas
+        for alpha, rep in zip(alphas, reports):
+            for n in range(1, 7):
+                want = perron(n_step_moment_matrix(model7, alpha, n)).rho
+                assert rep.quantities[f"rho_{n}(alpha)"] == want  # bitwise
+
+    def test_repeats_and_order_kept(self, model_c):
+        reports = check_alpha_moments(model_c, [2, 2, 1.5], n_max=3)
+        single = [check_alpha_moments(model_c, [a], n_max=3)[0] for a in (2, 2, 1.5)]
+        assert [r.to_dict() for r in reports] == [r.to_dict() for r in single]
+
+    def test_failed_alpha_stops_alone(self, model7, built_depths, monkeypatch):
+        # the Perron solve of M_3(3) fails: alpha = 3 stops at depth 3, the
+        # others go on, and no deeper measure is built for alpha = 3 alone
+        bad = n_step_moment_matrix(model7, 3, 3)
+
+        def failing(mat):
+            if np.array_equal(mat, bad):
+                raise SpectralError("planted failure")
+            return perron(mat)
+
+        monkeypatch.setattr(conditions, "perron", failing)
+        rep_2, rep_3 = conditions.check_alpha_moments(model7, [2, 3], n_max=5)
+        assert "rho_5(alpha)" in rep_2.quantities
+        assert "rho_2(alpha)" in rep_3.quantities
+        assert "rho_3(alpha)" not in rep_3.quantities
+        assert "rho_3(alpha) unavailable: planted failure" in rep_3.notes
+        built_depths.clear()
+        conditions.check_alpha_moments(model7, [3], n_max=5)
+        assert built_depths == [2, 3]
+
+    def test_childless_builds_nothing(self, built_depths):
+        m = make_model(1, [(1.0, [])])
+        for rep in check_alpha_moments(m, [2, 3], n_max=4):
+            assert "rho_1(alpha) unavailable: matrix is not primitive" in rep.notes
+        assert built_depths == []
+
+    def test_any_alpha_out_of_range_rejected(self, model_c):
+        with pytest.raises(ModelError, match="alpha must be > 1"):
+            check_alpha_moments(model_c, [2, 1.0])
 
 
 class TestHarmonic:
@@ -202,6 +272,6 @@ class TestComplexCase:
             check_complex(model_a, 2)
 
     def test_report_serializes(self, model_c):
-        d = check_alpha_moment(model_c, 2).to_dict()
+        d = check_alpha_moments(model_c, [2])[0].to_dict()
         assert d["theorem"] == "T2.1a"
         assert isinstance(d["quantities"], dict)

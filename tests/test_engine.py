@@ -34,19 +34,22 @@ class TestDegenerateCascades:
 
 
 class TestSeedMatchedOracle:
-    def oracle(self, model, n, seed):
-        """Direct per-node expansion consuming the same Philox stream."""
+    def oracle(self, model, n, seed, identity_root=False):
+        """Direct per-node expansion consuming the same Philox stream;
+        identity_root replaces the root's child matrices by I."""
         v = perron(model.mean_matrix()).v
         cum = np.cumsum([a.prob for a in model.atoms])
         cum[-1] = 1.0
         rng = replicate_rng(seed, 0)
         prods = [np.eye(model.p)]
-        for _ in range(n):
+        for gen in range(n):
             draws = rng.random(len(prods))
             nxt = []
             for x, d in zip(prods, draws):
                 atom = model.atoms[int(np.searchsorted(cum, d, side="left"))]
                 for mat in atom.matrices:
+                    if identity_root and gen == 0:
+                        mat = np.eye(model.p)
                     nxt.append(x @ mat)
             prods = nxt
         return sum((x @ v for x in prods), start=np.zeros(model.p))
@@ -57,6 +60,15 @@ class TestSeedMatchedOracle:
         assert not capped
         np.testing.assert_allclose(y, self.oracle(model_rand, 3, seed),
                                    rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("seed", [42, 7, 1001])
+    def test_identity_root(self, model_rand, seed):
+        values, _, _, capped, _ = _simulate(model_rand, 3, 1, seed, 10**7, None,
+                                            False, identity_root=True)
+        assert not capped[0]
+        np.testing.assert_allclose(
+            values[0], self.oracle(model_rand, 3, seed, identity_root=True),
+            rtol=1e-12)
 
     def test_scalar_model(self, model_d1):
         for seed in (1, 2, 3):
