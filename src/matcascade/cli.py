@@ -39,6 +39,15 @@ EXIT_INPUT = 2
 EXIT_ALL_FAILED = 3
 
 
+def _write_json(path, doc):
+    """Write doc as indented, key-sorted JSON plus a newline; return the
+    JSON text."""
+    text = json.dumps(doc, indent=2, sort_keys=True, default=str)
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text + "\n")
+    return text
+
+
 def _write_manifest(outdir, args_ns, extra):
     manifest = {
         "argv": sys.argv[1:],
@@ -49,17 +58,7 @@ def _write_manifest(outdir, args_ns, extra):
     manifest.update(extra)
     blob = json.dumps(manifest["config"], sort_keys=True, default=str)
     manifest["config_hash"] = hashlib.sha256(blob.encode()).hexdigest()
-    path = os.path.join(outdir, "manifest.json")
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True, default=str)
-        f.write("\n")
-
-
-def _report_to_row(report):
-    return {"theorem": report.theorem, "verdict": report.verdict,
-            "quantities": report.quantities,
-            "assumptions": report.assumptions_checked,
-            "notes": report.notes}
+    _write_json(os.path.join(outdir, "manifest.json"), manifest)
 
 
 def _render_table(reports):
@@ -97,24 +96,17 @@ def cmd_check(args):
         "assumptions": [], "notes": [validation.norm_convention],
     })
     if model.is_complex:
-        for alpha in args.alpha:
-            rep = check_complex(model, alpha, beta_grid=args.beta or None)
-            rows.append(_report_to_row(rep))
+        reports = [check_complex(model, alpha, beta_grid=args.beta or None)
+                   for alpha in args.alpha]
     else:
-        rows += [_report_to_row(rep) for rep in
-                 check_alpha_moments(model, args.alpha, n_max=args.n_max)]
-        for lam in args.lam:
-            rows.append(_report_to_row(check_harmonic(model, lam)))
+        reports = check_alpha_moments(model, args.alpha, n_max=args.n_max)
+        reports += [check_harmonic(model, lam) for lam in args.lam]
         if model.min_offspring() >= 2:
-            for eps in args.epsilon:
-                rep_a, rep_b = exponential_profile(model, eps)
-                rows.append(_report_to_row(rep_a))
-                rows.append(_report_to_row(rep_b))
+            reports += [r for eps in args.epsilon
+                        for r in exponential_profile(model, eps)]
+    rows += [r.to_dict() for r in reports]
 
-    with open(os.path.join(args.out, "conditions.json"), "w",
-              encoding="utf-8") as f:
-        json.dump(rows, f, indent=2, sort_keys=True, default=str)
-        f.write("\n")
+    _write_json(os.path.join(args.out, "conditions.json"), rows)
     table = _render_table(rows)
     with open(os.path.join(args.out, "conditions.txt"), "w",
               encoding="utf-8") as f:
@@ -147,10 +139,7 @@ def cmd_simulate(args):
         "capped_count": batch.capped_count,
         "field": batch.field_kind,
     }
-    with open(os.path.join(args.out, "batch_meta.json"), "w",
-              encoding="utf-8") as f:
-        json.dump(meta, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(os.path.join(args.out, "batch_meta.json"), meta)
     _write_manifest(args.out, args, {"model_hash": meta["model_hash"]})
     print(f"wrote {batch.replicates} replicates "
           f"({batch.extinct_count} extinct, {batch.capped_count} capped)")
@@ -186,7 +175,7 @@ def cmd_estimate(args):
         side = sides.get(alpha)
         out.setdefault("moments", []).append({
             "estimate": est.__dict__,
-            "condition": _report_to_row(side) if side else None,
+            "condition": side.to_dict() if side else None,
         })
     y = np.ones(model.p)
     for lam in args.lam:
@@ -194,7 +183,7 @@ def cmd_estimate(args):
         side = check_harmonic(model, lam) if exact else None
         out.setdefault("harmonic", []).append({
             "estimate": est.__dict__,
-            "condition": _report_to_row(side) if side else None,
+            "condition": side.to_dict() if side else None,
         })
     if args.laplace_fit and not model.is_complex:
         if not (args.t_min > 0 and args.t_max > 0):
@@ -202,27 +191,25 @@ def cmd_estimate(args):
         grid = [s * y for s in np.geomspace(args.t_min, args.t_max, 40)]
         curve = estimate_laplace(batch, grid)
         fits = {}
-        for name, fitter in (("power", fit_power_decay),
-                             ("stretched", fit_stretched_exponential)):
+        # per fit: result key, fitter, header of its fit-point CSV, and
+        # phi -> the regression's y coordinate (x is log ||t|| for both)
+        for name, fitter, header, y_of in (
+                ("power", fit_power_decay, "log_norm_t,log_phi", math.log),
+                ("stretched", fit_stretched_exponential,
+                 "log_norm_t,log_neg_log_phi",
+                 lambda phi: math.log(-math.log(phi)))):
             try:
                 fit = fitter(curve, replicates=batch.replicates)
-                fits[name] = {k: v for k, v in fit.__dict__.items()
-                              if k != "grid"}
-                # plot-ready two-column file in the regression coordinates
-                with open(os.path.join(args.out, f"{name}_fit_points.csv"),
-                          "w", encoding="utf-8") as f:
-                    if name == "power":
-                        f.write("log_norm_t,log_phi\n")
-                        rows_fit = ((math.log(s), math.log(phi))
-                                    for s, phi in fit.grid)
-                    else:
-                        f.write("log_norm_t,log_neg_log_phi\n")
-                        rows_fit = ((math.log(s), math.log(-math.log(phi)))
-                                    for s, phi in fit.grid)
-                    for a, b in rows_fit:
-                        f.write(f"{a!r},{b!r}\n")
             except EstimateError as e:
                 fits[name] = {"error": str(e)}
+                continue
+            fits[name] = {k: v for k, v in fit.__dict__.items() if k != "grid"}
+            # plot-ready two-column file in the regression coordinates
+            with open(os.path.join(args.out, f"{name}_fit_points.csv"), "w",
+                      encoding="utf-8") as f:
+                f.write(header + "\n")
+                for s, phi in fit.grid:
+                    f.write(f"{math.log(s)!r},{y_of(phi)!r}\n")
         out["laplace_fits"] = fits
         with open(os.path.join(args.out, "laplace_curve.csv"), "w",
                   encoding="utf-8") as f:
@@ -230,12 +217,9 @@ def cmd_estimate(args):
             for t, phi in curve:
                 f.write(f"{float(np.abs(t).sum())!r},{phi!r}\n")
 
-    with open(os.path.join(args.out, "estimates.json"), "w",
-              encoding="utf-8") as f:
-        json.dump(out, f, indent=2, sort_keys=True, default=str)
-        f.write("\n")
+    text = _write_json(os.path.join(args.out, "estimates.json"), out)
     _write_manifest(args.out, args, {"model_hash": model.source_hash})
-    print(json.dumps(out, indent=2, sort_keys=True, default=str))
+    print(text)
     return EXIT_OK
 
 
@@ -246,7 +230,7 @@ def cmd_mbrw_build(args):
                for r in mbrw_condition_report(spec, args.t, alpha=alpha)]
     reports += [r for lam in args.lam for eps in args.epsilon or [0.0]
                 for r in mbrw_condition_report(spec, args.t, lam=lam, epsilon=eps)]
-    rows = [_report_to_row(r) for r in reports]
+    rows = [r.to_dict() for r in reports]
     os.makedirs(os.path.dirname(os.path.abspath(args.out_model)), exist_ok=True)
     save_model(model, args.out_model)
     if rows:

@@ -10,11 +10,11 @@ every order off it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelError
+from .model import ModelError, validate_model
 from .spectral import (SpectralError, _power_sum, intensity_measure,
                        matrix_norm, moment_matrix, perron)
 
@@ -28,12 +28,13 @@ class ConditionReport:
     notes: list = field(default_factory=list)
 
     def to_dict(self):
-        return asdict(self)
+        """The report as a row of conditions.json."""
+        return {"theorem": self.theorem, "verdict": self.verdict,
+                "quantities": self.quantities,
+                "assumptions": self.assumptions_checked, "notes": self.notes}
 
 
 def _assumption_h_status(model):
-    from .model import validate_model
-
     report = validate_model(model)
     return ("assumption-H", "ok" if report.holds else report.assumption_h), report
 
@@ -64,7 +65,7 @@ def _norm_moment(model, alpha):
         for a in model.atoms)
 
 
-def check_alpha_moments(model, alphas, n_max=3, support_cap=1_000_000):
+def check_alpha_moments(model, alphas, n_max=3):
     """Sufficient and necessary moment criteria at each order alpha > 1.
 
     Sufficient side: some depth n <= n_max has p^(alpha-1) rho_n(alpha) < 1.
@@ -89,7 +90,7 @@ def check_alpha_moments(model, alphas, n_max=3, support_cap=1_000_000):
         if n == 1:
             return moment_matrix(model, alpha)
         if n not in measures:
-            measures[n] = intensity_measure(model, n, support_cap=support_cap)
+            measures[n] = intensity_measure(model, n)
         return _power_sum(measures[n].weights, measures[n].matrices, alpha)
 
     reports = []

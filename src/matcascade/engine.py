@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MatcascadeError, ModelError
+from .model import Atom, CascadeModel, MatcascadeError, ModelError
 from .spectral import SpectralError, moment_matrix, perron, _entry_power
 
 DEFAULT_CAP = 10_000_000
@@ -327,8 +327,6 @@ def simulate_complex(model, n, seed, cap=DEFAULT_CAP, with_hat=False):
 
 def _hat_model(model):
     """Real model with the moduli of the complex entries."""
-    from .model import Atom, CascadeModel
-
     atoms = [Atom(prob=a.prob, matrices=[np.abs(m) for m in a.matrices])
              for a in model.atoms]
     return CascadeModel(p=model.p, mode="finite-atom", field_kind="real",

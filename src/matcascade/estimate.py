@@ -8,13 +8,15 @@ the almost-sure limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
-from .engine import SampleBatch, simulate_batch, _simulate
+from .engine import DEFAULT_CAP, SampleBatch, simulate_batch, _simulate
 from .model import MatcascadeError
+
+R2_THRESHOLD = 0.98  # a decay fit below this r^2 is flagged as a family mismatch
+FIXED_POINT_T_SCALES = (0.1, 0.3, 1.0, 3.0)  # Laplace residual grid, times ones
 
 
 class EstimateError(MatcascadeError):
@@ -43,7 +45,7 @@ class DecayFit:
     grid: list  # (norm_t, phi) pairs actually regressed
     r2: float
     window: tuple
-    r2_flag: bool = False  # set when r2 < 0.98 (fit family mismatch)
+    r2_flag: bool = False  # set when r2 < R2_THRESHOLD (fit family mismatch)
 
 
 @dataclass
@@ -90,6 +92,18 @@ def _heavy_tail_flag(g, k=10, share=0.5):
     return bool(top > share * total)
 
 
+def _sample_mean(g, order, label, n, **extra):
+    """Mean of the sample g with its CLT standard error, 95 % interval and
+    heavy-tail flag."""
+    point = float(g.mean())
+    stderr = float(g.std(ddof=1) / np.sqrt(g.size)) if g.size > 1 else 0.0
+    return MomentEstimate(
+        order=order, target=label, point=point, stderr=stderr,
+        ci95=(point - 1.96 * stderr, point + 1.96 * stderr),
+        n=n, replicates=int(g.size), heavy_tail_flag=_heavy_tail_flag(g),
+        **extra)
+
+
 def estimate_moment(batch, alpha, target="norm"):
     """Sample alpha-moment of a projection of the batch values.
 
@@ -101,14 +115,7 @@ def estimate_moment(batch, alpha, target="norm"):
     base, label = _target_values(batch, target)
     if base.size == 0:
         raise EstimateError("empty batch")
-    g = base**alpha
-    point = float(g.mean())
-    stderr = float(g.std(ddof=1) / np.sqrt(g.size)) if g.size > 1 else 0.0
-    return MomentEstimate(
-        order=alpha, target=label, point=point, stderr=stderr,
-        ci95=(point - 1.96 * stderr, point + 1.96 * stderr),
-        n=batch.n, replicates=int(base.size),
-        heavy_tail_flag=_heavy_tail_flag(g))
+    return _sample_mean(base**alpha, alpha, label, batch.n)
 
 
 def estimate_harmonic(batch, lam, y):
@@ -129,18 +136,12 @@ def estimate_harmonic(batch, lam, y):
     g = base[finite_mask] ** (-lam)
     if g.size == 0:
         raise EstimateError("no surviving replicates for harmonic estimate")
-    point = float(g.mean())
-    stderr = float(g.std(ddof=1) / np.sqrt(g.size)) if g.size > 1 else 0.0
     note = None
     if inf_count:
         note = (f"{inf_count} infinite term(s) excluded; estimate is "
                 "conditional on survival and biased low")
-    return MomentEstimate(
-        order=-lam, target=label, point=point, stderr=stderr,
-        ci95=(point - 1.96 * stderr, point + 1.96 * stderr),
-        n=batch.n, replicates=int(g.size),
-        heavy_tail_flag=_heavy_tail_flag(g),
-        infinite_count=inf_count, bias_note=note)
+    return _sample_mean(g, -lam, label, batch.n,
+                        infinite_count=inf_count, bias_note=note)
 
 
 def estimate_laplace(batch, t_grid):
@@ -175,42 +176,34 @@ def _curve_window(curve, lo, hi):
     return [(s, phi) for s, phi in pts if lo <= phi <= hi]
 
 
-def fit_power_decay(curve, replicates=None, r2_threshold=0.98):
-    """Least-squares log phi vs log ||t|| inside the window phi in
-    [max(10/R, 1e-4), 0.5]; the exponent is minus the slope."""
-    floor = max(10.0 / replicates, 1e-4) if replicates else 1e-4
-    window = (floor, 0.5)
+def _decay_fit(curve, replicates, kind, floor, upper, transform, sign):
+    """Least-squares transform(phi) vs log ||t|| inside the window phi in
+    [max(10/R, floor), upper]; the exponent is sign times the slope."""
+    window = (max(10.0 / replicates, floor) if replicates else floor, upper)
     pts = _curve_window(curve, *window)
     if len(pts) < 5:
         raise EstimateError(
             f"only {len(pts)} grid points inside window {window}; "
             "enlarge the grid or the batch")
     xs = np.log(np.array([s for s, _ in pts]))
-    ys = np.log(np.array([phi for _, phi in pts]))
+    ys = transform(np.array([phi for _, phi in pts]))
     slope, intercept, r2 = _loglog_fit(xs, ys)
-    return DecayFit(kind="power", exponent=-slope, intercept=intercept,
+    return DecayFit(kind=kind, exponent=sign * slope, intercept=intercept,
                     grid=pts, r2=r2, window=window,
-                    r2_flag=bool(r2 < r2_threshold))
+                    r2_flag=bool(r2 < R2_THRESHOLD))
 
 
-def fit_stretched_exponential(curve, replicates=None, r2_threshold=0.98):
-    """Least-squares log(-log phi) vs log ||t|| inside the window phi in
-    [max(10/R, 1e-5), 0.2]; the slope is the stretching exponent."""
-    floor = max(10.0 / replicates, 1e-5) if replicates else 1e-5
-    window = (floor, 0.2)
-    pts = _curve_window(curve, *window)
-    if any(phi >= 1.0 for _, phi in pts):
-        raise EstimateError("phi >= 1 inside the regression window")
-    if len(pts) < 5:
-        raise EstimateError(
-            f"only {len(pts)} grid points inside window {window}; "
-            "enlarge the grid or the batch")
-    xs = np.log(np.array([s for s, _ in pts]))
-    ys = np.log(-np.log(np.array([phi for _, phi in pts])))
-    slope, intercept, r2 = _loglog_fit(xs, ys)
-    return DecayFit(kind="stretched-exponential", exponent=slope,
-                    intercept=intercept, grid=pts, r2=r2, window=window,
-                    r2_flag=bool(r2 < r2_threshold))
+def fit_power_decay(curve, replicates=None):
+    """log phi vs log ||t|| for phi in [max(10/R, 1e-4), 0.5]; the
+    exponent is minus the slope."""
+    return _decay_fit(curve, replicates, "power", 1e-4, 0.5, np.log, -1.0)
+
+
+def fit_stretched_exponential(curve, replicates=None):
+    """log(-log phi) vs log ||t|| for phi in [max(10/R, 1e-5), 0.2]; the
+    slope is the stretching exponent."""
+    return _decay_fit(curve, replicates, "stretched-exponential", 1e-5, 0.2,
+                      lambda phi: np.log(-np.log(phi)), 1.0)
 
 
 def _wilson(k, n, z=1.96):
@@ -252,6 +245,8 @@ def tail_slope_test(points, level=0.05):
     negative slope means the ratio grows as x -> 0 (tail heavier than
     x^lambda).  Returns (drift_detected, slope, pvalue).
     """
+    from scipy import stats  # deferred: slow to import, and no CLI command needs it
+
     usable = [q for q in points if not q.flagged and q.ratio > 0]
     if len(usable) < 3:
         raise EstimateError("too few resolvable points for the slope test")
@@ -272,25 +267,24 @@ def _default_projections(p):
     return labels
 
 
-def fixed_point_check(model, n, replicates, seed, skip_root_weights=False,
-                      t_grid=None, cap=None):
+def fixed_point_check(model, n, replicates, seed, skip_root_weights=False):
     """Two-sample check of the distributional fixed-point recursion.
 
     Batch B1 draws the depth-n value directly; batch B2 grafts one extra
     generation at the root, i.e. draws sum_k A_k . (depth-n value of an
     independent subtree).  Matching laws is the recursion property;
     Kolmogorov-Smirnov statistics are reported per projection, plus the
-    sup over a grid of the empirical functional-equation residual.
+    sup over the grid s * (1, ..., 1), s in FIXED_POINT_T_SCALES, of the
+    empirical functional-equation residual.
 
     skip_root_weights deliberately drops the root matrices (a seeded
     corruption used to verify the check has power).
     """
-    from .engine import DEFAULT_CAP
+    from scipy import stats  # deferred: slow to import, and no CLI command needs it
 
-    cap = cap or DEFAULT_CAP
-    b1 = simulate_batch(model, n, replicates, seed, cap=cap)
+    b1 = simulate_batch(model, n, replicates, seed)
     values2, _, _, capped2, _ = _simulate(
-        model, n + 1, replicates, seed + 0x9E3779B9, cap, tilt=None,
+        model, n + 1, replicates, seed + 0x9E3779B9, DEFAULT_CAP, tilt=None,
         want_traj=False, identity_root=skip_root_weights)
     v2 = values2[~capped2]
     v1 = b1.ok_values()
@@ -302,12 +296,9 @@ def fixed_point_check(model, n, replicates, seed, skip_root_weights=False,
         res = stats.ks_2samp(s1, s2)
         ks[label] = (float(res.statistic), float(res.pvalue))
 
-    if t_grid is None:
-        ones = np.ones(model.p)
-        t_grid = [s * ones for s in (0.1, 0.3, 1.0, 3.0)]
     resid = 0.0
-    for t in t_grid:
-        t = np.asarray(t, dtype=float)
+    for s in FIXED_POINT_T_SCALES:
+        t = s * np.ones(model.p)
         phi_t = float(np.exp(-(v1 @ t)).mean())
         # empirical E prod_k phi(t A_k) over the atom law, phi from B1
         acc = 0.0

@@ -11,14 +11,15 @@ simulation engine enforces type bookkeeping for free.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Atom, CascadeModel, ModelError, parses, read_json
+from .conditions import ConditionReport
+from .model import (PROB_SUM_TOL, Atom, CascadeModel, ModelError, parses,
+                    read_json)
 from .spectral import SpectralError, perron
 
-PROB_SUM_TOL = 1e-9
 BUILD_TOL = 1e-12
 
 
@@ -221,8 +222,6 @@ def mbrw_condition_report(spec, t, alpha=None, lam=None, epsilon=0.0):
     expectation (with and without t in the exponent) are computed and
     labeled; no intent is guessed between them.
     """
-    from .conditions import ConditionReport
-
     reports = []
     sp = mbrw_spectral(spec, t)
     p = spec.p
@@ -253,29 +252,28 @@ def mbrw_condition_report(spec, t, alpha=None, lam=None, epsilon=0.0):
         ]
         quantities = {"lambda": lam, "epsilon": epsilon, "t": t,
                       "P(N=0)": p_n0, "P(N=1)": p_n1}
+
+        def first_child(config, scale):
+            """exp(-(lam+eps) * scale * S_1), S_1 the first child's disp."""
+            return _tilted_weight(-(lam + epsilon) * scale * config.children[0][1])
+
         # max_i E exp(-(lam+eps) t S_1^i): first-child displacement per type
-        per_type_tilted = []
-        per_type_plain = []
-        for configs in spec.offspring:
-            e_t = sum(c.prob * _tilted_weight(-(lam + epsilon) * t * c.children[0][1])
-                      for c in configs if c.n_children >= 1)
-            e_p = sum(c.prob * _tilted_weight(-(lam + epsilon) * c.children[0][1])
-                      for c in configs if c.n_children >= 1)
-            per_type_tilted.append(e_t)
-            per_type_plain.append(e_p)
-        quantities["max_i E exp(-(lam+eps)*t*S_1^i)"] = max(per_type_tilted)
-        # E max_i ... 1{N=1}: joint over types via the child-count coupling
-        em_plain = 0.0
-        em_tilted = 0.0
-        for w, n_children, picked in _coupled_atoms(spec):
-            if n_children != 1:
-                continue
-            em_plain += w * max(_tilted_weight(-(lam + epsilon) * c.children[0][1])
-                                for c in picked)
-            em_tilted += w * max(_tilted_weight(-(lam + epsilon) * t * c.children[0][1])
-                                 for c in picked)
-        quantities["E max_i exp(-(lam+eps)*S_1^i);N=1 (as printed)"] = em_plain
-        quantities["E max_i exp(-(lam+eps)*t*S_1^i);N=1 (t-reading)"] = em_tilted
+        quantities["max_i E exp(-(lam+eps)*t*S_1^i)"] = max(
+            sum(c.prob * first_child(c, t) for c in configs if c.n_children >= 1)
+            for configs in spec.offspring)
+        # E max_i ... 1{N=1}: joint over types via the child-count coupling,
+        # as printed (scale 1) and with t in the exponent
+        single = [(w, picked) for w, n_children, picked in _coupled_atoms(spec)
+                  if n_children == 1]
+        readings = []
+        for scale, key in ((1.0, "E max_i exp(-(lam+eps)*S_1^i);N=1 (as printed)"),
+                           (t, "E max_i exp(-(lam+eps)*t*S_1^i);N=1 (t-reading)")):
+            em = 0.0
+            for w, picked in single:
+                em += w * max(first_child(c, scale) for c in picked)
+            quantities[key] = em
+            readings.append(em)
+        em_plain, em_tilted = readings
         ok = (p_n0 == 0 and p_n1 < 1 and em_plain < 1)
         notes = [
             "both exponent readings reported; verdict follows the printed one",

@@ -275,18 +275,15 @@ def scale_model(model, c):
                         atoms=atoms)
 
 
-def primitivity(mat, max_exponent=None):
+def primitivity(mat):
     """(is_primitive, exponent) via boolean powers up to the Wielandt bound.
 
     A nonnegative matrix is primitive when some power is entrywise
     positive; the smallest such power is at most p^2 - 2p + 2.
     """
-    p = mat.shape[0]
-    if max_exponent is None:
-        max_exponent = max(WIELANDT(p), 1)
     b = np.abs(np.asarray(mat)) > 0
     power = b.copy()
-    for k in range(1, max_exponent + 1):
+    for k in range(1, WIELANDT(mat.shape[0]) + 1):
         if power.all():
             return True, k
         power = (power.astype(np.int64) @ b.astype(np.int64)) > 0

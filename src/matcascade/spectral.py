@@ -19,6 +19,7 @@ from .model import MatcascadeError, ModelError, primitivity
 POWER_TOL = 1e-13
 POWER_MAXITER = 100_000
 RESIDUAL_TOL = 1e-10
+SUPPORT_CAP = 1_000_000  # most products one intensity-measure depth may form
 
 
 class SpectralError(MatcascadeError):
@@ -173,14 +174,14 @@ def _merge(weights, mats):
     return merged, mats[first[order]]
 
 
-def intensity_measure(model, n, support_cap=1_000_000):
+def intensity_measure(model, n):
     """Exact weighted support of the depth-n path products.
 
     nu_1 puts weight prob on each child matrix of each atom; nu_n is the
     left-multiplication convolution of nu_1 with nu_{n-1}.  Bitwise-equal
     matrices are merged by weight (no epsilon merging), and the support
     keeps the order in which products first occur.  A depth that would
-    form more than support_cap products before merging is refused.
+    form more than SUPPORT_CAP products before merging is refused.
     """
     base_w, base_m = _child_stack(model)
     if n < 1:
@@ -191,10 +192,10 @@ def intensity_measure(model, n, support_cap=1_000_000):
 
     weights, mats = _merge(base_w, base_m)
     for depth in range(2, n + 1):
-        if branch * len(weights) > support_cap:
+        if branch * len(weights) > SUPPORT_CAP:
             raise ModelError(
                 f"depth {depth} would form {branch * len(weights)} products, "
-                f"exceeding cap {support_cap}; use a smaller depth")
+                f"exceeding cap {SUPPORT_CAP}; use a smaller depth")
         # left-multiply each depth-1 matrix onto the accumulated products
         new_w = np.multiply.outer(base_w, weights).reshape(-1)
         new_m = np.einsum("apq,mqr->ampr", base_m, mats).reshape(-1, model.p, model.p)
@@ -202,7 +203,7 @@ def intensity_measure(model, n, support_cap=1_000_000):
     return IntensityMeasure(depth=n, weights=weights, matrices=mats)
 
 
-def n_step_moment_matrix(model, t, n, support_cap=1_000_000):
+def n_step_moment_matrix(model, t, n):
     """Exact E sum over depth-n nodes of entrywise t-powers of the products.
 
     For n = 1 this equals moment_matrix(model, t) exactly; its Perron
@@ -210,5 +211,5 @@ def n_step_moment_matrix(model, t, n, support_cap=1_000_000):
     """
     if n == 1:
         return moment_matrix(model, t)
-    nu = intensity_measure(model, n, support_cap=support_cap)
+    nu = intensity_measure(model, n)
     return _power_sum(nu.weights, nu.matrices, t)

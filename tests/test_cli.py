@@ -2,6 +2,10 @@ import copy
 import hashlib
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -14,6 +18,10 @@ MODEL_C = {"p": 2, "field": "real", "mode": "finite-atom",
            "atoms": [{"prob": 1.0,
                       "matrices": [[[0.3, 0.2], [0.1, 0.4]],
                                    [[0.2, 0.3], [0.4, 0.1]]]}]}
+# random weights, E sum_k A_k = 1: a non-degenerate law for Y_n
+MODEL_R = {"p": 1, "field": "real", "mode": "finite-atom",
+           "atoms": [{"prob": 0.5, "matrices": [[[0.3]], [[0.9]]]},
+                     {"prob": 0.5, "matrices": [[[0.6]], [[0.2]]]}]}
 TT1 = {"p": 2, "types": [
     {"offspring": [{"prob": 1.0,
                     "children": [{"type": 1, "disp": 0.0},
@@ -164,6 +172,30 @@ class TestEstimate:
         header = (out / "power_fit_points.csv").read_text().split("\n")[0]
         assert header == "log_norm_t,log_phi"
 
+    def test_fit_points_are_logs_of_window_points(self, tmp_path):
+        path = tmp_path / "model-r.json"
+        path.write_text(json.dumps(MODEL_R))
+        out = tmp_path / "est"
+        assert main(["estimate", "--model", str(path), "--fresh", "--n", "8",
+                     "--replicates", "2000", "--seed", "3", "--laplace-fit",
+                     "--out", str(out)]) == 0
+        fits = json.loads((out / "estimates.json").read_text())["laplace_fits"]
+        lines = (out / "laplace_curve.csv").read_text().splitlines()
+        assert lines[0] == "norm_t,phi"
+        curve = sorted(tuple(map(float, line.split(","))) for line in lines[1:])
+        for name, header, y_of in (
+                ("power", "log_norm_t,log_phi", math.log),
+                ("stretched", "log_norm_t,log_neg_log_phi",
+                 lambda phi: math.log(-math.log(phi)))):
+            lo, hi = fits[name]["window"]
+            want = [(math.log(s), y_of(phi)) for s, phi in curve
+                    if lo <= phi <= hi]
+            lines = (out / f"{name}_fit_points.csv").read_text().splitlines()
+            assert lines[0] == header
+            got = [tuple(map(float, line.split(","))) for line in lines[1:]]
+            assert len(got) >= 5
+            assert got == want
+
     @pytest.mark.parametrize("flags", [["--alpha", "2", "--lambda", "1"], []])
     def test_fresh_sampler_model(self, tmp_path, flags):
         # the estimators run on sampler batches; the exact side checks,
@@ -225,6 +257,24 @@ class TestMbrwBuild:
                           ["lambda", "1"], ["epsilon", "0.5"],
                           ["lambda", "2"], ["epsilon", "0"],
                           ["lambda", "2"], ["epsilon", "0.5"]]
+
+    def test_plain_reading_overflow_outside_report(self, tmp_path, capsys):
+        # exp(-lambda * S) at S = -800 overflows, but no reported quantity
+        # uses it: the per-type sum is reported in the t-reading only
+        spec = tmp_path / "edge.json"
+        spec.write_text(json.dumps({"p": 1, "types": [{"offspring": [
+            {"prob": 0.5, "children": [{"type": 1, "disp": -800.0},
+                                       {"type": 1, "disp": 0.0}]},
+            {"prob": 0.5, "children": [{"type": 1, "disp": 0.0}]}]}]}))
+        code = main(["mbrw-build", "--spec", str(spec), "--t", "0.01",
+                     "--lambda", "1", "--out-model", str(tmp_path / "m.json")])
+        assert code == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert ["[C2.4b]", "verdict:", "holds"] in rows
+        # 0.5 exp(0.01 * 800) + 0.5 exp(0), and one child of disp 0 w.p. 0.5
+        assert ["max_i", "E", "exp(-(lam+eps)*t*S_1^i)",
+                f"{0.5 * math.exp(8.0) + 0.5:.12g}"] in rows
+        assert sum(row[-1] == "0.5" for row in rows if row[:2] == ["E", "max_i"]) == 2
 
     def test_bad_spec_exit2(self, tmp_path):
         spec = tmp_path / "bad.json"
@@ -376,3 +426,14 @@ class TestUsage:
 
     def test_missing_required_flag(self):
         assert main(["simulate", "--n", "2"]) == 1
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is slow to import, and no command needs it
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, matcascade.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

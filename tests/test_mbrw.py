@@ -169,6 +169,44 @@ class TestConditionReport:
             "E max_i exp(-(lam+eps)*S_1^i);N=1 (as printed)"] == 0.0
         assert rep.verdict == "holds"
 
+    def test_single_child_readings_closed_form(self):
+        # P(N=1) = 0.4 for both types; given N=1, type 1 picks its first
+        # single-child config w.p. 1/4, its second w.p. 3/4, type 2 its only one
+        spec = spec_from_dict({"p": 2, "types": [
+            {"offspring": [
+                {"prob": 0.1, "children": [{"type": 1, "disp": 1.0}]},
+                {"prob": 0.3, "children": [{"type": 2, "disp": -0.5}]},
+                {"prob": 0.6, "children": [{"type": 2, "disp": 0.5},
+                                           {"type": 1, "disp": 0.0}]}]},
+            {"offspring": [
+                {"prob": 0.4, "children": [{"type": 2, "disp": 0.3}]},
+                {"prob": 0.6, "children": [{"type": 1, "disp": -1.0},
+                                           {"type": 2, "disp": 0.2}]}]}]})
+        t, lam, eps = 2.0, 1.0, 0.5
+        (rep,) = mbrw_condition_report(spec, t, lam=lam, epsilon=eps)
+        q = rep.quantities
+        r = lam + eps
+
+        def e(x):
+            return math.exp(-r * x)
+
+        assert q["P(N=1)"] == pytest.approx(0.4, rel=1e-12)
+        assert q["max_i E exp(-(lam+eps)*t*S_1^i)"] == pytest.approx(
+            max(0.1 * e(t) + 0.3 * e(-0.5 * t) + 0.6 * e(0.5 * t),
+                0.4 * e(0.3 * t) + 0.6 * e(-t)), rel=1e-12)
+        # joint N=1 atoms: (type 1 disp 1.0, type 2 disp 0.3) w.p. 0.1 and
+        # (type 1 disp -0.5, type 2 disp 0.3) w.p. 0.3
+        printed = 0.1 * max(e(1.0), e(0.3)) + 0.3 * max(e(-0.5), e(0.3))
+        tilted = 0.1 * max(e(t), e(0.3 * t)) + 0.3 * max(e(-0.5 * t), e(0.3 * t))
+        assert q["E max_i exp(-(lam+eps)*S_1^i);N=1 (as printed)"] == pytest.approx(
+            printed, rel=1e-12)
+        assert q["E max_i exp(-(lam+eps)*t*S_1^i);N=1 (t-reading)"] == pytest.approx(
+            tilted, rel=1e-12)
+        # the printed reading holds (0.70), the t-reading does not (1.38)
+        assert printed < 1 < tilted
+        assert rep.verdict == "holds"
+        assert "t-reading verdict would be fails" in rep.notes
+
     def test_both_exponent_readings_reported(self, tt1):
         (rep,) = mbrw_condition_report(tt1, 2.0, lam=1.0, epsilon=0.1)
         keys = rep.quantities.keys()

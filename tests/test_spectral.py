@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from matcascade import spectral
 from matcascade.model import ModelError
 from matcascade.spectral import (IntensityMeasure, SpectralError, intensity_measure,
                                  matrix_norm, moment_matrix, n_step_moment_matrix,
@@ -122,9 +123,10 @@ class TestIntensityMeasure:
             assert any(np.abs(got - want).max() <= 1e-15
                        for got in nu.matrices)
 
-    def test_support_cap(self, model_c):
+    def test_support_cap(self, model_c, monkeypatch):
+        monkeypatch.setattr(spectral, "SUPPORT_CAP", 10)
         with pytest.raises(ModelError, match="cap"):
-            intensity_measure(model_c, 4, support_cap=10)
+            intensity_measure(model_c, 4)
 
     def test_cap_counts_merged_support(self, model_a):
         # 2^30 paths, but every depth's support is the single product 2^-30
@@ -133,11 +135,13 @@ class TestIntensityMeasure:
         assert nu.weights[0] == 2.0**30
         assert nu.matrices[0, 0, 0] == 0.5**30
 
-    def test_cap_refuses_depth_by_products_formed(self, model_c):
+    def test_cap_refuses_depth_by_products_formed(self, model_c, monkeypatch):
         # no products merge: depth 3 forms 8 products, depth 4 would form 16
-        assert len(intensity_measure(model_c, 3, support_cap=8).weights) == 8
+        monkeypatch.setattr(spectral, "SUPPORT_CAP", 8)
+        assert len(intensity_measure(model_c, 3).weights) == 8
+        monkeypatch.setattr(spectral, "SUPPORT_CAP", 15)
         with pytest.raises(ModelError, match="depth 4 would form 16 products"):
-            intensity_measure(model_c, 4, support_cap=15)
+            intensity_measure(model_c, 4)
 
     @given(seed=st.integers(0, 300), n=st.integers(1, 3))
     @settings(max_examples=30, deadline=None)
