@@ -22,10 +22,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .model import (MatcascadeError, load_model, parses, read_json,
-                    save_model, validate_model)
-from .conditions import (check_alpha_moments, check_complex, check_harmonic,
-                         exponential_profile)
+from .model import MatcascadeError, load_model, parses, read_json, save_model
+from .conditions import (check_alpha_moments, check_assumption_h, check_complex,
+                         check_harmonic, exponential_profile)
 from .engine import (batch_from_binary, batch_to_binary, batch_to_csv,
                      simulate_batch, DEFAULT_CAP)
 from .estimate import (EstimateError, estimate_harmonic, estimate_laplace,
@@ -82,29 +81,17 @@ def cmd_check(args):
     model = load_model(args.model)
     os.makedirs(args.out, exist_ok=True)
 
-    rows = []
-    validation = validate_model(model)
-    rows.append({
-        "theorem": "validation", "verdict": validation.assumption_h,
-        "quantities": {
-            "mean_matrix": validation.mean_matrix.tolist(),
-            "primitive": validation.primitive,
-            "primitivity_exponent": validation.primitivity_exponent,
-            "rho": validation.perron.rho if validation.perron else None,
-            "spectral_radius_deviation": validation.spectral_radius_deviation,
-        },
-        "assumptions": [], "notes": [validation.norm_convention],
-    })
+    reports = [check_assumption_h(model)]
     if model.is_complex:
-        reports = [check_complex(model, alpha, beta_grid=args.beta or None)
-                   for alpha in args.alpha]
+        reports += [check_complex(model, alpha, beta_grid=args.beta or None)
+                    for alpha in args.alpha]
     else:
-        reports = check_alpha_moments(model, args.alpha, n_max=args.n_max)
+        reports += check_alpha_moments(model, args.alpha, n_max=args.n_max)
         reports += [check_harmonic(model, lam) for lam in args.lam]
         if model.min_offspring() >= 2:
             reports += [r for eps in args.epsilon
                         for r in exponential_profile(model, eps)]
-    rows += [r.to_dict() for r in reports]
+    rows = [r.to_dict() for r in reports]
 
     _write_json(os.path.join(args.out, "conditions.json"), rows)
     table = _render_table(rows)
@@ -186,8 +173,8 @@ def cmd_estimate(args):
             "condition": side.to_dict() if side else None,
         })
     if args.laplace_fit and not model.is_complex:
-        if not (args.t_min > 0 and args.t_max > 0):
-            raise EstimateError("--t-min and --t-max must be positive")
+        if not (0 < args.t_min < math.inf and 0 < args.t_max < math.inf):
+            raise EstimateError("--t-min and --t-max must be positive and finite")
         grid = [s * y for s in np.geomspace(args.t_min, args.t_max, 40)]
         curve = estimate_laplace(batch, grid)
         fits = {}

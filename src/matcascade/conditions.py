@@ -14,14 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelError, validate_model
+from .model import RHO_TOL, ModelError, offspring_law, validate_model
 from .spectral import (SpectralError, _power_sum, intensity_measure,
                        matrix_norm, moment_matrix, perron)
 
 
 @dataclass
 class ConditionReport:
-    theorem: str  # T2.1a | T2.1b | T2.2 | T2.2-product | T2.3a | T2.3b | T6.1 | C2.4a | C2.4b
+    theorem: str  # validation | T2.1a | T2.2 | T2.3a | T2.3b | T6.1 | C2.4a | C2.4b
     verdict: str  # holds | fails | undecided | not-applicable
     quantities: dict = field(default_factory=dict)
     assumptions_checked: list = field(default_factory=list)  # (name, status)
@@ -34,9 +34,37 @@ class ConditionReport:
                 "assumptions": self.assumptions_checked, "notes": self.notes}
 
 
+def check_assumption_h(model):
+    """Assumption H (primitive mean matrix with rho = 1): the validation
+    row of conditions.json."""
+    v = validate_model(model)
+    quantities = {
+        "mean_matrix": v.mean_matrix.tolist(),
+        "primitive": v.primitive,
+        "primitivity_exponent": v.primitivity_exponent,
+        "rho": v.perron.rho if v.perron else None,
+        "spectral_radius_deviation": v.spectral_radius_deviation,
+    }
+    return ConditionReport(theorem="validation", verdict=v.assumption_h,
+                           quantities=quantities, notes=[v.norm_convention])
+
+
 def _assumption_h_status(model):
-    report = validate_model(model)
-    return ("assumption-H", "ok" if report.holds else report.assumption_h), report
+    verdict = check_assumption_h(model).verdict
+    return ("assumption-H", "ok" if verdict == "holds" else verdict)
+
+
+def offspring_law_assumptions(items):
+    """(P(N=0), P(N=1), rows) for the offspring law of items (model atoms
+    or walk configurations): the no-extinction and branching hypotheses
+    that T2.2 and C2.4b share."""
+    law = offspring_law(items)
+    p_n0 = law.get(0, 0.0)
+    p_n1 = law.get(1, 0.0)
+    return p_n0, p_n1, [
+        ("no-extinction P(N=0)=0", "ok" if p_n0 == 0 else f"fails: P(N=0)={p_n0}"),
+        ("branching P(N=1)<1", "ok" if p_n1 < 1 else "fails: P(N=1)=1"),
+    ]
 
 
 def positive_column_probability(model):
@@ -77,10 +105,12 @@ def check_alpha_moments(model, alphas, n_max=3):
     the same depth-n intensity measure, so each is built at most once.
     An alpha whose Perron solve fails at depth n stops there.
     """
-    if any(alpha <= 1 for alpha in alphas):
-        raise ModelError("alpha must be > 1")
+    if not all(1 < alpha < math.inf for alpha in alphas):
+        raise ModelError("alpha must be > 1 and finite")
+    if n_max < 1:
+        raise ModelError("n_max must be >= 1")
     model._require_finite_atom()
-    h_status, _ = _assumption_h_status(model)
+    h_status = _assumption_h_status(model)
     pcp = positive_column_probability(model)
     p = model.p
     measures = {}  # depth -> intensity measure
@@ -160,53 +190,38 @@ def check_harmonic(model, lam):
     concentrated on single children; the key quantities are negative
     powers of the minimal row sum of the first child matrix.
     """
-    if lam <= 0:
-        raise ModelError("lambda must be positive")
+    if not 0 < lam < math.inf:
+        raise ModelError("lambda must be positive and finite")
     model._require_finite_atom()
-    assumptions = []
     pcp = positive_column_probability(model)
-    assumptions.append(("positive-column-event",
-                        "ok" if pcp > 0 else "fails: probability 0"))
-    law = model.offspring_probabilities()
-    p_n0 = law.get(0, 0.0)
-    p_n1 = law.get(1, 0.0)
-    assumptions.append(("no-extinction P(N=0)=0",
-                        "ok" if p_n0 == 0 else f"fails: P(N=0)={p_n0}"))
-    assumptions.append(("branching P(N=1)<1",
-                        "ok" if p_n1 < 1 else "fails: P(N=1)=1"))
-
+    p_n0, p_n1, law_rows = offspring_law_assumptions(model.atoms)
+    assumptions = [("positive-column-event",
+                    "ok" if pcp > 0 else "fails: probability 0"), *law_rows]
     quantities = {"lambda": lam, "P(N=0)": p_n0, "P(N=1)": p_n1,
                   "positive_column_probability": pcp}
     notes = []
-    if p_n0 > 0 or p_n1 >= 1 or pcp == 0:
-        return ConditionReport(theorem="T2.2", verdict="not-applicable",
-                               quantities=quantities,
-                               assumptions_checked=assumptions,
-                               notes=["offspring-law assumptions violated"])
-
     atoms = _min_row_sums(model)
-    zero_row = any(s == 0 for _, sums in atoms for s in sums[:1])
-    if zero_row:
+    if p_n0 > 0 or p_n1 >= 1 or pcp == 0:
+        verdict = "not-applicable"
+        notes.append("offspring-law assumptions violated")
+    elif any(s == 0 for _, sums in atoms for s in sums[:1]):
+        verdict = "fails"
         quantities["E(min_row_sum(A_1))^-lambda"] = math.inf
-        return ConditionReport(theorem="T2.2", verdict="fails",
-                               quantities=quantities,
-                               assumptions_checked=assumptions,
-                               notes=["zero row sum with positive probability"])
-
-    e_inv = sum(prob * sums[0] ** (-lam) for prob, sums in atoms)
-    e_inv_n1 = sum(prob * sums[0] ** (-lam)
-                   for prob, sums in atoms if len(sums) == 1)
-    quantities["E(min_row_sum(A_1))^-lambda"] = e_inv
-    quantities["E(min_row_sum(A_1))^-lambda;N=1"] = e_inv_n1
-
-    m_low = model.min_offspring()
-    quantities["essinf_N"] = m_low
-    verdict = "holds" if e_inv_n1 < 1 else "fails"
-    if verdict == "holds":
-        notes.append(
-            f"Laplace decay of order ||t||^-{lam}; left tail of order x^{lam}; "
-            f"harmonic moments finite below order {lam}")
-        if m_low > 1:
+        notes.append("zero row sum with positive probability")
+    else:
+        e_inv = sum(prob * sums[0] ** (-lam) for prob, sums in atoms)
+        e_inv_n1 = sum(prob * sums[0] ** (-lam)
+                       for prob, sums in atoms if len(sums) == 1)
+        quantities["E(min_row_sum(A_1))^-lambda"] = e_inv
+        quantities["E(min_row_sum(A_1))^-lambda;N=1"] = e_inv_n1
+        m_low = model.min_offspring()
+        quantities["essinf_N"] = m_low
+        verdict = "holds" if e_inv_n1 < 1 else "fails"
+        if verdict == "holds":
+            notes.append(
+                f"Laplace decay of order ||t||^-{lam}; left tail of order x^{lam}; "
+                f"harmonic moments finite below order {lam}")
+        if verdict == "holds" and m_low > 1:
             prod_term = 0.0
             prod_ok = True
             for prob, sums in atoms:
@@ -237,8 +252,8 @@ def exponential_profile(model, epsilon=0.0):
     essinf-N matrices, the decay exponent it implies, and the epsilon
     feasibility of the matching lower bound.
     """
-    if epsilon < 0:
-        raise ModelError("epsilon must be >= 0")
+    if not 0 <= epsilon < math.inf:
+        raise ModelError("epsilon must be >= 0 and finite")
     model._require_finite_atom()
     assumptions = []
     pcp = positive_column_probability(model)
@@ -263,13 +278,15 @@ def exponential_profile(model, epsilon=0.0):
     elif p_nm <= 0:
         verdict_a = "not-applicable"
         notes.append("minimal offspring count carries no probability mass")
+    elif a_low * p * m_low > 1 + RHO_TOL:
+        # rho(M) >= min row sum of M >= a_lower*p*essinf_N, so this breaks
+        # assumption H
+        verdict_a = "not-applicable"
+        notes.append("a_lower*p*essinf_N > 1: the mean matrix has rho > 1")
     else:
-        gamma = -math.log(m_low) / math.log(a_low * p)
-        quantities["gamma"] = gamma
-        if not 0 < gamma < 1:
-            raise ModelError(
-                f"gamma={gamma} outside (0,1): a_lower*essinf_N*p >= 1, "
-                "inconsistent with a normalized primitive model")
+        # at a_lower*p*essinf_N = 1 every early entry is 1/(p*essinf_N),
+        # Y = V and the decay is exactly exponential: gamma = 1
+        quantities["gamma"] = min(1.0, -math.log(m_low) / math.log(a_low * p))
         verdict_a = "holds"
 
     report_a = ConditionReport(theorem="T2.3a", verdict=verdict_a,
@@ -307,8 +324,8 @@ def check_complex(model, alpha, beta_grid=None):
     alpha > 2 a beta in (1,2] must control the second-order term.  The
     two printed readings of the second-order quantity are both computed.
     """
-    if alpha <= 1:
-        raise ModelError("alpha must be > 1")
+    if not 1 < alpha < math.inf:
+        raise ModelError("alpha must be > 1 and finite")
     if not model.is_complex:
         raise ModelError("check_complex requires a complex-mode model")
     model._require_finite_atom()
@@ -323,9 +340,7 @@ def check_complex(model, alpha, beta_grid=None):
         "p^(alpha-1)*rho_hat(alpha)": p ** (alpha - 1) * rho_hat_alpha,
     }
     notes = []
-    assumptions = []
-    hat_status, _ = _assumption_h_status(model)
-    assumptions.append(hat_status)
+    assumptions = [_assumption_h_status(model)]
 
     if alpha <= 2:
         verdict = "holds" if p ** (alpha - 1) * rho_hat_alpha < 1 else "undecided"

@@ -110,8 +110,8 @@ def estimate_moment(batch, alpha, target="norm"):
     target: "norm" (L1 norm), an integer coordinate, or a projection
     vector.  Standard error is the CLT estimate from the sample variance.
     """
-    if alpha <= 0:
-        raise EstimateError("alpha must be positive")
+    if not 0 < alpha < np.inf:
+        raise EstimateError("alpha must be positive and finite")
     base, label = _target_values(batch, target)
     if base.size == 0:
         raise EstimateError("empty batch")
@@ -125,8 +125,8 @@ def estimate_harmonic(batch, lam, y):
     infinite; they are excluded and counted, and the estimate is flagged
     as conditionally biased.
     """
-    if lam <= 0:
-        raise EstimateError("lambda must be positive")
+    if not 0 < lam < np.inf:
+        raise EstimateError("lambda must be positive and finite")
     y = np.asarray(y, dtype=float)
     if np.any(y < 0) or not np.any(y > 0):
         raise EstimateError("y must be nonnegative and nonzero")

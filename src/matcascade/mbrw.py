@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditions import ConditionReport
-from .model import (PROB_SUM_TOL, Atom, CascadeModel, ModelError, parses,
-                    read_json)
+from .conditions import ConditionReport, offspring_law_assumptions
+from .model import (PROB_SUM_TOL, Atom, CascadeModel, ModelError, offspring_law,
+                    parses, read_json)
 from .spectral import SpectralError, perron
 
 BUILD_TOL = 1e-12
@@ -101,21 +101,14 @@ def spec_to_dict(spec):
     }
 
 
-def _offspring_count_law(configs):
-    law: dict[int, float] = {}
-    for c in configs:
-        law[c.n_children] = law.get(c.n_children, 0.0) + c.prob
-    return law
-
-
-def _check_common_offspring_law(spec, tol=1e-12):
+def _check_common_offspring_law(spec):
     """The child-count distribution must not depend on the parent type."""
-    laws = [_offspring_count_law(cfgs) for cfgs in spec.offspring]
+    laws = [offspring_law(cfgs) for cfgs in spec.offspring]
     ref = laws[0]
     for i, law in enumerate(laws[1:], start=2):
         keys = set(ref) | set(law)
         for k in keys:
-            if abs(ref.get(k, 0.0) - law.get(k, 0.0)) > tol:
+            if abs(ref.get(k, 0.0) - law.get(k, 0.0)) > 1e-12:
                 raise ModelError(
                     "offspring-count law differs between parent types 1 and "
                     f"{i}: P(N={k}) is {ref.get(k, 0.0)} vs {law.get(k, 0.0)}")
@@ -223,11 +216,11 @@ def mbrw_condition_report(spec, t, alpha=None, lam=None, epsilon=0.0):
     labeled; no intent is guessed between them.
     """
     reports = []
-    sp = mbrw_spectral(spec, t)
     p = spec.p
     if alpha is not None:
-        if alpha <= 1:
-            raise ModelError("alpha must be > 1")
+        if not 1 < alpha < math.inf:
+            raise ModelError("alpha must be > 1 and finite")
+        sp = mbrw_spectral(spec, t)
         sp_a = mbrw_spectral(spec, alpha * t)
         crit = p ** (alpha - 1) * sp_a.rho_tilde / sp.rho_tilde ** alpha
         quantities = {
@@ -241,15 +234,11 @@ def mbrw_condition_report(spec, t, alpha=None, lam=None, epsilon=0.0):
         reports.append(ConditionReport(theorem="C2.4a", verdict=verdict,
                                        quantities=quantities, notes=notes))
     if lam is not None:
-        if lam <= 0:
-            raise ModelError("lambda must be positive")
-        n_law = _offspring_count_law(spec.offspring[0])
-        p_n0 = n_law.get(0, 0.0)
-        p_n1 = n_law.get(1, 0.0)
-        assumptions = [
-            ("no-extinction P(N=0)=0", "ok" if p_n0 == 0 else f"fails: {p_n0}"),
-            ("branching P(N=1)<1", "ok" if p_n1 < 1 else "fails: 1"),
-        ]
+        if not 0 < lam < math.inf:
+            raise ModelError("lambda must be positive and finite")
+        if not math.isfinite(epsilon):
+            raise ModelError("epsilon must be finite")
+        p_n0, p_n1, assumptions = offspring_law_assumptions(spec.offspring[0])
         quantities = {"lambda": lam, "epsilon": epsilon, "t": t,
                       "P(N=0)": p_n0, "P(N=1)": p_n1}
 

@@ -92,14 +92,6 @@ class CascadeModel:
         self._require_finite_atom()
         return sum(a.prob * a.n_children for a in self.atoms)
 
-    def offspring_probabilities(self):
-        """Law of N as a dict {n: probability}."""
-        self._require_finite_atom()
-        law: dict[int, float] = {}
-        for a in self.atoms:
-            law[a.n_children] = law.get(a.n_children, 0.0) + a.prob
-        return law
-
     def min_offspring(self):
         """essinf N: smallest child count carried with positive probability."""
         self._require_finite_atom()
@@ -143,6 +135,15 @@ class CascadeModel:
     def _require_finite_atom(self):
         if self.mode != "finite-atom":
             raise ModelError("operation requires a finite-atom model")
+
+
+def offspring_law(items):
+    """Law of the child count N as a dict {n: probability}, over anything
+    with prob and n_children: model atoms or walk configurations."""
+    law: dict[int, float] = {}
+    for item in items:
+        law[item.n_children] = law.get(item.n_children, 0.0) + item.prob
+    return law
 
 
 @dataclass
@@ -322,14 +323,11 @@ def validate_model(model):
 
 def normalize_model(model):
     """Rescale every weight matrix by 1/rho so the mean matrix has rho = 1."""
-    from .spectral import perron
+    from .spectral import SpectralError, perron
 
     model._require_finite_atom()
-    m = model.mean_matrix()
-    primitive, _ = primitivity(m)
-    if not primitive:
-        raise ModelError("cannot normalize: mean matrix is not primitive")
-    rho = perron(m).rho
-    if rho <= 0:
-        raise ModelError("cannot normalize: zero spectral radius")
+    try:
+        rho = perron(model.mean_matrix()).rho
+    except SpectralError as e:
+        raise ModelError(f"cannot normalize: {e}") from e
     return scale_model(model, 1.0 / rho)

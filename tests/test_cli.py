@@ -69,6 +69,23 @@ class TestCheck:
         t21 = next(r for r in rows if r["theorem"] == "T2.1a")
         assert abs(t21["quantities"]["p^(alpha-1)*rho_1(alpha)"] - 0.5) < 1e-12
 
+    @pytest.mark.parametrize("weight,verdict", [(0.5, "holds"),
+                                                (1.0, "not-applicable"),
+                                                (2.0, "not-applicable")])
+    def test_exponential_profile_rated(self, weight, verdict, tmp_path, capsys):
+        # MODEL_A sits at a_lower*p*essinf_N = 1; heavier weights break
+        # assumption H, which rates T2.3a instead of stopping the command
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(_model(matrices=[[[weight]], [[weight]]])))
+        out = tmp_path / "check"
+        code = main(["check", "--model", str(path), "--alpha", "2",
+                     "--epsilon", "0", "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        rows = json.loads((out / "conditions.json").read_text())
+        t23a = next(r for r in rows if r["theorem"] == "T2.3a")
+        assert t23a["verdict"] == verdict
+
     def test_missing_file(self, tmp_path, capsys):
         code = main(["check", "--model", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")])
@@ -348,11 +365,11 @@ MALFORMED_SPECS = {
 }
 
 
-def _check_model(doc):
+def _check_model(doc, *flags):
     def argv(tmp_path):
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
-        return ["check", "--model", str(path), "--alpha", "2",
+        return ["check", "--model", str(path), "--alpha", "2", *flags,
                 "--out", str(tmp_path / "o")]
     return argv
 
@@ -366,8 +383,9 @@ def _build_spec(doc, *flags):
     return argv
 
 
-def _estimate_batch(damage):
-    """estimate --batch on a simulate output that damage(directory) broke."""
+def _estimate_batch(damage, *flags):
+    """estimate --batch, with flags, on a simulate output that
+    damage(directory) broke."""
     def argv(tmp_path):
         model = tmp_path / "model.json"
         model.write_text(json.dumps(MODEL_C))
@@ -377,7 +395,7 @@ def _estimate_batch(damage):
                      "--out", str(sim)]) == 0
         damage(sim)
         return ["estimate", "--model", str(model), "--batch", str(sim),
-                "--alpha", "2", "--out", str(tmp_path / "e")]
+                "--alpha", "2", *flags, "--out", str(tmp_path / "e")]
     return argv
 
 
@@ -399,6 +417,18 @@ MALFORMED_INPUTS = {
     **{f"spec-{k}": _build_spec(v) for k, v in MALFORMED_SPECS.items()},
     "mbrw-build-alpha-1": _build_spec(TT1, "--alpha", "1"),
     "mbrw-build-lambda-negative": _build_spec(TT1, "--lambda", "-1"),
+    "mbrw-build-alpha-nan": _build_spec(TT1, "--alpha", "nan"),
+    "mbrw-build-lambda-nan": _build_spec(TT1, "--lambda", "nan"),
+    "mbrw-build-epsilon-nan": _build_spec(TT1, "--lambda", "1", "--epsilon", "nan"),
+    "check-alpha-nan": _check_model(MODEL_C, "--alpha", "nan"),
+    "check-alpha-inf": _check_model(MODEL_C, "--alpha", "inf"),
+    "check-lambda-nan": _check_model(MODEL_C, "--lambda", "nan"),
+    "check-epsilon-nan": _check_model(MODEL_C, "--epsilon", "nan"),
+    "check-n-max-0": _check_model(MODEL_C, "--n-max", "0"),
+    "estimate-alpha-nan": _estimate_batch(lambda d: None, "--alpha", "nan"),
+    "estimate-lambda-nan": _estimate_batch(lambda d: None, "--lambda", "nan"),
+    "estimate-t-max-inf": _estimate_batch(lambda d: None, "--laplace-fit",
+                                          "--t-max", "inf"),
     "batch-truncated": _estimate_batch(_truncate),
     "batch-bin-missing": _estimate_batch(lambda d: (d / "batch.bin").unlink()),
     "batch-meta-not-json": _estimate_batch(

@@ -233,6 +233,21 @@ class TestExponentialProfile:
         assert rep_b.verdict == "holds"
         assert rep_b.quantities["P(N=essinf_N, entries <= a_lower+eps)"] == 1.0
 
+    def test_boundary_gamma_one(self, model_a):
+        # a_lower*p*essinf_N = 1: Y = V, so the decay is exactly exponential
+        rep_a, rep_b = exponential_profile(model_a, 0.0)
+        assert rep_a.verdict == "holds"
+        assert rep_a.quantities["gamma"] == 1.0
+        assert rep_b.verdict == "not-applicable"
+
+    @pytest.mark.parametrize("c", [2.0, 4.0])
+    def test_off_assumption_h_not_applicable(self, model_a, c):
+        # a_lower*p*essinf_N = c > 1 forces rho(M) > 1
+        rep_a, rep_b = exponential_profile(scale_model(model_a, c), 0.0)
+        assert rep_a.verdict == "not-applicable"
+        assert "gamma" not in rep_a.quantities
+        assert rep_b.verdict == "not-applicable"
+
     def test_requires_min_two_children(self, model_b):
         with pytest.raises(ModelError):
             exponential_profile(model_b, 0.0)

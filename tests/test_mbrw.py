@@ -1,9 +1,13 @@
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+from matcascade import mbrw
+from matcascade.cli import main
+from matcascade.conditions import check_harmonic
 from matcascade.engine import simulate_batch
 from matcascade.model import ModelError, validate_model
 from matcascade.spectral import moment_matrix, perron
@@ -212,3 +216,42 @@ class TestConditionReport:
         keys = rep.quantities.keys()
         assert any("as printed" in k for k in keys)
         assert any("t-reading" in k for k in keys)
+
+
+class TestSharedCriteria:
+    def test_perron_solves(self, tmp_path, monkeypatch):
+        # only C2.4a reads the tilted spectra; the build needs two solves
+        calls = []
+
+        def counting(mat):
+            calls.append(mat)
+            return perron(mat)
+
+        monkeypatch.setattr(mbrw, "perron", counting)
+        spec = tmp_path / "tt1.json"
+        spec.write_text(json.dumps(TT1))
+        argv = ["mbrw-build", "--spec", str(spec), "--t", "1",
+                "--lambda", "1", "--lambda", "2",
+                "--epsilon", "0", "--epsilon", "0.5",
+                "--out-model", str(tmp_path / "m.json")]
+        assert main(argv) == 0
+        assert len(calls) == 2
+        calls.clear()
+        assert main(argv + ["--alpha", "2"]) == 0
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("spec_doc,status", [
+        (TT1, "ok"), ("wide_walk", "fails: P(N=0)=0.1")])
+    def test_law_rows_match_built_model(self, spec_doc, status, monkeypatch):
+        # T2.2 on the built model and C2.4b on the walk state the same
+        # offspring-law hypotheses in the same words
+        if spec_doc == "wide_walk":
+            monkeypatch.syspath_prepend(
+                str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
+            import inputs
+            spec_doc = inputs.generate("wide_walk", 1)
+        spec = spec_from_dict(spec_doc)
+        (walk,) = mbrw_condition_report(spec, 1.0, lam=1.0)
+        cascade = check_harmonic(build_cascade_from_mbrw(spec, 1.0), 1.0)
+        assert walk.assumptions_checked == cascade.assumptions_checked[1:]
+        assert walk.assumptions_checked[0][1] == status
