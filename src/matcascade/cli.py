@@ -78,6 +78,8 @@ def _render_table(reports):
 
 
 def cmd_check(args):
+    if args.n_max < 1:  # complex models never reach check_alpha_moments
+        raise MatcascadeError("--n-max must be >= 1")
     model = load_model(args.model)
     os.makedirs(args.out, exist_ok=True)
 
@@ -211,6 +213,8 @@ def cmd_estimate(args):
 
 
 def cmd_mbrw_build(args):
+    if not math.isfinite(args.t):
+        raise MatcascadeError(f"--t must be finite, got {args.t!r}")
     spec = load_mbrw_spec(args.spec)
     model = build_cascade_from_mbrw(spec, args.t)
     reports = [r for alpha in args.alpha

@@ -2,7 +2,14 @@
 
 Each replicate owns a counter-based (Philox) stream keyed by the master
 seed and the replicate index, so a draw is reproducible from that pair
-alone and independent of batch size or worker count.  A chunk of
+alone and independent of batch size or worker count.  A run builds one
+generator per replicate slot of its first chunk and re-keys those for
+every later chunk, so no replicate pays for a new bit generator or its
+OS-entropy read.  For finite-atom laws each replicate's first WINDOW
+uniforms are drawn in one call up front; a node reads its uniform there
+by its stream position (draws its replicate used before, plus its rank
+at its depth), and only the draws past the window go to the stream one
+call per replicate and generation, in the same order.  A chunk of
 replicates is simulated in two passes that follow the recursion
 Y = sum_k A_k Y(k): a top-down pass grows only the tree topology (the
 atom drawn at each node and the offset of its first child, nodes kept in
@@ -24,6 +31,7 @@ from .spectral import SpectralError, moment_matrix, perron, _entry_power
 
 DEFAULT_CAP = 10_000_000
 CHUNK = 4096
+WINDOW = 16  # uniforms drawn per replicate up front, before any spill draws
 
 BATCH_MAGIC = b"MCSB"
 BATCH_VERSION = 1
@@ -65,10 +73,22 @@ class SampleBatch:
         return self.values[~self.capped]
 
 
-def replicate_rng(master_seed, r):
-    """Philox stream for replicate r of a run keyed by master_seed."""
-    key = np.array([master_seed % 2**64, r % 2**64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def replicate_rng(master_seed, r, rng=None):
+    """Philox stream for replicate r of a run keyed by master_seed.
+
+    Given a Philox Generator rng, re-keys it in place (counter and buffer
+    reset, as on a new one) and returns it, rather than building a new
+    bit generator, which costs ten times more and reads OS entropy that
+    the key then overrides.
+    """
+    key = (master_seed % 2**64, r % 2**64)
+    if rng is None:
+        key = np.array(key, dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": key},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return rng
 
 
 def _atom_tables(model, tilt=None):
@@ -145,7 +165,8 @@ def _run_chunk(model, n, rngs, v, cap, tilt, dtype, want_traj, identity_root=Fal
     """Simulate one chunk of replicates; returns (Y array, traj, extinct, capped).
 
     Each replicate consumes its own stream: one uniform per alive node per
-    generation for finite-atom laws, one sampler draw per node otherwise.
+    generation for finite-atom laws (read from the window while it lasts),
+    one sampler draw per node otherwise.
     A replicate whose population at the next depth would exceed cap stops
     growing there and reports NaN from that depth on.  A trajectory is the
     fold cut off at each depth.
@@ -170,20 +191,31 @@ def _run_chunk(model, n, rngs, v, cap, tilt, dtype, want_traj, identity_root=Fal
     levels = []  # per depth: groups of (nodes, first-child offsets, slot matrices)
     capped_at = np.full(m0, n + 1)  # depth at which the cap was breached
 
+    if finite:
+        # each replicate's first WINDOW uniforms; later ones spill to its stream
+        window = np.empty((m0, WINDOW))
+        for row, rng in zip(window, rngs):
+            rng.random(out=row)
+        used = np.zeros(m0, dtype=np.int64)  # uniforms each replicate has used
+
     for gen in range(n):
         counts = np.bincount(rep, minlength=m0)
-        live = np.flatnonzero(counts)
         if finite:
+            first_node = np.cumsum(counts) - counts
+            pos = used[rep] + np.arange(len(rep)) - first_node[rep]
+            used += counts
             draws = np.empty(len(rep))
-            pos = 0
-            for i in live:
-                c = counts[i]
-                draws[pos:pos + c] = rngs[i].random(c)
-                pos += c
+            inside = pos < WINDOW
+            draws[inside] = window[rep[inside], pos[inside]]
+            if not inside.all():
+                spill = np.bincount(rep[~inside], minlength=m0)
+                draws[~inside] = np.concatenate(
+                    [rngs[i].random(spill[i]) for i in np.flatnonzero(spill)])
             atom = np.searchsorted(cum, draws, side="left")
             k = nch[atom]
         else:
-            mats = [_sampler_draw(model, rngs[i], counts[i]) for i in live]
+            mats = [_sampler_draw(model, rngs[i], counts[i])
+                    for i in np.flatnonzero(counts)]
             if mats:
                 mats = np.concatenate(mats).astype(dtype, copy=False)
             k = np.full(len(rep), n_children)
@@ -248,9 +280,11 @@ def _simulate(model, n, replicates, master_seed, cap, tilt, want_traj,
     capped = np.zeros(replicates, dtype=bool)
     trajs = [] if want_traj else None
 
+    rngs = [None] * min(chunk, replicates)  # built for the first chunk, then re-keyed
     for start in range(0, replicates, chunk):
         stop = min(start + chunk, replicates)
-        rngs = [replicate_rng(master_seed, r) for r in range(start, stop)]
+        rngs = [replicate_rng(master_seed, r, rng)
+                for r, rng in zip(range(start, stop), rngs)]
         y, traj, ext, cpd = _run_chunk(model, n, rngs, v, cap, tilt, dtype,
                                        want_traj, identity_root=identity_root)
         values[start:stop] = y

@@ -22,6 +22,10 @@ MODEL_C = {"p": 2, "field": "real", "mode": "finite-atom",
 MODEL_R = {"p": 1, "field": "real", "mode": "finite-atom",
            "atoms": [{"prob": 0.5, "matrices": [[[0.3]], [[0.9]]]},
                      {"prob": 0.5, "matrices": [[[0.6]], [[0.2]]]}]}
+# one complex atom, two children 0.5 e^{i pi/3}
+PHASE = {"p": 1, "field": "complex", "mode": "finite-atom",
+         "atoms": [{"prob": 1.0, "matrices": [[[[0.25, 0.4330127018922193]]],
+                                              [[[0.25, 0.4330127018922193]]]]}]}
 TT1 = {"p": 2, "types": [
     {"offspring": [{"prob": 1.0,
                     "children": [{"type": 1, "disp": 0.0},
@@ -425,6 +429,9 @@ MALFORMED_INPUTS = {
     "check-lambda-nan": _check_model(MODEL_C, "--lambda", "nan"),
     "check-epsilon-nan": _check_model(MODEL_C, "--epsilon", "nan"),
     "check-n-max-0": _check_model(MODEL_C, "--n-max", "0"),
+    "check-n-max-0-complex": _check_model(PHASE, "--n-max", "0"),
+    "mbrw-build-t-nan": _build_spec(TT1, "--t", "nan"),
+    "mbrw-build-t-inf": _build_spec(TT1, "--t", "inf"),
     "estimate-alpha-nan": _estimate_batch(lambda d: None, "--alpha", "nan"),
     "estimate-lambda-nan": _estimate_batch(lambda d: None, "--lambda", "nan"),
     "estimate-t-max-inf": _estimate_batch(lambda d: None, "--laplace-fit",
@@ -437,6 +444,10 @@ MALFORMED_INPUTS = {
     "report-row-incomplete": _report([{"theorem": "x"}]),
 }
 
+# cases whose message must name the offending flag
+FLAG_NAMED = {"check-n-max-0-complex": "--n-max", "mbrw-build-t-nan": "--t",
+              "mbrw-build-t-inf": "--t"}
+
 
 class TestMalformedInput:
     @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
@@ -448,6 +459,8 @@ class TestMalformedInput:
         assert "Traceback" not in err
         lines = err.strip().split("\n")
         assert len(lines) == 1 and lines[0].startswith("error: "), err
+        flag = FLAG_NAMED.get(case)
+        assert flag is None or flag in lines[0], err
 
 
 class TestUsage:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from matcascade import engine
 from matcascade.engine import (SimulationError, batch_from_binary,
                                batch_to_binary, batch_to_csv, replicate_rng,
                                simulate_batch, simulate_complex, simulate_Yn,
@@ -34,13 +35,14 @@ class TestDegenerateCascades:
 
 
 class TestSeedMatchedOracle:
-    def oracle(self, model, n, seed, identity_root=False):
-        """Direct per-node expansion consuming the same Philox stream;
-        identity_root replaces the root's child matrices by I."""
+    def oracle(self, model, n, seed, identity_root=False, r=0):
+        """Direct per-node expansion of replicate r consuming the same
+        Philox stream; identity_root replaces the root's child matrices
+        by I."""
         v = perron(model.mean_matrix()).v
         cum = np.cumsum([a.prob for a in model.atoms])
         cum[-1] = 1.0
-        rng = replicate_rng(seed, 0)
+        rng = replicate_rng(seed, r)
         prods = [np.eye(model.p)]
         for gen in range(n):
             draws = rng.random(len(prods))
@@ -70,6 +72,18 @@ class TestSeedMatchedOracle:
             values[0], self.oracle(model_rand, 3, seed, identity_root=True),
             rtol=1e-12)
 
+    def test_later_chunks(self, model_rand):
+        # chunks of 4: replicates 5 and 6 run on re-keyed generators of the
+        # second chunk, 9 on the third; at depth 4 the population outgrows
+        # the window, so some draws come after it
+        values, _, _, capped, _ = _simulate(model_rand, 4, 10, 42, 10**7, None,
+                                            False, chunk=4)
+        assert not capped.any()
+        for r in (5, 6, 9):
+            np.testing.assert_allclose(values[r],
+                                       self.oracle(model_rand, 4, 42, r=r),
+                                       rtol=1e-12, atol=1e-14)
+
     def test_scalar_model(self, model_d1):
         for seed in (1, 2, 3):
             y, _, _ = simulate_Yn(model_d1, 4, seed)
@@ -98,6 +112,44 @@ class TestSeedMatchedOracle:
             np.testing.assert_allclose(batch.values[r],
                                        self.sampler_oracle(model, 4, seed, r),
                                        rtol=1e-12)
+
+
+def varying_offspring_model():
+    """p = 2 model with 0, 1, 2 or 3 children per node."""
+    mats = [[[0.82, 0.83], [0.56, 0.36]], [[0.15, 0.45], [0.47, 0.14]],
+            [[0.14, 1.0], [0.69, 0.31]], [[0.49, 0.98], [0.91, 0.86]],
+            [[0.45, 0.54], [0.71, 0.15]], [[0.6, 0.34], [0.89, 0.16]]]
+    return normalize_model(make_model(
+        2, [(0.2, []), (0.3, mats[:1]), (0.3, mats[1:3]), (0.2, mats[3:])]))
+
+
+class TestDrawWindow:
+    """The window of uniforms drawn up front is a speed setting only."""
+
+    # two or three children: a replicate has used 7 to 13 draws before
+    # depth 3, and its 8 to 27 nodes there mostly straddle the default
+    # window of 16
+    BRANCHING = make_model(1, [(0.5, [[[0.3]], [[0.9]]]),
+                               (0.5, [[[0.2]], [[0.5]], [[0.4]]])])
+
+    @pytest.mark.parametrize("case", ["straddle", "capped"])
+    def test_window_size_changes_nothing(self, case, monkeypatch):
+        if case == "straddle":
+            args = (self.BRANCHING, 5, 10, 3, 10**7)
+        else:
+            args = (varying_offspring_model(), 6, 40, 3, 20)
+        runs = []
+        for window in (1, 2, engine.WINDOW):
+            monkeypatch.setattr(engine, "WINDOW", window)
+            runs.append(_simulate(*args, None, True, chunk=3))
+        if case == "capped":
+            assert 0 < runs[0][3].sum() < 40
+        for values, traj, extinct, capped, _ in runs[1:]:
+            np.testing.assert_array_equal(values, runs[0][0])
+            for t, t0 in zip(traj, runs[0][1]):
+                np.testing.assert_array_equal(t, t0)
+            np.testing.assert_array_equal(extinct, runs[0][2])
+            np.testing.assert_array_equal(capped, runs[0][3])
 
 
 SAMPLERS = {
@@ -182,12 +234,7 @@ class TestExtinctionAndCap:
     def test_partial_cap_breach(self):
         # random child counts (including none), so capped replicates leave
         # gaps in the node offsets of the replicates that keep growing
-        mats = [[[0.82, 0.83], [0.56, 0.36]], [[0.15, 0.45], [0.47, 0.14]],
-                [[0.14, 1.0], [0.69, 0.31]], [[0.49, 0.98], [0.91, 0.86]],
-                [[0.45, 0.54], [0.71, 0.15]], [[0.6, 0.34], [0.89, 0.16]]]
-        model = normalize_model(make_model(
-            2, [(0.2, []), (0.3, mats[:1]), (0.3, mats[1:3]),
-                (0.2, mats[3:])]))
+        model = varying_offspring_model()
         full = simulate_batch(model, 6, 200, 3)
         args = (model, 6, 200, 3, 20, None, False)
         values, _, extinct, capped, _ = _simulate(*args, chunk=4096)
@@ -270,6 +317,23 @@ class TestComplex:
         assert y_hat[0] == 1.0  # modulus companion is the binary cascade
         assert abs(y[0]) <= 1.0 + 1e-12
 
+    def test_batch_mean_nonzero_complex_mean(self):
+        # random phases with E sum_k A_k ~ 0.70 + 0.30j, so Y_n is random
+        # and E Y_n != 0; the modulus mean E sum_k |A_k| is 1, so V = 1
+        w = 0.5 * np.exp(1j * np.pi / 3)
+        model = make_model(
+            1, [(0.5, [[[w]], [[0.4]]]),
+                (0.5, [[[0.3j]], [[0.6]], [[0.2 * np.exp(-1j * np.pi / 4)]]])],
+            field_kind="complex")
+        m = sum(a.prob * sum(np.asarray(x)[0, 0] for x in a.matrices)
+                for a in model.atoms)
+        y = simulate_batch(model, 4, 20000, 6).values[:, 0]
+        target = m**4 * perron(model.mean_matrix()).v[0]
+        assert abs(target) > 0.05
+        for part in (np.real, np.imag):
+            se = part(y).std(ddof=1) / np.sqrt(len(y))
+            assert abs(part(y.mean()) - part(target)) <= 5 * se
+
     def test_real_model_rejected(self, model_a):
         with pytest.raises(SimulationError):
             simulate_complex(model_a, 2, 0)
@@ -345,3 +409,37 @@ class TestReplicateStreams:
         a = replicate_rng(123, 45).random(8)
         b = replicate_rng(123, 45).random(8)
         np.testing.assert_array_equal(a, b)
+
+    def test_rekeyed_equals_new(self):
+        pick = np.random.default_rng(8)
+        top = 2**64 - 1
+        keys = [(int(pick.integers(0, 2**63)), int(pick.integers(0, 2**63)))
+                for _ in range(20)]
+        keys += [(top, 0), (0, top), (top, top - 1), (top - 2, 5),
+                 (2**64, 3), (2**64 + 7, 2**65 + 1), (3 * 2**64 - 1, 2**64)]
+        rng = replicate_rng(0, 0)
+        for i, (seed, r) in enumerate(keys):
+            # leave the generator mid-buffer, with a buffered 32-bit half
+            rng.random(i % 7)
+            rng.integers(0, 2**31, size=i % 3 + 1, dtype=np.uint32)
+            assert replicate_rng(seed, r, rng) is rng
+            fresh = np.random.Generator(np.random.Philox(
+                key=np.array([seed % 2**64, r % 2**64], dtype=np.uint64)))
+            np.testing.assert_array_equal(rng.random(9), fresh.random(9))
+            np.testing.assert_array_equal(
+                rng.integers(0, 2**32, size=5, dtype=np.uint32),
+                fresh.integers(0, 2**32, size=5, dtype=np.uint32))
+
+    def test_one_generator_per_chunk_slot(self, model_rand, monkeypatch):
+        # re-keying replaces a new Philox (and its OS-entropy read) per
+        # replicate
+        built = []
+        philox = np.random.Philox
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        _simulate(model_rand, 3, 10, 1, 10**7, None, False, chunk=4)
+        assert 0 < len(built) <= 4
