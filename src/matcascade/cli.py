@@ -83,12 +83,15 @@ def cmd_check(args):
     model = load_model(args.model)
     os.makedirs(args.out, exist_ok=True)
 
-    reports = [check_assumption_h(model)]
+    validation = check_assumption_h(model)
+    reports = [validation]
     if model.is_complex:
-        reports += [check_complex(model, alpha, beta_grid=args.beta or None)
+        reports += [check_complex(model, alpha, beta_grid=args.beta or None,
+                                  validation=validation)
                     for alpha in args.alpha]
     else:
-        reports += check_alpha_moments(model, args.alpha, n_max=args.n_max)
+        reports += check_alpha_moments(model, args.alpha, n_max=args.n_max,
+                                       validation=validation)
         reports += [check_harmonic(model, lam) for lam in args.lam]
         if model.min_offspring() >= 2:
             reports += [r for eps in args.epsilon
@@ -136,6 +139,8 @@ def cmd_simulate(args):
 
 
 def cmd_estimate(args):
+    if args.n_max < 1:  # the side checks run only for some models and orders
+        raise MatcascadeError("--n-max must be >= 1")
     model = load_model(args.model)
     os.makedirs(args.out, exist_ok=True)
     if args.fresh:

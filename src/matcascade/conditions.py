@@ -49,8 +49,10 @@ def check_assumption_h(model):
                            quantities=quantities, notes=[v.norm_convention])
 
 
-def _assumption_h_status(model):
-    verdict = check_assumption_h(model).verdict
+def _assumption_h_status(model, validation=None):
+    """The assumption-H row of a report, read off validation (the model's
+    check_assumption_h report) when the caller has already built it."""
+    verdict = (validation or check_assumption_h(model)).verdict
     return ("assumption-H", "ok" if verdict == "holds" else verdict)
 
 
@@ -93,7 +95,7 @@ def _norm_moment(model, alpha):
         for a in model.atoms)
 
 
-def check_alpha_moments(model, alphas, n_max=3):
+def check_alpha_moments(model, alphas, n_max=3, validation=None):
     """Sufficient and necessary moment criteria at each order alpha > 1.
 
     Sufficient side: some depth n <= n_max has p^(alpha-1) rho_n(alpha) < 1.
@@ -104,13 +106,15 @@ def check_alpha_moments(model, alphas, n_max=3):
     Returns one report per alpha, in the given order.  Every alpha uses
     the same depth-n intensity measure, so each is built at most once.
     An alpha whose Perron solve fails at depth n stops there.
+    validation, the model's check_assumption_h report if the caller has
+    one, saves validating the model again.
     """
     if not all(1 < alpha < math.inf for alpha in alphas):
         raise ModelError("alpha must be > 1 and finite")
     if n_max < 1:
         raise ModelError("n_max must be >= 1")
     model._require_finite_atom()
-    h_status = _assumption_h_status(model)
+    h_status = _assumption_h_status(model, validation)
     pcp = positive_column_probability(model)
     p = model.p
     measures = {}  # depth -> intensity measure
@@ -317,12 +321,13 @@ def exponential_profile(model, epsilon=0.0):
     return report_a, report_b
 
 
-def check_complex(model, alpha, beta_grid=None):
+def check_complex(model, alpha, beta_grid=None, validation=None):
     """Moment criterion for complex weights, through the modulus matrices.
 
     For alpha in (1,2] the test is p^(alpha-1) rho_hat(alpha) < 1; for
     alpha > 2 a beta in (1,2] must control the second-order term.  The
     two printed readings of the second-order quantity are both computed.
+    validation is as for check_alpha_moments.
     """
     if not 1 < alpha < math.inf:
         raise ModelError("alpha must be > 1 and finite")
@@ -340,7 +345,7 @@ def check_complex(model, alpha, beta_grid=None):
         "p^(alpha-1)*rho_hat(alpha)": p ** (alpha - 1) * rho_hat_alpha,
     }
     notes = []
-    assumptions = [_assumption_h_status(model)]
+    assumptions = [_assumption_h_status(model, validation)]
 
     if alpha <= 2:
         verdict = "holds" if p ** (alpha - 1) * rho_hat_alpha < 1 else "undecided"

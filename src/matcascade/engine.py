@@ -13,10 +13,11 @@ call per replicate and generation, in the same order.  A chunk of
 replicates is simulated in two passes that follow the recursion
 Y = sum_k A_k Y(k): a top-down pass grows only the tree topology (the
 atom drawn at each node and the offset of its first child, nodes kept in
-canonical (replicate, parent, child) order), and a bottom-up pass sets
-every depth-n leaf to V and folds the p-vectors back to the roots.  A
-node's arithmetic depends only on its own subtree, so results do not
-depend on the chunking.
+canonical (replicate, parent, child) order), and a bottom-up pass folds
+the p-vectors back to the roots.  Every depth-n node carries V, so the
+depth-(n-1) nodes fold their child matrices against V itself and no
+depth-n leaf is ever built.  A node's arithmetic depends only on its
+own subtree, so results do not depend on the chunking.
 """
 
 from __future__ import annotations
@@ -147,15 +148,19 @@ def _fold(levels, sizes, depth, v):
 
     Folds Y(node) = sum_k A_{node,k} Y(child_k) from depth - 1 up to the
     roots; a node without children (extinct, or halted by the cap)
-    folds to zero.
+    folds to zero.  Every leaf carries the same V, so a depth - 1 node
+    folds its slot matrices against V directly: no leaf array is built
+    or gathered, and a group sharing one stack computes its row once.
     """
-    y = np.broadcast_to(v, (sizes[depth], v.size))
+    if depth == 0:
+        return np.broadcast_to(v, (sizes[0], v.size))
+    y = None  # values of the depth d + 1 nodes, once they are not leaves
     for d in range(depth - 1, -1, -1):
         parent = np.zeros((sizes[d], v.size), dtype=v.dtype)
         for sel, first, mats in levels[d]:
-            acc = _apply(mats[0], y[first])
+            acc = _apply(mats[0], v[None] if y is None else y[first])
             for k in range(1, len(mats)):
-                acc += _apply(mats[k], y[first + k])
+                acc += _apply(mats[k], v[None] if y is None else y[first + k])
             parent[sel] = acc
         y = parent
     return y
@@ -387,16 +392,16 @@ def batch_to_csv(batch, path):
     else:
         cols = [f"Y{j+1}" for j in range(p)]
     columns = _float_columns(batch.values)
+    row = "%d,%d,%d" + ",%r" * columns.shape[1] + "\n"
     with open(path, "w", encoding="utf-8") as f:
         f.write("replicate,extinct,capped," + ",".join(cols) + "\n")
-        # rows become Python floats one chunk at a time, to bound memory
+        # rows become Python floats and text one chunk at a time, to bound
+        # memory, and each chunk goes to the file in one write
         for start in range(0, batch.replicates, CHUNK):
             block = slice(start, start + CHUNK)
-            rows = zip(batch.extinct[block].tolist(), batch.capped[block].tolist(),
-                       columns[block].tolist())
-            for r, (extinct, capped, values) in enumerate(rows, start):
-                f.write(f"{r},{int(extinct)},{int(capped)},"
-                        + ",".join(map(repr, values)) + "\n")
+            rows = zip(range(start, batch.replicates), batch.extinct[block].tolist(),
+                       batch.capped[block].tolist(), *columns[block].T.tolist())
+            f.write("".join(row % r for r in rows))
 
 
 def batch_to_binary(batch, path):

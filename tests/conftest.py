@@ -160,3 +160,20 @@ def reference_power_sum(weights, mats, t):
     for w, m in zip(weights, mats):
         out += w * np.power(np.abs(m), t)
     return out
+
+
+def reference_fold(levels, sizes, depth, v):
+    """Root values as engine._fold computes them, with every depth-`depth`
+    leaf built as a row of V and gathered per child slot."""
+    from matcascade.engine import _apply
+
+    y = np.broadcast_to(v, (sizes[depth], v.size))
+    for d in range(depth - 1, -1, -1):
+        parent = np.zeros((sizes[d], v.size), dtype=v.dtype)
+        for sel, first, mats in levels[d]:
+            acc = _apply(mats[0], y[first])
+            for k in range(1, len(mats)):
+                acc += _apply(mats[k], y[first + k])
+            parent[sel] = acc
+        y = parent
+    return y

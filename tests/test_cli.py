@@ -90,6 +90,26 @@ class TestCheck:
         t23a = next(r for r in rows if r["theorem"] == "T2.3a")
         assert t23a["verdict"] == verdict
 
+    @pytest.mark.parametrize("doc", [MODEL_C, PHASE], ids=["real", "complex"])
+    def test_validates_once(self, doc, tmp_path, monkeypatch):
+        # the validation row's report also rates assumption H in every
+        # moment row
+        from matcascade import conditions
+        calls = []
+        validate = conditions.validate_model
+
+        def counting(model):
+            calls.append(1)
+            return validate(model)
+
+        monkeypatch.setattr(conditions, "validate_model", counting)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", "--model", str(path), "--alpha", "1.5",
+                     "--alpha", "2", "--lambda", "1", "--out",
+                     str(tmp_path / "o")]) == 0
+        assert len(calls) == 1
+
     def test_missing_file(self, tmp_path, capsys):
         code = main(["check", "--model", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")])
@@ -387,9 +407,9 @@ def _build_spec(doc, *flags):
     return argv
 
 
-def _estimate_batch(damage, *flags):
-    """estimate --batch, with flags, on a simulate output that
-    damage(directory) broke."""
+def _estimate_batch(damage, *flags, alpha="2"):
+    """estimate --batch --alpha alpha, with flags, on a simulate output
+    that damage(directory) broke."""
     def argv(tmp_path):
         model = tmp_path / "model.json"
         model.write_text(json.dumps(MODEL_C))
@@ -399,7 +419,7 @@ def _estimate_batch(damage, *flags):
                      "--out", str(sim)]) == 0
         damage(sim)
         return ["estimate", "--model", str(model), "--batch", str(sim),
-                "--alpha", "2", *flags, "--out", str(tmp_path / "e")]
+                "--alpha", alpha, *flags, "--out", str(tmp_path / "e")]
     return argv
 
 
@@ -436,6 +456,8 @@ MALFORMED_INPUTS = {
     "estimate-lambda-nan": _estimate_batch(lambda d: None, "--lambda", "nan"),
     "estimate-t-max-inf": _estimate_batch(lambda d: None, "--laplace-fit",
                                           "--t-max", "inf"),
+    # no order above 1, so no side check would see the flag
+    "estimate-n-max-0": _estimate_batch(lambda d: None, "--n-max", "0", alpha="1"),
     "batch-truncated": _estimate_batch(_truncate),
     "batch-bin-missing": _estimate_batch(lambda d: (d / "batch.bin").unlink()),
     "batch-meta-not-json": _estimate_batch(
@@ -445,8 +467,8 @@ MALFORMED_INPUTS = {
 }
 
 # cases whose message must name the offending flag
-FLAG_NAMED = {"check-n-max-0-complex": "--n-max", "mbrw-build-t-nan": "--t",
-              "mbrw-build-t-inf": "--t"}
+FLAG_NAMED = {"check-n-max-0-complex": "--n-max", "estimate-n-max-0": "--n-max",
+              "mbrw-build-t-nan": "--t", "mbrw-build-t-inf": "--t"}
 
 
 class TestMalformedInput:

@@ -8,7 +8,7 @@ from matcascade.engine import (SimulationError, batch_from_binary,
                                simulate_tilted, _sampler_draw, _simulate)
 from matcascade.model import model_from_dict, normalize_model
 from matcascade.spectral import moment_matrix, perron
-from conftest import make_model, random_primitive_model
+from conftest import make_model, random_primitive_model, reference_fold
 
 
 def complex_model(entries):
@@ -176,6 +176,57 @@ class TestSamplerMeanMatrix:
         # Y_0 = V
         np.testing.assert_array_equal(simulate_batch(model, 0, 1, 1).values,
                                       simulate_batch(model, 0, 1, 2).values)
+
+
+class TestFoldReference:
+    """The fold that starts from V at depth n - 1 gives the bits of the
+    one that gathers a row of V per depth-n leaf (conftest.reference_fold)."""
+
+    @staticmethod
+    def cases():
+        rand = random_primitive_model(np.random.default_rng(5), p=3, min_atoms=2)
+        # p = 3 and three children, so that a sum taken in another order
+        # changes bits
+        pick = np.random.default_rng(6)
+        cx = make_model(3, [(0.25, []),
+                            (0.75, pick.uniform(0.1, 0.5, (3, 3, 3))
+                             * np.exp(1j * pick.uniform(-3, 3, (3, 3, 3))))],
+                        field_kind="complex")
+        sampler = model_from_dict({"p": 3, "mode": "sampler", "sampler": {
+            "family": "uniform", "params": {"n_children": 3, "low": 0.1, "high": 0.4}}})
+        # (model, n, replicates, cap, tilt, identity_root)
+        return {
+            "real": (rand, 5, 40, 10**7, None, False),
+            "complex-extinct": (cx, 6, 40, 10**7, None, False),
+            "tilted": (rand, 4, 30, 10**7, 2.0, False),
+            "identity-root": (rand, 4, 30, 10**7, None, True),
+            "cap-last-generation": (varying_offspring_model(), 6, 200, 20, None, False),
+            "sampler": (sampler, 3, 12, 10**7, None, False),
+            "n0": (rand, 0, 5, 10**7, None, False),
+        }
+
+    @pytest.mark.parametrize("want_traj", [False, True])
+    @pytest.mark.parametrize("case", ["real", "complex-extinct", "tilted",
+                                      "identity-root", "cap-last-generation",
+                                      "sampler", "n0"])
+    def test_bitwise_equal_to_leaf_gathering_fold(self, case, want_traj,
+                                                  monkeypatch):
+        model, n, reps, cap, tilt, identity_root = self.cases()[case]
+        args = (model, n, reps, 1, cap, tilt, want_traj)
+        new = _simulate(*args, chunk=7, identity_root=identity_root)
+        monkeypatch.setattr(engine, "_fold", reference_fold)
+        old = _simulate(*args, chunk=7, identity_root=identity_root)
+        if case == "cap-last-generation":
+            # some replicates first breach the cap in the last generation
+            before = _simulate(model, n - 1, reps, 1, cap, None, False)[3]
+            assert (new[3] & ~before).any() and before.any()
+        if case == "complex-extinct":
+            assert 0 < new[2].sum() < reps
+        np.testing.assert_array_equal(new[0], old[0])
+        for t_new, t_old in zip(new[1] or [], old[1] or []):
+            np.testing.assert_array_equal(t_new, t_old)
+        np.testing.assert_array_equal(new[2], old[2])
+        np.testing.assert_array_equal(new[3], old[3])
 
 
 class TestDeterminism:
@@ -356,6 +407,29 @@ class TestSerialization:
         batch_to_csv(simulate_batch(model_rand, 4, 30, 5), str(p1))
         batch_to_csv(simulate_batch(model_rand, 4, 30, 5), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+    @staticmethod
+    def reference_csv_rows(batch):
+        """The data rows, written one replicate at a time."""
+        columns = np.ascontiguousarray(batch.values).view(np.float64)
+        return "".join(
+            f"{r},{int(e)},{int(c)}," + ",".join(map(repr, row)) + "\n"
+            for r, (e, c, row) in enumerate(zip(batch.extinct, batch.capped,
+                                                columns.tolist())))
+
+    @pytest.mark.parametrize("case", ["chunk-boundary", "complex", "capped"])
+    def test_csv_matches_per_row_writer(self, case, model_rand, tmp_path):
+        if case == "chunk-boundary":
+            batch = simulate_batch(model_rand, 2, engine.CHUNK + 3, 4)
+        elif case == "complex":
+            batch = simulate_batch(complex_model([0.5j, 0.25 + 0.25j, 0.1]), 3, 9, 2)
+        else:
+            batch = simulate_batch(varying_offspring_model(), 6, 50, 3, cap=20)
+            assert 0 < batch.capped_count < 50
+        path = tmp_path / "b.csv"
+        batch_to_csv(batch, str(path))
+        rows = path.read_bytes().split(b"\n", 1)[1]
+        assert rows == self.reference_csv_rows(batch).encode()
 
     def test_binary_roundtrip(self, model_rand, tmp_path):
         batch = simulate_batch(model_rand, 4, 30, 5)
