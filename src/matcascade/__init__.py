@@ -16,6 +16,7 @@ from .model import (
     scale_model,
     validate_model,
     normalize_model,
+    tilt_model,
 )
 from .spectral import (
     PerronTriple,
@@ -35,10 +36,7 @@ from .conditions import (
 )
 from .engine import (
     SampleBatch,
-    simulate_Yn,
     simulate_batch,
-    simulate_tilted,
-    simulate_complex,
 )
 from .estimate import (
     MomentEstimate,

@@ -29,7 +29,7 @@ from .engine import (batch_from_binary, batch_to_binary, batch_to_csv,
                      simulate_batch, DEFAULT_CAP)
 from .estimate import (EstimateError, estimate_harmonic, estimate_laplace,
                        estimate_moment, fit_power_decay,
-                       fit_stretched_exponential, tail_curve)
+                       fit_stretched_exponential)
 from .mbrw import build_cascade_from_mbrw, load_mbrw_spec, mbrw_condition_report
 
 EXIT_OK = 0
@@ -109,9 +109,6 @@ def cmd_check(args):
 
 
 def cmd_simulate(args):
-    if args.replicates < 1:
-        print("error: --replicates must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     model = load_model(args.model)
     os.makedirs(args.out, exist_ok=True)
     batch = simulate_batch(model, args.n, args.replicates, args.seed,
@@ -242,6 +239,14 @@ def cmd_report(args):
     return EXIT_OK
 
 
+def _replicate_count(text):
+    """argparse type of --replicates: a count below 1 is a usage error."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="matcascade",
@@ -262,7 +267,7 @@ def build_parser():
     ps = sub.add_parser("simulate", help="draw a reproducible sample batch")
     ps.add_argument("--model", required=True)
     ps.add_argument("--n", type=int, required=True)
-    ps.add_argument("--replicates", type=int, required=True)
+    ps.add_argument("--replicates", type=_replicate_count, required=True)
     ps.add_argument("--seed", type=int, required=True)
     ps.add_argument("--cap", type=int, default=DEFAULT_CAP)
     ps.add_argument("--workers", type=int, default=1,
@@ -277,7 +282,7 @@ def build_parser():
     pe.add_argument("--fresh", action="store_true",
                     help="simulate inline instead of reading a batch")
     pe.add_argument("--n", type=int, default=8)
-    pe.add_argument("--replicates", type=int, default=10000)
+    pe.add_argument("--replicates", type=_replicate_count, default=10000)
     pe.add_argument("--seed", type=int, default=1)
     pe.add_argument("--cap", type=int, default=DEFAULT_CAP)
     pe.add_argument("--alpha", type=float, action="append", default=[])

@@ -1,5 +1,10 @@
 """Monte Carlo simulation of the weighted Galton-Watson tree.
 
+simulate_batch is the one entry point; the population cap, the
+trajectory (Y_0, ..., Y_n) and the identity-root corruption are its
+parameters.  Tilting is a model transform (model.tilt_model), not an
+engine mode.
+
 Each replicate owns a counter-based (Philox) stream keyed by the master
 seed and the replicate index, so a draw is reproducible from that pair
 alone and independent of batch size or worker count.  A run builds one
@@ -27,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Atom, CascadeModel, MatcascadeError, ModelError
-from .spectral import SpectralError, moment_matrix, perron, _entry_power
+from .model import MatcascadeError, ModelError
+from .spectral import perron
 
 DEFAULT_CAP = 10_000_000
 CHUNK = 4096
@@ -54,8 +59,7 @@ class SampleBatch:
     field_kind: str
     extinct: np.ndarray  # (R,) bool: tree died out before depth n
     capped: np.ndarray  # (R,) bool: population cap breached (values are NaN)
-    tilt: float | None = None
-    raw_values: np.ndarray | None = None  # tilted runs: sum before 1/rho(t)^n
+    trajectory: list | None = None  # (Y_0, ..., Y_n), each (R, p), when kept
 
     @property
     def p(self):
@@ -92,16 +96,14 @@ def replicate_rng(master_seed, r, rng=None):
     return rng
 
 
-def _atom_tables(model, tilt=None):
+def _atom_tables(model):
     """Cumulative atom probabilities and per-atom child matrix stacks."""
     probs = np.array([a.prob for a in model.atoms])
     cum = np.cumsum(probs)
     cum[-1] = 1.0
     dtype = complex if model.is_complex else float
-    stacks = []
-    for a in model.atoms:
-        mats = np.array(a.matrices, dtype=dtype).reshape(-1, model.p, model.p)
-        stacks.append(mats if tilt is None else _entry_power(mats, tilt))
+    stacks = [np.array(a.matrices, dtype=dtype).reshape(-1, model.p, model.p)
+              for a in model.atoms]
     nch = np.array([a.n_children for a in model.atoms], dtype=np.int64)
     return cum, stacks, nch
 
@@ -166,24 +168,19 @@ def _fold(levels, sizes, depth, v):
     return y
 
 
-def _run_chunk(model, n, rngs, v, cap, tilt, dtype, want_traj, identity_root=False):
-    """Simulate one chunk of replicates; returns (Y array, traj, extinct, capped).
+def _run_chunk(model, n, rngs, v, cap, depths, identity_root):
+    """Simulate one chunk of replicates; returns (Y at each of depths,
+    extinct, capped).
 
     Each replicate consumes its own stream: one uniform per alive node per
     generation for finite-atom laws (read from the window while it lasts),
     one sampler draw per node otherwise.
-    A replicate whose population at the next depth would exceed cap stops
-    growing there and reports NaN from that depth on.  A trajectory is the
-    fold cut off at each depth.
-
-    identity_root replaces the weight matrices of the first generation
-    of a finite-atom law by the identity (same offspring law; used by the
-    mutation diagnostic).
     """
     m0 = len(rngs)
+    dtype = v.dtype
     finite = model.mode == "finite-atom"
     if finite:
-        cum, stacks, nch = _atom_tables(model, tilt=tilt)
+        cum, stacks, nch = _atom_tables(model)
         root_stacks = stacks
         if identity_root:
             eye = np.eye(model.p, dtype=dtype)
@@ -251,125 +248,61 @@ def _run_chunk(model, n, rngs, v, cap, tilt, dtype, want_traj, identity_root=Fal
 
     capped = capped_at <= n
     extinct = (np.bincount(rep, minlength=m0) == 0) & ~capped
-    traj = []
-    for depth in range(n + 1) if want_traj else [n]:
+    ys = []
+    for depth in depths:
         y = np.array(_fold(levels, sizes, depth, v))
         y[capped_at <= depth] = np.nan
-        traj.append(y)
-    return traj[-1], traj, extinct, capped
+        ys.append(y)
+    return ys, extinct, capped
 
 
-def _simulate(model, n, replicates, master_seed, cap, tilt, want_traj,
-              chunk=CHUNK, identity_root=False):
+def simulate_batch(model, n, replicates, master_seed, cap=DEFAULT_CAP,
+                   trajectory=False, identity_root=False):
+    """R independent draws of the depth-n martingale value Y_n.
+
+    Replicate r draws from its own stream, keyed by (master_seed, r).
+    Y_0 = V, the Perron vector of model.mean_matrix() (for complex weights
+    that of the modulus mean E sum_k |A_k|, so E Y_n = (E sum_k A_k)^n V).
+    Y_m, the sum over depth-m nodes of path product . V, is the fold with
+    the depth-m nodes as leaves.  Extinction yields the zero vector from
+    the extinction depth on, and a tree that dies out before depth n sets
+    the extinct flag.  A replicate whose population at the next depth
+    would exceed cap (at least 1) stops growing there: its values are NaN
+    from that depth on and its capped flag is set.
+
+    trajectory keeps (Y_0, ..., Y_n) of every replicate in
+    SampleBatch.trajectory.  identity_root replaces the weight matrices
+    of the first generation of a finite-atom law by the identity, with
+    the same offspring law (the seeded corruption of the fixed-point
+    check).  The tilted martingale is this recursion run on
+    model.tilt_model(model, t).
+    """
     if n < 0:
         raise SimulationError("n must be >= 0")
     if replicates < 1:
         raise SimulationError("replicates must be >= 1")
+    if cap < 1:
+        raise SimulationError(f"population cap must be >= 1, got {cap}")
     dtype = complex if model.is_complex else float
-    p = model.p
-
-    if tilt is None or tilt == 1:
-        v = perron(model.mean_matrix()).v.astype(dtype)
-        rho_t = 1.0
-    else:
-        mt = moment_matrix(model, tilt)
-        try:
-            triple = perron(mt)
-        except SpectralError as e:
-            raise SimulationError(f"tilted mean matrix: {e}") from e
-        v = triple.v.astype(dtype)
-        rho_t = triple.rho
-
-    values = np.empty((replicates, p), dtype=dtype)
+    v = perron(model.mean_matrix()).v.astype(dtype)
+    depths = range(n + 1) if trajectory else [n]
+    out = [np.empty((replicates, model.p), dtype=dtype) for _ in depths]
     extinct = np.zeros(replicates, dtype=bool)
     capped = np.zeros(replicates, dtype=bool)
-    trajs = [] if want_traj else None
 
-    rngs = [None] * min(chunk, replicates)  # built for the first chunk, then re-keyed
-    for start in range(0, replicates, chunk):
-        stop = min(start + chunk, replicates)
+    rngs = [None] * min(CHUNK, replicates)  # built for the first chunk, then re-keyed
+    for start in range(0, replicates, CHUNK):
+        stop = min(start + CHUNK, replicates)
         rngs = [replicate_rng(master_seed, r, rng)
                 for r, rng in zip(range(start, stop), rngs)]
-        y, traj, ext, cpd = _run_chunk(model, n, rngs, v, cap, tilt, dtype,
-                                       want_traj, identity_root=identity_root)
-        values[start:stop] = y
-        extinct[start:stop] = ext
-        capped[start:stop] = cpd
-        if want_traj:
-            trajs.append(traj)
-
-    if want_traj:
-        traj_full = [np.concatenate([t[g] for t in trajs]) for g in range(n + 1)]
-    else:
-        traj_full = None
-    return values, traj_full, extinct, capped, rho_t
-
-
-def simulate_Yn(model, n, seed, cap=DEFAULT_CAP):
-    """One trajectory (Y_0, ..., Y_n) of the vector martingale.
-
-    Y_0 = V; each node draws an offspring realization, and Y_m, the sum
-    over depth-m nodes of path product . V, is the fold with the depth-m
-    nodes as leaves.  Extinction yields the zero vector from the
-    extinction depth on.  A population-cap breach returns the partial
-    trajectory (NaN from the breach depth on) with the capped marker set.
-    """
-    values, traj, extinct, capped, _ = _simulate(
-        model, n, 1, seed, cap, tilt=None, want_traj=True)
-    return values[0], [t[0] for t in traj], bool(capped[0])
-
-
-def simulate_batch(model, n, replicates, master_seed, cap=DEFAULT_CAP):
-    """R independent trajectories with per-replicate derived seeds."""
-    values, _, extinct, capped, _ = _simulate(
-        model, n, replicates, master_seed, cap, tilt=None, want_traj=False)
+        ys, extinct[start:stop], capped[start:stop] = _run_chunk(
+            model, n, rngs, v, cap, depths, identity_root)
+        for arr, y in zip(out, ys):
+            arr[start:stop] = y
     return SampleBatch(model_id=model.content_hash(), n=n, replicates=replicates,
-                       values=values, master_seed=master_seed,
-                       field_kind=model.field_kind, extinct=extinct, capped=capped)
-
-
-def simulate_tilted(model, t, n, replicates, master_seed, cap=DEFAULT_CAP):
-    """Batch of the tilted martingale, normalized by rho(t)^n.
-
-    The raw sum over depth-n nodes of the t-powered path products times
-    V(t) is kept alongside; dividing by rho(t)^n makes the expectation
-    V(t) at every depth.
-    """
-    values, _, extinct, capped, rho_t = _simulate(
-        model, n, replicates, master_seed, cap, tilt=t, want_traj=False)
-    raw = values.copy()
-    values = values / rho_t**n
-    return SampleBatch(model_id=model.content_hash(), n=n, replicates=replicates,
-                       values=values, master_seed=master_seed,
+                       values=out[-1], master_seed=master_seed,
                        field_kind=model.field_kind, extinct=extinct, capped=capped,
-                       tilt=t, raw_values=raw)
-
-
-def simulate_complex(model, n, seed, cap=DEFAULT_CAP, with_hat=False):
-    """One complex trajectory; optionally the modulus-weight companion.
-
-    V is the Perron vector of the modulus mean matrix E sum_k |A_k|
-    (CascadeModel.mean_matrix), so E Y_n = (E sum_k A_k)^n V, which equals
-    V only when (E sum_k A_k) V = V; a random sign or phase can make the
-    mean zero.  The companion run uses |entries| for every weight with the
-    same tree topology draws, for diagnostics of the modulus criteria.
-    """
-    if not model.is_complex:
-        raise SimulationError("simulate_complex requires a complex-mode model")
-    y, traj, capped = simulate_Yn(model, n, seed, cap=cap)
-    if not with_hat:
-        return y, traj, capped
-    hat = _hat_model(model)
-    y_hat, traj_hat, _ = simulate_Yn(hat, n, seed, cap=cap)
-    return y, traj, capped, y_hat, traj_hat
-
-
-def _hat_model(model):
-    """Real model with the moduli of the complex entries."""
-    atoms = [Atom(prob=a.prob, matrices=[np.abs(m) for m in a.matrices])
-             for a in model.atoms]
-    return CascadeModel(p=model.p, mode="finite-atom", field_kind="real",
-                        atoms=atoms)
+                       trajectory=out if trajectory else None)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import DEFAULT_CAP, SampleBatch, simulate_batch, _simulate
+from .engine import simulate_batch
 from .model import MatcascadeError
 
 R2_THRESHOLD = 0.98  # a decay fit below this r^2 is flagged as a family mismatch
@@ -282,12 +282,9 @@ def fixed_point_check(model, n, replicates, seed, skip_root_weights=False):
     """
     from scipy import stats  # deferred: slow to import, and no CLI command needs it
 
-    b1 = simulate_batch(model, n, replicates, seed)
-    values2, _, _, capped2, _ = _simulate(
-        model, n + 1, replicates, seed + 0x9E3779B9, DEFAULT_CAP, tilt=None,
-        want_traj=False, identity_root=skip_root_weights)
-    v2 = values2[~capped2]
-    v1 = b1.ok_values()
+    v1 = simulate_batch(model, n, replicates, seed).ok_values()
+    v2 = simulate_batch(model, n + 1, replicates, seed + 0x9E3779B9,
+                        identity_root=skip_root_weights).ok_values()
 
     ks = {}
     for label, y in _default_projections(model.p).items():

@@ -88,19 +88,6 @@ def spec_from_dict(doc):
     return spec
 
 
-def spec_to_dict(spec):
-    return {
-        "p": spec.p,
-        "types": [
-            {"offspring": [
-                {"prob": c.prob,
-                 "children": [{"type": j, "disp": s} for j, s in c.children]}
-                for c in configs]}
-            for configs in spec.offspring
-        ],
-    }
-
-
 def _check_common_offspring_law(spec):
     """The child-count distribution must not depend on the parent type."""
     laws = [offspring_law(cfgs) for cfgs in spec.offspring]

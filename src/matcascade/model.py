@@ -331,3 +331,24 @@ def normalize_model(model):
     except SpectralError as e:
         raise ModelError(f"cannot normalize: {e}") from e
     return scale_model(model, 1.0 / rho)
+
+
+def tilt_model(model, t):
+    """The real model whose weights are the entrywise t-th powers of the
+    weights of model (of their moduli when complex), normalized so that
+    its mean matrix, M(t) / rho(M(t)), has rho = 1.
+
+    Its martingale is the tilted one: Y_n is the sum over depth-n nodes
+    of the products of t-powered weights along the path, times the
+    Perron vector V(t) of M(t), divided by rho(M(t))^n.  At t = 1 model
+    itself is returned.  A zero entry with t <= 0 raises SpectralError.
+    """
+    if t == 1:
+        return model
+    from .spectral import _entry_power
+
+    model._require_finite_atom()
+    atoms = [Atom(prob=a.prob, matrices=[_entry_power(m, t) for m in a.matrices])
+             for a in model.atoms]
+    return normalize_model(CascadeModel(p=model.p, mode=model.mode,
+                                        field_kind="real", atoms=atoms))

@@ -16,7 +16,7 @@ import pytest
 
 from matcascade.cli import main as cli_main
 from matcascade.conditions import check_complex
-from matcascade.engine import simulate_batch, simulate_complex, simulate_Yn, _simulate
+from matcascade.engine import simulate_batch
 from matcascade.estimate import (estimate_harmonic, estimate_laplace,
                                  estimate_moment, fit_power_decay,
                                  fit_stretched_exponential, fixed_point_check,
@@ -106,9 +106,10 @@ class TestAcceptance:
         ok = True
         for seed in (0, 7, 123456):
             for n in (1, 6, 12):
-                y_a, traj_a, _ = simulate_Yn(model_a, n, seed)
+                a = simulate_batch(model_a, n, 1, seed, trajectory=True)
+                y_a, traj_a = a.values[0], [t[0] for t in a.trajectory]
                 ok &= y_a[0] == 1.0 and all(t[0] == 1.0 for t in traj_a)
-                y_b, _, _ = simulate_Yn(model_b, n, seed)
+                y_b = simulate_batch(model_b, n, 1, seed).values[0]
                 ok &= bool(np.array_equal(y_b, [1.0, 1.0]))
         verdict(3, ok, "binary and idempotent-chain cascades are bitwise "
                        "exact for n <= 12 across seeds")
@@ -240,12 +241,10 @@ class TestAcceptance:
                         and abs(rep.quantities["rho_hat(alpha)"] - 0.5) < 1e-12)
         # deterministic phase accumulation: A_k = 0.5i, Y_3 = e^{3 i pi/2}
         det = make_model(1, [(1.0, [[[0.5j]], [[0.5j]]])], field_kind="complex")
-        y3, _, _ = simulate_complex(det, 3, 0)
+        y3 = simulate_batch(det, 3, 1, 0).values[0]
         exact_ok = y3[0] == -1j
         # complex batch mean against V
-        values, _, _, capped, _ = _simulate(phases, 5, 10**4, 1, 10**7,
-                                            None, False)
-        vals = values[~capped][:, 0]
+        vals = simulate_batch(phases, 5, 10**4, 1, 10**7).ok_values()[:, 0]
         mean = vals.mean()
         se_re = vals.real.std(ddof=1) / np.sqrt(vals.size)
         se_im = vals.imag.std(ddof=1) / np.sqrt(vals.size)

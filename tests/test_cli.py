@@ -169,6 +169,13 @@ class TestSimulate:
                      "--out", str(tmp_path / "o")])
         assert code == 1
 
+    def test_zero_replicates_fresh_estimate_usage_error(self, model_a_path,
+                                                        tmp_path):
+        code = main(["estimate", "--model", model_a_path, "--fresh", "--n", "2",
+                     "--replicates", "0", "--alpha", "2",
+                     "--out", str(tmp_path / "e")])
+        assert code == 1
+
     def test_all_capped_exit3(self, model_a_path, tmp_path):
         code = main(["simulate", "--model", model_a_path, "--n", "10",
                      "--replicates", "5", "--seed", "1", "--cap", "8",
@@ -423,6 +430,25 @@ def _estimate_batch(damage, *flags, alpha="2"):
     return argv
 
 
+def _simulate_model(doc, *flags):
+    def argv(tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        return ["simulate", "--model", str(path), "--n", "3", "--replicates",
+                "8", "--seed", "1", *flags, "--out", str(tmp_path / "o")]
+    return argv
+
+
+def _fresh_estimate(doc, *flags):
+    def argv(tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        return ["estimate", "--model", str(path), "--fresh", "--n", "3",
+                "--replicates", "8", "--alpha", "2", *flags,
+                "--out", str(tmp_path / "e")]
+    return argv
+
+
 def _truncate(sim):
     blob = (sim / "batch.bin").read_bytes()
     (sim / "batch.bin").write_bytes(blob[:-5])
@@ -462,6 +488,9 @@ MALFORMED_INPUTS = {
     "batch-bin-missing": _estimate_batch(lambda d: (d / "batch.bin").unlink()),
     "batch-meta-not-json": _estimate_batch(
         lambda d: (d / "batch_meta.json").write_text("{")),
+    "simulate-cap-0": _simulate_model(MODEL_C, "--cap", "0"),
+    "simulate-cap-negative": _simulate_model(MODEL_C, "--cap", "-1"),
+    "estimate-fresh-cap-negative": _fresh_estimate(MODEL_C, "--cap", "-1"),
     "report-not-rows": _report([1]),
     "report-row-incomplete": _report([{"theorem": "x"}]),
 }

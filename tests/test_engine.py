@@ -4,9 +4,8 @@ import pytest
 from matcascade import engine
 from matcascade.engine import (SimulationError, batch_from_binary,
                                batch_to_binary, batch_to_csv, replicate_rng,
-                               simulate_batch, simulate_complex, simulate_Yn,
-                               simulate_tilted, _sampler_draw, _simulate)
-from matcascade.model import model_from_dict, normalize_model
+                               simulate_batch, _sampler_draw)
+from matcascade.model import model_from_dict, normalize_model, tilt_model
 from matcascade.spectral import moment_matrix, perron
 from conftest import make_model, random_primitive_model, reference_fold
 
@@ -21,17 +20,18 @@ class TestDegenerateCascades:
     @pytest.mark.parametrize("seed", [0, 7, 12345])
     @pytest.mark.parametrize("n", [1, 5, 12])
     def test_model_a_exact(self, model_a, n, seed):
-        y, traj, capped = simulate_Yn(model_a, n, seed)
-        assert not capped
-        assert y[0] == 1.0  # bitwise: 2^n nodes, products are powers of two
-        for t in traj:
-            assert t[0] == 1.0
+        batch = simulate_batch(model_a, n, 1, seed, trajectory=True)
+        assert not batch.capped[0]
+        # bitwise: 2^n nodes, products are powers of two
+        assert batch.values[0, 0] == 1.0
+        for t in batch.trajectory:
+            assert t[0, 0] == 1.0
 
     @pytest.mark.parametrize("seed", [0, 3, 999])
     def test_model_b_exact(self, model_b, seed):
-        y, traj, capped = simulate_Yn(model_b, 5, seed)
-        assert not capped
-        np.testing.assert_array_equal(y, [1.0, 1.0])
+        batch = simulate_batch(model_b, 5, 1, seed)
+        assert not batch.capped[0]
+        np.testing.assert_array_equal(batch.values[0], [1.0, 1.0])
 
 
 class TestSeedMatchedOracle:
@@ -58,35 +58,41 @@ class TestSeedMatchedOracle:
 
     @pytest.mark.parametrize("seed", [42, 7, 1001])
     def test_random_model(self, model_rand, seed):
-        y, _, capped = simulate_Yn(model_rand, 3, seed)
-        assert not capped
-        np.testing.assert_allclose(y, self.oracle(model_rand, 3, seed),
+        batch = simulate_batch(model_rand, 3, 1, seed)
+        assert not batch.capped[0]
+        np.testing.assert_allclose(batch.values[0], self.oracle(model_rand, 3, seed),
+                                   rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_tilted_model(self, model_rand, seed):
+        tilted = tilt_model(model_rand, 1.5)
+        batch = simulate_batch(tilted, 3, 1, seed)
+        np.testing.assert_allclose(batch.values[0], self.oracle(tilted, 3, seed),
                                    rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("seed", [42, 7, 1001])
     def test_identity_root(self, model_rand, seed):
-        values, _, _, capped, _ = _simulate(model_rand, 3, 1, seed, 10**7, None,
-                                            False, identity_root=True)
-        assert not capped[0]
+        batch = simulate_batch(model_rand, 3, 1, seed, identity_root=True)
+        assert not batch.capped[0]
         np.testing.assert_allclose(
-            values[0], self.oracle(model_rand, 3, seed, identity_root=True),
+            batch.values[0], self.oracle(model_rand, 3, seed, identity_root=True),
             rtol=1e-12)
 
-    def test_later_chunks(self, model_rand):
+    def test_later_chunks(self, model_rand, monkeypatch):
         # chunks of 4: replicates 5 and 6 run on re-keyed generators of the
         # second chunk, 9 on the third; at depth 4 the population outgrows
         # the window, so some draws come after it
-        values, _, _, capped, _ = _simulate(model_rand, 4, 10, 42, 10**7, None,
-                                            False, chunk=4)
-        assert not capped.any()
+        monkeypatch.setattr(engine, "CHUNK", 4)
+        batch = simulate_batch(model_rand, 4, 10, 42)
+        assert not batch.capped.any()
         for r in (5, 6, 9):
-            np.testing.assert_allclose(values[r],
+            np.testing.assert_allclose(batch.values[r],
                                        self.oracle(model_rand, 4, 42, r=r),
                                        rtol=1e-12, atol=1e-14)
 
     def test_scalar_model(self, model_d1):
         for seed in (1, 2, 3):
-            y, _, _ = simulate_Yn(model_d1, 4, seed)
+            y = simulate_batch(model_d1, 4, 1, seed).values[0]
             np.testing.assert_allclose(y, self.oracle(model_d1, 4, seed),
                                        rtol=1e-12)
 
@@ -138,18 +144,19 @@ class TestDrawWindow:
             args = (self.BRANCHING, 5, 10, 3, 10**7)
         else:
             args = (varying_offspring_model(), 6, 40, 3, 20)
+        monkeypatch.setattr(engine, "CHUNK", 3)
         runs = []
         for window in (1, 2, engine.WINDOW):
             monkeypatch.setattr(engine, "WINDOW", window)
-            runs.append(_simulate(*args, None, True, chunk=3))
+            runs.append(simulate_batch(*args, trajectory=True))
         if case == "capped":
-            assert 0 < runs[0][3].sum() < 40
-        for values, traj, extinct, capped, _ in runs[1:]:
-            np.testing.assert_array_equal(values, runs[0][0])
-            for t, t0 in zip(traj, runs[0][1]):
+            assert 0 < runs[0].capped.sum() < 40
+        for batch in runs[1:]:
+            np.testing.assert_array_equal(batch.values, runs[0].values)
+            for t, t0 in zip(batch.trajectory, runs[0].trajectory):
                 np.testing.assert_array_equal(t, t0)
-            np.testing.assert_array_equal(extinct, runs[0][2])
-            np.testing.assert_array_equal(capped, runs[0][3])
+            np.testing.assert_array_equal(batch.extinct, runs[0].extinct)
+            np.testing.assert_array_equal(batch.capped, runs[0].capped)
 
 
 SAMPLERS = {
@@ -194,15 +201,15 @@ class TestFoldReference:
                         field_kind="complex")
         sampler = model_from_dict({"p": 3, "mode": "sampler", "sampler": {
             "family": "uniform", "params": {"n_children": 3, "low": 0.1, "high": 0.4}}})
-        # (model, n, replicates, cap, tilt, identity_root)
+        # (model, n, replicates, cap, identity_root)
         return {
-            "real": (rand, 5, 40, 10**7, None, False),
-            "complex-extinct": (cx, 6, 40, 10**7, None, False),
-            "tilted": (rand, 4, 30, 10**7, 2.0, False),
-            "identity-root": (rand, 4, 30, 10**7, None, True),
-            "cap-last-generation": (varying_offspring_model(), 6, 200, 20, None, False),
-            "sampler": (sampler, 3, 12, 10**7, None, False),
-            "n0": (rand, 0, 5, 10**7, None, False),
+            "real": (rand, 5, 40, 10**7, False),
+            "complex-extinct": (cx, 6, 40, 10**7, False),
+            "tilted": (tilt_model(rand, 2.0), 4, 30, 10**7, False),
+            "identity-root": (rand, 4, 30, 10**7, True),
+            "cap-last-generation": (varying_offspring_model(), 6, 200, 20, False),
+            "sampler": (sampler, 3, 12, 10**7, False),
+            "n0": (rand, 0, 5, 10**7, False),
         }
 
     @pytest.mark.parametrize("want_traj", [False, True])
@@ -211,22 +218,23 @@ class TestFoldReference:
                                       "sampler", "n0"])
     def test_bitwise_equal_to_leaf_gathering_fold(self, case, want_traj,
                                                   monkeypatch):
-        model, n, reps, cap, tilt, identity_root = self.cases()[case]
-        args = (model, n, reps, 1, cap, tilt, want_traj)
-        new = _simulate(*args, chunk=7, identity_root=identity_root)
+        model, n, reps, cap, identity_root = self.cases()[case]
+        args = (model, n, reps, 1, cap, want_traj, identity_root)
+        monkeypatch.setattr(engine, "CHUNK", 7)
+        new = simulate_batch(*args)
         monkeypatch.setattr(engine, "_fold", reference_fold)
-        old = _simulate(*args, chunk=7, identity_root=identity_root)
+        old = simulate_batch(*args)
         if case == "cap-last-generation":
             # some replicates first breach the cap in the last generation
-            before = _simulate(model, n - 1, reps, 1, cap, None, False)[3]
-            assert (new[3] & ~before).any() and before.any()
+            before = simulate_batch(model, n - 1, reps, 1, cap).capped
+            assert (new.capped & ~before).any() and before.any()
         if case == "complex-extinct":
-            assert 0 < new[2].sum() < reps
-        np.testing.assert_array_equal(new[0], old[0])
-        for t_new, t_old in zip(new[1] or [], old[1] or []):
+            assert 0 < new.extinct.sum() < reps
+        np.testing.assert_array_equal(new.values, old.values)
+        for t_new, t_old in zip(new.trajectory or [], old.trajectory or []):
             np.testing.assert_array_equal(t_new, t_old)
-        np.testing.assert_array_equal(new[2], old[2])
-        np.testing.assert_array_equal(new[3], old[3])
+        np.testing.assert_array_equal(new.extinct, old.extinct)
+        np.testing.assert_array_equal(new.capped, old.capped)
 
 
 class TestDeterminism:
@@ -235,10 +243,12 @@ class TestDeterminism:
         b2 = simulate_batch(model_rand, 4, 50, 11)
         np.testing.assert_array_equal(b1.values, b2.values)
 
-    def test_chunk_independence(self, model_rand):
-        args = (model_rand, 4, 10, 7, 10**7, None, False)
-        v_small = _simulate(*args, chunk=3)[0]
-        v_big = _simulate(*args, chunk=4096)[0]
+    def test_chunk_independence(self, model_rand, monkeypatch):
+        args = (model_rand, 4, 10, 7, 10**7)
+        monkeypatch.setattr(engine, "CHUNK", 3)
+        v_small = simulate_batch(*args).values
+        monkeypatch.setattr(engine, "CHUNK", 4096)
+        v_big = simulate_batch(*args).values
         np.testing.assert_array_equal(v_small, v_big)
 
     def test_replicate_prefix_property(self, model_rand):
@@ -282,26 +292,29 @@ class TestExtinctionAndCap:
         assert np.isnan(batch.values).all()
         assert batch.ok_values().shape == (0, 1)
 
-    def test_partial_cap_breach(self):
+    def test_partial_cap_breach(self, monkeypatch):
         # random child counts (including none), so capped replicates leave
         # gaps in the node offsets of the replicates that keep growing
         model = varying_offspring_model()
         full = simulate_batch(model, 6, 200, 3)
-        args = (model, 6, 200, 3, 20, None, False)
-        values, _, extinct, capped, _ = _simulate(*args, chunk=4096)
+        args = (model, 6, 200, 3, 20)
+        monkeypatch.setattr(engine, "CHUNK", 4096)
+        batch = simulate_batch(*args)
+        values, extinct, capped = batch.values, batch.extinct, batch.capped
         assert 0 < capped.sum() < 200
         assert not full.capped.any()
         np.testing.assert_array_equal(values[~capped], full.values[~capped])
         assert np.isnan(values[capped]).all()
         np.testing.assert_array_equal(extinct, full.extinct)
-        small = _simulate(*args, chunk=3)
-        np.testing.assert_array_equal(small[0], values)
-        np.testing.assert_array_equal(small[2], extinct)
-        np.testing.assert_array_equal(small[3], capped)
+        monkeypatch.setattr(engine, "CHUNK", 3)
+        small = simulate_batch(*args)
+        np.testing.assert_array_equal(small.values, values)
+        np.testing.assert_array_equal(small.extinct, extinct)
+        np.testing.assert_array_equal(small.capped, capped)
 
     def test_cap_trajectory_marker(self, model_a):
-        _, traj, capped = simulate_Yn(model_a, 8, 1, cap=10)
-        assert capped
+        batch = simulate_batch(model_a, 8, 1, 1, cap=10, trajectory=True)
+        assert batch.capped[0]
 
     def test_bad_arguments(self, model_a):
         with pytest.raises(SimulationError):
@@ -309,31 +322,36 @@ class TestExtinctionAndCap:
         with pytest.raises(SimulationError):
             simulate_batch(model_a, 2, 0, 0)
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_rejected(self, cap):
+        # at cap = -1 a root without children would breach it, and be
+        # flagged capped rather than extinct
+        model = make_model(1, [(0.5, []), (0.5, [[[1.0]]])])
+        with pytest.raises(SimulationError, match="cap"):
+            simulate_batch(model, 3, 8, 1, cap=cap)
+
 
 class TestTilted:
     def test_model_a_t2_exact(self, model_a):
-        batch = simulate_tilted(model_a, 2, 4, 10, 1)
+        batch = simulate_batch(tilt_model(model_a, 2), 4, 10, 1)
         # 2^4 nodes x (1/4)^4 / (1/2)^4 = 1 exactly
         np.testing.assert_array_equal(batch.values, np.ones((10, 1)))
 
     def test_t1_matches_untilted(self, model_c):
-        tilted = simulate_tilted(model_c, 1, 5, 50, 9)
+        tilted = simulate_batch(tilt_model(model_c, 1), 5, 50, 9)
         plain = simulate_batch(model_c, 5, 50, 9)
         np.testing.assert_array_equal(tilted.values, plain.values)
 
     def test_model_c_t2_mean(self, model_c):
         v2 = perron(moment_matrix(model_c, 2)).v
-        batch = simulate_tilted(model_c, 2, 6, 10**4, 1)
+        batch = simulate_batch(tilt_model(model_c, 2), 6, 10**4, 1)
         mean = batch.values.mean(axis=0)
         se = batch.values.std(axis=0, ddof=1) / np.sqrt(batch.replicates)
         assert np.all(np.abs(mean - v2) <= 3 * se + 1e-12)
-        assert batch.tilt == 2
-        np.testing.assert_allclose(batch.raw_values,
-                                   batch.values * perron(moment_matrix(model_c, 2)).rho**6)
 
     def test_random_model_tilted_mean(self, model_rand):
         v15 = perron(moment_matrix(model_rand, 1.5)).v
-        batch = simulate_tilted(model_rand, 1.5, 5, 20000, 2)
+        batch = simulate_batch(tilt_model(model_rand, 1.5), 5, 20000, 2)
         mean = batch.values.mean(axis=0)
         se = batch.values.std(axis=0, ddof=1) / np.sqrt(batch.replicates)
         assert np.all(np.abs(mean - v15) <= 4 * se + 1e-12)
@@ -343,19 +361,19 @@ class TestComplex:
     def test_deterministic_phase_exact(self):
         # A_k = 0.5i exactly; each depth-3 product is (0.5i)^3 = -0.125i
         model = complex_model([0.5j, 0.5j])
-        y, _, capped = simulate_complex(model, 3, 0)
-        assert not capped
-        assert y[0] == -1j
+        batch = simulate_batch(model, 3, 1, 0)
+        assert not batch.capped[0]
+        assert batch.values[0, 0] == -1j
 
     def test_phase_pi_over_3(self):
         a = 0.5 * np.exp(1j * np.pi / 3)
         model = complex_model([a, a])
-        y, _, _ = simulate_complex(model, 3, 0)
+        y = simulate_batch(model, 3, 1, 0).values[0]
         np.testing.assert_allclose(y[0], np.exp(1j * np.pi), atol=1e-12)
 
     def test_zero_phase_reduces_to_real(self):
         model = complex_model([0.5 + 0j, 0.5 + 0j])
-        y, _, _ = simulate_complex(model, 6, 4)
+        y = simulate_batch(model, 6, 1, 4).values[0]
         assert y[0] == 1.0 + 0j
 
     def test_hat_companion(self):
@@ -363,8 +381,12 @@ class TestComplex:
             1, [(0.25, [[[0.5]], [[0.5]]]), (0.25, [[[0.5]], [[-0.5]]]),
                 (0.25, [[[-0.5]], [[0.5]]]), (0.25, [[[-0.5]], [[-0.5]]])],
             field_kind="complex")
-        y, traj, capped, y_hat, traj_hat = simulate_complex(
-            model, 5, 2, with_hat=True)
+        # the modulus companion: the same atoms with |entries|, as a real
+        # model, run on the same stream
+        hat = make_model(1, [(a.prob, [np.abs(m) for m in a.matrices])
+                             for a in model.atoms])
+        y = simulate_batch(model, 5, 1, 2).values[0]
+        y_hat = simulate_batch(hat, 5, 1, 2).values[0]
         assert y_hat[0] == 1.0  # modulus companion is the binary cascade
         assert abs(y[0]) <= 1.0 + 1e-12
 
@@ -384,10 +406,6 @@ class TestComplex:
         for part in (np.real, np.imag):
             se = part(y).std(ddof=1) / np.sqrt(len(y))
             assert abs(part(y.mean()) - part(target)) <= 5 * se
-
-    def test_real_model_rejected(self, model_a):
-        with pytest.raises(SimulationError):
-            simulate_complex(model_a, 2, 0)
 
 
 class TestSerialization:
@@ -442,13 +460,7 @@ class TestSerialization:
         assert again.n == batch.n and again.replicates == batch.replicates
 
     def test_binary_roundtrip_complex(self, tmp_path):
-        model = complex_model([0.5j, 0.5j])
-        values, _, extinct, capped, _ = _simulate(model, 3, 7, 1, 10**7,
-                                                  None, False)
-        from matcascade.engine import SampleBatch
-        batch = SampleBatch(model_id="x", n=3, replicates=7, values=values,
-                            master_seed=1, field_kind="complex",
-                            extinct=extinct, capped=capped)
+        batch = simulate_batch(complex_model([0.5j, 0.5j]), 3, 7, 1)
         path = tmp_path / "c.bin"
         batch_to_binary(batch, str(path))
         again = batch_from_binary(str(path))
@@ -515,5 +527,6 @@ class TestReplicateStreams:
             return philox(*args, **kwargs)
 
         monkeypatch.setattr(np.random, "Philox", counting)
-        _simulate(model_rand, 3, 10, 1, 10**7, None, False, chunk=4)
+        monkeypatch.setattr(engine, "CHUNK", 4)
+        simulate_batch(model_rand, 3, 10, 1)
         assert 0 < len(built) <= 4

@@ -13,7 +13,7 @@ from matcascade.model import ModelError, validate_model
 from matcascade.spectral import moment_matrix, perron
 from matcascade.mbrw import (build_cascade_from_mbrw, load_mbrw_spec,
                              mbrw_condition_report, mbrw_spectral,
-                             spec_from_dict, spec_to_dict)
+                             spec_from_dict)
 
 LOG2 = math.log(2.0)
 
@@ -37,6 +37,20 @@ PM1 = {
                                      {"type": 1, "disp": -1.0}]}]},
     ],
 }
+
+
+def spec_to_dict(spec):
+    """The spec document that spec_from_dict reads back as spec."""
+    return {
+        "p": spec.p,
+        "types": [
+            {"offspring": [
+                {"prob": c.prob,
+                 "children": [{"type": j, "disp": s} for j, s in c.children]}
+                for c in configs]}
+            for configs in spec.offspring
+        ],
+    }
 
 
 @pytest.fixture

@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from matcascade.model import (ModelError, load_model, model_from_dict,
                               model_to_dict, normalize_model, primitivity,
-                              save_model, scale_model, validate_model)
+                              save_model, scale_model, tilt_model,
+                              validate_model)
+from matcascade.spectral import SpectralError, moment_matrix, perron
 from conftest import make_model, random_primitive_model
 
 
@@ -171,6 +173,39 @@ class TestNormalize:
         model = random_primitive_model(np.random.default_rng(seed))
         rep = validate_model(normalize_model(model))
         assert rep.spectral_radius_deviation <= 1e-12
+
+
+class TestTiltModel:
+    def test_t1_returns_model(self, model_c):
+        assert tilt_model(model_c, 1) is model_c
+
+    @pytest.mark.parametrize("t", [0.5, 1.5, 2.0, 3.0])
+    def test_mean_radius_one(self, model_rand, t):
+        rep = validate_model(tilt_model(model_rand, t))
+        assert rep.spectral_radius_deviation <= 1e-12
+
+    @pytest.mark.parametrize("t", [0.5, 1.5, 2.0, 3.0])
+    def test_v_is_perron_vector_of_moment_matrix(self, model_rand, t):
+        v = perron(tilt_model(model_rand, t).mean_matrix()).v
+        np.testing.assert_allclose(v, perron(moment_matrix(model_rand, t)).v,
+                                   rtol=0, atol=1e-12)
+
+    def test_complex_uses_moduli(self):
+        phases = make_model(2, [(1.0, [[[0.3j, -0.2], [0.1, 0.4]],
+                                       [[0.2, 0.3], [-0.4j, 0.1]]])],
+                            field_kind="complex")
+        moduli = make_model(2, [(1.0, [np.abs(m) for m in phases.atoms[0].matrices])])
+        tilted = tilt_model(phases, 2.0)
+        assert tilted.field_kind == "real"
+        for m1, m2 in zip(tilted.atoms[0].matrices,
+                          tilt_model(moduli, 2.0).atoms[0].matrices):
+            np.testing.assert_array_equal(m1, m2)
+
+    @pytest.mark.parametrize("t", [0.0, -1.0])
+    def test_zero_entry_nonpositive_power_rejected(self, t):
+        m = make_model(2, [(1.0, [[[0.0, 0.5], [0.5, 0.5]]])])
+        with pytest.raises(SpectralError, match="zero entry"):
+            tilt_model(m, t)
 
 
 class TestPrimitivity:
