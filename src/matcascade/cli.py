@@ -80,6 +80,9 @@ def _render_table(reports):
 def cmd_check(args):
     if args.n_max < 1:  # complex models never reach check_alpha_moments
         raise MatcascadeError("--n-max must be >= 1")
+    for beta in args.beta:  # real models never reach check_complex
+        if not 1 < beta <= 2:
+            raise MatcascadeError(f"--beta must lie in (1, 2], got {beta!r}")
     model = load_model(args.model)
     os.makedirs(args.out, exist_ok=True)
 
@@ -148,10 +151,13 @@ def cmd_estimate(args):
                             "batch metadata", EstimateError)
         if not isinstance(meta, dict):
             raise EstimateError("batch metadata is not a JSON object")
+        model_id = meta.get("model_id")
+        if not isinstance(model_id, str) or not model_id:
+            raise EstimateError("batch metadata has no model_id")
         batch = batch_from_binary(os.path.join(args.batch, "batch.bin"),
-                                  model_id=meta.get("model_id", ""),
+                                  model_id=model_id,
                                   master_seed=meta.get("seed", -1))
-    if batch.model_id and batch.model_id != model.content_hash():
+    if batch.model_id != model.content_hash():
         raise EstimateError("batch was produced from a different model "
                             "(hash mismatch); re-simulate or pass --fresh")
 
@@ -239,8 +245,9 @@ def cmd_report(args):
     return EXIT_OK
 
 
-def _replicate_count(text):
-    """argparse type of --replicates: a count below 1 is a usage error."""
+def _count(text):
+    """argparse type of --replicates and --workers: a count below 1 is a
+    usage error."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
@@ -267,10 +274,10 @@ def build_parser():
     ps = sub.add_parser("simulate", help="draw a reproducible sample batch")
     ps.add_argument("--model", required=True)
     ps.add_argument("--n", type=int, required=True)
-    ps.add_argument("--replicates", type=_replicate_count, required=True)
+    ps.add_argument("--replicates", type=_count, required=True)
     ps.add_argument("--seed", type=int, required=True)
     ps.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    ps.add_argument("--workers", type=int, default=1,
+    ps.add_argument("--workers", type=_count, default=1,
                     help="wall time only; never changes output bytes")
     ps.add_argument("--out", default="out-simulate")
     ps.set_defaults(func=cmd_simulate)
@@ -282,7 +289,7 @@ def build_parser():
     pe.add_argument("--fresh", action="store_true",
                     help="simulate inline instead of reading a batch")
     pe.add_argument("--n", type=int, default=8)
-    pe.add_argument("--replicates", type=_replicate_count, default=10000)
+    pe.add_argument("--replicates", type=_count, default=10000)
     pe.add_argument("--seed", type=int, default=1)
     pe.add_argument("--cap", type=int, default=DEFAULT_CAP)
     pe.add_argument("--alpha", type=float, action="append", default=[])

@@ -1,9 +1,11 @@
 """Monte Carlo simulation of the weighted Galton-Watson tree.
 
-simulate_batch is the one entry point; the population cap, the
-trajectory (Y_0, ..., Y_n) and the identity-root corruption are its
-parameters.  Tilting is a model transform (model.tilt_model), not an
-engine mode.
+simulate_batch is the one entry point, and it runs every law, finite-atom
+or sampler, real or complex, the same way; the population cap and the
+identity-root corruption are its parameters.  Tilting is a model
+transform (model.tilt_model), not an engine mode, and a trajectory
+(Y_0, ..., Y_n) is n + 1 runs, since a shallower run draws a prefix of a
+deeper one's stream.
 
 Each replicate owns a counter-based (Philox) stream keyed by the master
 seed and the replicate index, so a draw is reproducible from that pair
@@ -59,7 +61,6 @@ class SampleBatch:
     field_kind: str
     extinct: np.ndarray  # (R,) bool: tree died out before depth n
     capped: np.ndarray  # (R,) bool: population cap breached (values are NaN)
-    trajectory: list | None = None  # (Y_0, ..., Y_n), each (R, p), when kept
 
     @property
     def p(self):
@@ -168,9 +169,8 @@ def _fold(levels, sizes, depth, v):
     return y
 
 
-def _run_chunk(model, n, rngs, v, cap, depths, identity_root):
-    """Simulate one chunk of replicates; returns (Y at each of depths,
-    extinct, capped).
+def _run_chunk(model, n, rngs, v, cap, identity_root):
+    """Simulate one chunk of replicates; returns (Y_n, extinct, capped).
 
     Each replicate consumes its own stream: one uniform per alive node per
     generation for finite-atom laws (read from the window while it lasts),
@@ -181,17 +181,13 @@ def _run_chunk(model, n, rngs, v, cap, depths, identity_root):
     finite = model.mode == "finite-atom"
     if finite:
         cum, stacks, nch = _atom_tables(model)
-        root_stacks = stacks
-        if identity_root:
-            eye = np.eye(model.p, dtype=dtype)
-            root_stacks = [np.broadcast_to(eye, stack.shape) for stack in stacks]
     else:
         n_children = int(model.sampler["params"]["n_children"])
 
     rep = np.arange(m0)  # replicate of each node at the current depth
     sizes = [m0]
     levels = []  # per depth: groups of (nodes, first-child offsets, slot matrices)
-    capped_at = np.full(m0, n + 1)  # depth at which the cap was breached
+    capped = np.zeros(m0, dtype=bool)  # population cap breached
 
     if finite:
         # each replicate's first WINDOW uniforms; later ones spill to its stream
@@ -225,7 +221,7 @@ def _run_chunk(model, n, rngs, v, cap, depths, identity_root):
         child_rep = np.repeat(rep, k)
         breach = np.bincount(child_rep, minlength=m0) > cap
         if breach.any():
-            capped_at[breach] = gen + 1
+            capped |= breach
             k[breach[rep]] = 0
             child_rep = np.repeat(rep, k)
         first = np.cumsum(k) - k
@@ -233,8 +229,7 @@ def _run_chunk(model, n, rngs, v, cap, depths, identity_root):
 
         groups = []
         if finite:
-            gen_stacks = root_stacks if gen == 0 else stacks
-            for a, stack in enumerate(gen_stacks):
+            for a, stack in enumerate(stacks):
                 mask = grow & (atom == a)
                 if mask.any():
                     sel = _select(mask)
@@ -242,40 +237,42 @@ def _run_chunk(model, n, rngs, v, cap, depths, identity_root):
         elif grow.any():
             sel = _select(grow)
             groups.append((sel, first[sel], mats[sel].swapaxes(0, 1)))
+        if identity_root and gen == 0:
+            eye = np.eye(model.p, dtype=dtype)
+            groups = [(sel, f, np.broadcast_to(eye, m.shape))
+                      for sel, f, m in groups]
         levels.append(groups)
         rep = child_rep
         sizes.append(len(rep))
 
-    capped = capped_at <= n
     extinct = (np.bincount(rep, minlength=m0) == 0) & ~capped
-    ys = []
-    for depth in depths:
-        y = np.array(_fold(levels, sizes, depth, v))
-        y[capped_at <= depth] = np.nan
-        ys.append(y)
-    return ys, extinct, capped
+    y = np.array(_fold(levels, sizes, n, v))
+    y[capped] = np.nan
+    return y, extinct, capped
 
 
 def simulate_batch(model, n, replicates, master_seed, cap=DEFAULT_CAP,
-                   trajectory=False, identity_root=False):
+                   identity_root=False):
     """R independent draws of the depth-n martingale value Y_n.
 
     Replicate r draws from its own stream, keyed by (master_seed, r).
     Y_0 = V, the Perron vector of model.mean_matrix() (for complex weights
     that of the modulus mean E sum_k |A_k|, so E Y_n = (E sum_k A_k)^n V).
-    Y_m, the sum over depth-m nodes of path product . V, is the fold with
-    the depth-m nodes as leaves.  Extinction yields the zero vector from
-    the extinction depth on, and a tree that dies out before depth n sets
-    the extinct flag.  A replicate whose population at the next depth
-    would exceed cap (at least 1) stops growing there: its values are NaN
-    from that depth on and its capped flag is set.
+    Y_n, the sum over depth-n nodes of path product . V, is the fold with
+    the depth-n nodes as leaves.  Extinction yields the zero vector, and a
+    tree that dies out before depth n sets the extinct flag.  A replicate
+    whose population at some depth up to n would exceed cap (at least 1)
+    stops growing there: its value is NaN and its capped flag is set.
 
-    trajectory keeps (Y_0, ..., Y_n) of every replicate in
-    SampleBatch.trajectory.  identity_root replaces the weight matrices
-    of the first generation of a finite-atom law by the identity, with
-    the same offspring law (the seeded corruption of the fixed-point
-    check).  The tilted martingale is this recursion run on
-    model.tilt_model(model, t).
+    A depth-m run (m <= n) draws a prefix of each stream of the depth-n
+    run, so it grows the same trees to depth m, and its values are their
+    depth-m folds bit for bit: the trajectory (Y_0, ..., Y_n) is n + 1
+    runs.
+
+    identity_root replaces the weight matrices of the first generation by
+    the identity, whatever law drew them, with the same offspring law and
+    the same draws (the seeded corruption of the fixed-point check).  The
+    tilted martingale is this recursion run on model.tilt_model(model, t).
     """
     if n < 0:
         raise SimulationError("n must be >= 0")
@@ -285,8 +282,7 @@ def simulate_batch(model, n, replicates, master_seed, cap=DEFAULT_CAP,
         raise SimulationError(f"population cap must be >= 1, got {cap}")
     dtype = complex if model.is_complex else float
     v = perron(model.mean_matrix()).v.astype(dtype)
-    depths = range(n + 1) if trajectory else [n]
-    out = [np.empty((replicates, model.p), dtype=dtype) for _ in depths]
+    values = np.empty((replicates, model.p), dtype=dtype)
     extinct = np.zeros(replicates, dtype=bool)
     capped = np.zeros(replicates, dtype=bool)
 
@@ -295,14 +291,11 @@ def simulate_batch(model, n, replicates, master_seed, cap=DEFAULT_CAP,
         stop = min(start + CHUNK, replicates)
         rngs = [replicate_rng(master_seed, r, rng)
                 for r, rng in zip(range(start, stop), rngs)]
-        ys, extinct[start:stop], capped[start:stop] = _run_chunk(
-            model, n, rngs, v, cap, depths, identity_root)
-        for arr, y in zip(out, ys):
-            arr[start:stop] = y
+        values[start:stop], extinct[start:stop], capped[start:stop] = _run_chunk(
+            model, n, rngs, v, cap, identity_root)
     return SampleBatch(model_id=model.content_hash(), n=n, replicates=replicates,
-                       values=out[-1], master_seed=master_seed,
-                       field_kind=model.field_kind, extinct=extinct, capped=capped,
-                       trajectory=out if trajectory else None)
+                       values=values, master_seed=master_seed,
+                       field_kind=model.field_kind, extinct=extinct, capped=capped)
 
 
 # ---------------------------------------------------------------------------

@@ -81,15 +81,15 @@ def _target_values(batch, target):
     return vals @ y, "proj:" + ",".join(repr(float(c)) for c in y)
 
 
-def _heavy_tail_flag(g, k=10, share=0.5):
-    # flagged when the top k order statistics dominate the sample moment
-    if g.size <= k:
+def _heavy_tail_flag(g):
+    # flagged when the top 10 order statistics dominate the sample moment
+    if g.size <= 10:
         return False
     total = g.sum()
     if total <= 0:
         return False
-    top = np.sort(g)[-k:].sum()
-    return bool(top > share * total)
+    top = np.sort(g)[-10:].sum()
+    return bool(top > 0.5 * total)
 
 
 def _sample_mean(g, order, label, n, **extra):
@@ -206,7 +206,8 @@ def fit_stretched_exponential(curve, replicates=None):
                       lambda phi: np.log(-np.log(phi)), 1.0)
 
 
-def _wilson(k, n, z=1.96):
+def _wilson(k, n):
+    z = 1.96  # 95 % interval
     if n == 0:
         return 0.0, 1.0
     phat = k / n
@@ -270,42 +271,36 @@ def _default_projections(p):
 def fixed_point_check(model, n, replicates, seed, skip_root_weights=False):
     """Two-sample check of the distributional fixed-point recursion.
 
-    Batch B1 draws the depth-n value directly; batch B2 grafts one extra
-    generation at the root, i.e. draws sum_k A_k . (depth-n value of an
-    independent subtree).  Matching laws is the recursion property;
-    Kolmogorov-Smirnov statistics are reported per projection, plus the
-    sup over the grid s * (1, ..., 1), s in FIXED_POINT_T_SCALES, of the
-    empirical functional-equation residual.
+    Batch B1 draws the depth-n value directly; batch B2, on an independent
+    stream, draws the depth-(n+1) value, i.e. grafts one extra generation
+    at the root: sum_k A_k . (depth-n value of an independent subtree).
+    Matching laws is the recursion property.  Kolmogorov-Smirnov
+    statistics are reported per projection, and the Laplace residual is
+    the sup over the grid s * (1, ..., 1), s in FIXED_POINT_T_SCALES, of
+    |phi_B1(t) - phi_B2(t)|: since E prod_k phi_n(A_k^T t) = phi_{n+1}(t),
+    it is the empirical functional-equation residual, whatever the law.
 
-    skip_root_weights deliberately drops the root matrices (a seeded
-    corruption used to verify the check has power).
+    skip_root_weights replaces B2's root matrices by the identity (a
+    seeded corruption used to verify the check has power).  Complex
+    models have no Laplace transform here and raise EstimateError.
     """
     from scipy import stats  # deferred: slow to import, and no CLI command needs it
 
-    v1 = simulate_batch(model, n, replicates, seed).ok_values()
-    v2 = simulate_batch(model, n + 1, replicates, seed + 0x9E3779B9,
-                        identity_root=skip_root_weights).ok_values()
+    if model.is_complex:
+        raise EstimateError("the fixed-point check needs a real-mode model")
+    b1 = simulate_batch(model, n, replicates, seed)
+    b2 = simulate_batch(model, n + 1, replicates, seed + 0x9E3779B9,
+                        identity_root=skip_root_weights)
+    v1, v2 = b1.ok_values(), b2.ok_values()
 
     ks = {}
     for label, y in _default_projections(model.p).items():
-        s1 = v1 @ y
-        s2 = v2 @ y
-        res = stats.ks_2samp(s1, s2)
+        res = stats.ks_2samp(v1 @ y, v2 @ y)
         ks[label] = (float(res.statistic), float(res.pvalue))
 
-    resid = 0.0
-    for s in FIXED_POINT_T_SCALES:
-        t = s * np.ones(model.p)
-        phi_t = float(np.exp(-(v1 @ t)).mean())
-        # empirical E prod_k phi(t A_k) over the atom law, phi from B1
-        acc = 0.0
-        for atom in model.atoms:
-            prod = 1.0
-            for mat in atom.matrices:
-                ta = t @ np.asarray(mat, dtype=float)
-                prod *= float(np.exp(-(v1 @ ta)).mean())
-            acc += atom.prob * prod
-        resid = max(resid, abs(phi_t - acc))
+    grid = [s * np.ones(model.p) for s in FIXED_POINT_T_SCALES]
+    resid = max(abs(phi1 - phi2) for (_, phi1), (_, phi2)
+                in zip(estimate_laplace(b1, grid), estimate_laplace(b2, grid)))
 
     return FixedPointReport(
         n=n, replicates=replicates, ks=ks, laplace_residual=resid,

@@ -44,7 +44,6 @@ class MbrwSpectral:
     t: float
     m_tilde: np.ndarray
     rho_tilde: float
-    u_tilde: np.ndarray
     v_tilde: np.ndarray
 
 
@@ -127,8 +126,7 @@ def mbrw_spectral(spec, t):
         triple = perron(m)
     except SpectralError as e:
         raise ModelError(f"tilted reproduction matrix: {e}") from e
-    return MbrwSpectral(t=t, m_tilde=m, rho_tilde=triple.rho,
-                        u_tilde=triple.u, v_tilde=triple.v)
+    return MbrwSpectral(t=t, m_tilde=m, rho_tilde=triple.rho, v_tilde=triple.v)
 
 
 def _coupled_atoms(spec):

@@ -476,6 +476,8 @@ MALFORMED_INPUTS = {
     "check-epsilon-nan": _check_model(MODEL_C, "--epsilon", "nan"),
     "check-n-max-0": _check_model(MODEL_C, "--n-max", "0"),
     "check-n-max-0-complex": _check_model(PHASE, "--n-max", "0"),
+    # a real model never reaches the complex check that reads --beta
+    "check-beta-7": _check_model(MODEL_C, "--beta", "7"),
     "mbrw-build-t-nan": _build_spec(TT1, "--t", "nan"),
     "mbrw-build-t-inf": _build_spec(TT1, "--t", "inf"),
     "estimate-alpha-nan": _estimate_batch(lambda d: None, "--alpha", "nan"),
@@ -488,6 +490,10 @@ MALFORMED_INPUTS = {
     "batch-bin-missing": _estimate_batch(lambda d: (d / "batch.bin").unlink()),
     "batch-meta-not-json": _estimate_batch(
         lambda d: (d / "batch_meta.json").write_text("{")),
+    "batch-meta-no-model-id": _estimate_batch(
+        lambda d: (d / "batch_meta.json").write_text("{}")),
+    "batch-meta-model-id-null": _estimate_batch(
+        lambda d: (d / "batch_meta.json").write_text('{"model_id": null}')),
     "simulate-cap-0": _simulate_model(MODEL_C, "--cap", "0"),
     "simulate-cap-negative": _simulate_model(MODEL_C, "--cap", "-1"),
     "estimate-fresh-cap-negative": _fresh_estimate(MODEL_C, "--cap", "-1"),
@@ -497,7 +503,8 @@ MALFORMED_INPUTS = {
 
 # cases whose message must name the offending flag
 FLAG_NAMED = {"check-n-max-0-complex": "--n-max", "estimate-n-max-0": "--n-max",
-              "mbrw-build-t-nan": "--t", "mbrw-build-t-inf": "--t"}
+              "mbrw-build-t-nan": "--t", "mbrw-build-t-inf": "--t",
+              "check-beta-7": "--beta"}
 
 
 class TestMalformedInput:
@@ -520,6 +527,13 @@ class TestUsage:
 
     def test_missing_required_flag(self):
         assert main(["simulate", "--n", "2"]) == 1
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one(self, workers, model_c_path, tmp_path):
+        assert main(["simulate", "--model", model_c_path, "--n", "2",
+                     "--replicates", "4", "--seed", "1", "--workers", workers,
+                     "--out", str(tmp_path / "o")]) == 1
+        assert not (tmp_path / "o").exists()
 
 
 def test_cli_import_loads_no_scipy():

@@ -20,12 +20,12 @@ class TestDegenerateCascades:
     @pytest.mark.parametrize("seed", [0, 7, 12345])
     @pytest.mark.parametrize("n", [1, 5, 12])
     def test_model_a_exact(self, model_a, n, seed):
-        batch = simulate_batch(model_a, n, 1, seed, trajectory=True)
+        batch = simulate_batch(model_a, n, 1, seed)
         assert not batch.capped[0]
         # bitwise: 2^n nodes, products are powers of two
         assert batch.values[0, 0] == 1.0
-        for t in batch.trajectory:
-            assert t[0, 0] == 1.0
+        for m in range(n + 1):
+            assert simulate_batch(model_a, m, 1, seed).values[0, 0] == 1.0
 
     @pytest.mark.parametrize("seed", [0, 3, 999])
     def test_model_b_exact(self, model_b, seed):
@@ -96,14 +96,17 @@ class TestSeedMatchedOracle:
             np.testing.assert_allclose(y, self.oracle(model_d1, 4, seed),
                                        rtol=1e-12)
 
-    def sampler_oracle(self, model, n, seed, r):
+    def sampler_oracle(self, model, n, seed, r, identity_root=False):
         """Per-node expansion of replicate r drawing each node's matrices
-        from the same sampler stream."""
+        from the same sampler stream; identity_root replaces the root's
+        drawn matrices by I."""
         v = perron(model.mean_matrix()).v
         rng = replicate_rng(seed, r)
         prods = [np.eye(model.p)]
-        for _ in range(n):
+        for gen in range(n):
             draws = _sampler_draw(model, rng, len(prods))
+            if identity_root and gen == 0:
+                draws = np.broadcast_to(np.eye(model.p), draws.shape)
             prods = [x @ mat for x, mats in zip(prods, draws) for mat in mats]
         return sum((x @ v for x in prods), start=np.zeros(model.p))
 
@@ -118,6 +121,20 @@ class TestSeedMatchedOracle:
             np.testing.assert_allclose(batch.values[r],
                                        self.sampler_oracle(model, 4, seed, r),
                                        rtol=1e-12)
+
+    @pytest.mark.parametrize("seed", [5, 77])
+    def test_sampler_identity_root(self, seed):
+        model = model_from_dict({"p": 2, "mode": "sampler",
+                                 "sampler": SAMPLERS["lognormal"]})
+        batch = simulate_batch(model, 3, 3, seed, identity_root=True)
+        plain = simulate_batch(model, 3, 3, seed)
+        assert not batch.capped.any()
+        assert not np.allclose(batch.values, plain.values)
+        for r in range(3):
+            np.testing.assert_allclose(
+                batch.values[r],
+                self.sampler_oracle(model, 3, seed, r, identity_root=True),
+                rtol=1e-12)
 
 
 def varying_offspring_model():
@@ -145,18 +162,18 @@ class TestDrawWindow:
         else:
             args = (varying_offspring_model(), 6, 40, 3, 20)
         monkeypatch.setattr(engine, "CHUNK", 3)
+        model, n, *rest = args
         runs = []
         for window in (1, 2, engine.WINDOW):
             monkeypatch.setattr(engine, "WINDOW", window)
-            runs.append(simulate_batch(*args, trajectory=True))
+            runs.append([simulate_batch(model, m, *rest) for m in range(n + 1)])
         if case == "capped":
-            assert 0 < runs[0].capped.sum() < 40
-        for batch in runs[1:]:
-            np.testing.assert_array_equal(batch.values, runs[0].values)
-            for t, t0 in zip(batch.trajectory, runs[0].trajectory):
-                np.testing.assert_array_equal(t, t0)
-            np.testing.assert_array_equal(batch.extinct, runs[0].extinct)
-            np.testing.assert_array_equal(batch.capped, runs[0].capped)
+            assert 0 < runs[0][-1].capped.sum() < 40
+        for traj in runs[1:]:
+            for batch, batch0 in zip(traj, runs[0]):
+                np.testing.assert_array_equal(batch.values, batch0.values)
+                np.testing.assert_array_equal(batch.extinct, batch0.extinct)
+                np.testing.assert_array_equal(batch.capped, batch0.capped)
 
 
 SAMPLERS = {
@@ -218,23 +235,83 @@ class TestFoldReference:
                                       "sampler", "n0"])
     def test_bitwise_equal_to_leaf_gathering_fold(self, case, want_traj,
                                                   monkeypatch):
+        # want_traj compares the runs at every depth m <= n, not only at n
         model, n, reps, cap, identity_root = self.cases()[case]
-        args = (model, n, reps, 1, cap, want_traj, identity_root)
+        depths = range(n + 1) if want_traj else [n]
         monkeypatch.setattr(engine, "CHUNK", 7)
-        new = simulate_batch(*args)
+        new = [simulate_batch(model, m, reps, 1, cap, identity_root)
+               for m in depths]
         monkeypatch.setattr(engine, "_fold", reference_fold)
-        old = simulate_batch(*args)
+        old = [simulate_batch(model, m, reps, 1, cap, identity_root)
+               for m in depths]
         if case == "cap-last-generation":
             # some replicates first breach the cap in the last generation
             before = simulate_batch(model, n - 1, reps, 1, cap).capped
-            assert (new.capped & ~before).any() and before.any()
+            assert (new[-1].capped & ~before).any() and before.any()
         if case == "complex-extinct":
-            assert 0 < new.extinct.sum() < reps
-        np.testing.assert_array_equal(new.values, old.values)
-        for t_new, t_old in zip(new.trajectory or [], old.trajectory or []):
-            np.testing.assert_array_equal(t_new, t_old)
-        np.testing.assert_array_equal(new.extinct, old.extinct)
-        np.testing.assert_array_equal(new.capped, old.capped)
+            assert 0 < new[-1].extinct.sum() < reps
+        for b_new, b_old in zip(new, old):
+            np.testing.assert_array_equal(b_new.values, b_old.values)
+            np.testing.assert_array_equal(b_new.extinct, b_old.extinct)
+            np.testing.assert_array_equal(b_new.capped, b_old.capped)
+
+
+class TestDepthPrefix:
+    """A depth-m run draws a prefix of a depth-n run's stream, so it is the
+    depth-n run's tree folded at depth m, bit for bit."""
+
+    @staticmethod
+    def cases():
+        cx = TestFoldReference.cases()["complex-extinct"][0]
+        lognormal = model_from_dict({"p": 2, "mode": "sampler",
+                                     "sampler": SAMPLERS["lognormal"]})
+        # (model, n, replicates, cap, identity_root)
+        return {
+            "varying": (varying_offspring_model(), 7, 300, 10**7, False),
+            "varying-capped": (varying_offspring_model(), 7, 300, 20, False),
+            "varying-identity-root": (varying_offspring_model(), 7, 300, 10**7, True),
+            "varying-capped-identity-root": (varying_offspring_model(), 7, 300, 20,
+                                             True),
+            "lognormal-sampler": (lognormal, 5, 200, 10**7, False),
+            "complex-extinct": (cx, 6, 200, 10**7, False),
+        }
+
+    @pytest.mark.parametrize("case", ["varying", "varying-capped",
+                                      "varying-identity-root",
+                                      "varying-capped-identity-root",
+                                      "lognormal-sampler", "complex-extinct"])
+    def test_shallow_run_is_deep_run_folded(self, case, monkeypatch):
+        model, n, reps, cap, identity_root = self.cases()[case]
+        trees = []  # (levels, sizes, v) of each chunk of the depth-n run
+        fold = engine._fold
+
+        def recording(levels, sizes, depth, v):
+            trees.append((levels, sizes, v))
+            return fold(levels, sizes, depth, v)
+
+        monkeypatch.setattr(engine, "_fold", recording)
+        deep = simulate_batch(model, n, reps, 4, cap, identity_root)
+        monkeypatch.setattr(engine, "_fold", fold)
+        assert len(trees) == 1
+        levels, sizes, v = trees[0]
+        if cap < 10**7:
+            assert 0 < deep.capped.sum() < reps
+        if case == "complex-extinct":
+            assert 0 < deep.extinct.sum() < reps
+        before = simulate_batch(model, 0, reps, 4, cap, identity_root)
+        for m in range(n + 1):
+            run = simulate_batch(model, m, reps, 4, cap, identity_root)
+            ok = ~run.capped
+            np.testing.assert_array_equal(run.values[ok],
+                                          fold(levels, sizes, m, v)[ok])
+            assert np.isnan(run.values[run.capped]).all()
+            # a flag, once set, stays set at every greater depth
+            assert not (before.capped & ~run.capped).any()
+            assert not (before.extinct & ~run.extinct).any()
+            before = run
+        np.testing.assert_array_equal(run.values, deep.values)
+        np.testing.assert_array_equal(run.extinct, deep.extinct)
+        np.testing.assert_array_equal(run.capped, deep.capped)
 
 
 class TestDeterminism:
@@ -313,8 +390,8 @@ class TestExtinctionAndCap:
         np.testing.assert_array_equal(small.capped, capped)
 
     def test_cap_trajectory_marker(self, model_a):
-        batch = simulate_batch(model_a, 8, 1, 1, cap=10, trajectory=True)
-        assert batch.capped[0]
+        traj = [simulate_batch(model_a, m, 1, 1, cap=10) for m in range(9)]
+        assert traj[-1].capped[0]
 
     def test_bad_arguments(self, model_a):
         with pytest.raises(SimulationError):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from matcascade import estimate
 from matcascade.engine import SampleBatch, simulate_batch
 from matcascade.estimate import (EstimateError, TailPoint, estimate_harmonic,
                                  estimate_laplace, estimate_moment,
                                  fit_power_decay, fit_stretched_exponential,
                                  fixed_point_check, tail_curve, tail_slope_test)
+from matcascade.model import model_from_dict
 from conftest import make_model
 
 
@@ -224,3 +226,27 @@ class TestFixedPoint:
     def test_mutation_detected(self, model_rand):
         rep = fixed_point_check(model_rand, 8, 4000, 7, skip_root_weights=True)
         assert rep.min_pvalue < 1e-6
+
+    UNIFORM_SAMPLER = {"p": 2, "mode": "sampler", "sampler": {
+        "family": "uniform", "params": {"n_children": 2, "low": 0.1, "high": 0.4}}}
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_sampler_recursion_holds(self, seed):
+        model = model_from_dict(self.UNIFORM_SAMPLER)
+        rep = fixed_point_check(model, 3, 400, seed)
+        assert rep.laplace_residual < 0.05
+        assert rep.min_pvalue > 0.01
+
+    def test_sampler_mutation_detected(self):
+        model = model_from_dict(self.UNIFORM_SAMPLER)
+        rep = fixed_point_check(model, 3, 400, 1, skip_root_weights=True)
+        assert rep.min_pvalue < 1e-6
+
+    def test_complex_model_refused_before_simulating(self, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated a complex model")
+
+        monkeypatch.setattr(estimate, "simulate_batch", no_simulation)
+        model = make_model(1, [(1.0, [[[0.5j]], [[0.5]]])], field_kind="complex")
+        with pytest.raises(EstimateError, match="real-mode"):
+            fixed_point_check(model, 3, 100, 1)
