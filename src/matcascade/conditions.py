@@ -18,6 +18,8 @@ from .model import RHO_TOL, ModelError, offspring_law, validate_model
 from .spectral import (SpectralError, _power_sum, intensity_measure,
                        matrix_norm, moment_matrix, perron)
 
+NORM_CONVENTION = "matrix norm: entrywise absolute sum; vector norm: L1"
+
 
 @dataclass
 class ConditionReport:
@@ -46,7 +48,7 @@ def check_assumption_h(model):
         "spectral_radius_deviation": v.spectral_radius_deviation,
     }
     return ConditionReport(theorem="validation", verdict=v.assumption_h,
-                           quantities=quantities, notes=[v.norm_convention])
+                           quantities=quantities, notes=[NORM_CONVENTION])
 
 
 def _assumption_h_status(model, validation=None):
@@ -75,23 +77,23 @@ def positive_column_probability(model):
     For realizations with no children the event holds vacuously.
     """
     model._require_finite_atom()
-    total = 0.0
-    for atom in model.atoms:
-        ok = all(
-            bool(np.any(np.all(np.abs(np.asarray(m)) > 0, axis=0)))
-            for m in atom.matrices
-        )
-        if ok:
-            total += atom.prob
-    return total
+    return sum((a.prob for a in model.atoms
+                if (np.abs(a.matrices) > 0).all(axis=1).any(axis=1).all()), 0.0)
+
+
+def _power(x, e):
+    """float(x) ** e for x > 0, inf where that overflows."""
+    try:
+        return float(x) ** e
+    except OverflowError:
+        return math.inf
 
 
 def _norm_moment(model, alpha):
-    """E ||sum_k |A_k|||^alpha, an exact finite sum over the atoms."""
-    p = model.p
-    return sum(
-        a.prob * matrix_norm(sum((np.abs(np.asarray(m)) for m in a.matrices),
-                                 start=np.zeros((p, p)))) ** alpha
+    """E ||sum_k |A_k|||^alpha, an exact finite sum over the atoms, each
+    sum_k |A_k| added in stack order."""
+    return sum(a.prob * _power(matrix_norm(
+        _power_sum(np.ones(a.n_children), a.matrices, 1)), alpha)
         for a in model.atoms)
 
 
@@ -144,7 +146,7 @@ def check_alpha_moments(model, alphas, n_max=3, validation=None):
             except SpectralError as e:
                 notes.append(f"rho_{n}(alpha) unavailable: {e}")
                 break
-            crit = p ** (alpha - 1) * rho_n
+            crit = _power(p, alpha - 1) * rho_n
             quantities[f"rho_{n}(alpha)"] = rho_n
             quantities[f"p^(alpha-1)*rho_{n}(alpha)"] = crit
             if sufficient_at is None and crit < 1:
@@ -178,13 +180,10 @@ def check_alpha_moments(model, alphas, n_max=3, validation=None):
 
 
 def _min_row_sums(model):
-    """Per atom: min over rows of the row sums, for each child matrix."""
-    out = []
-    for atom in model.atoms:
-        sums = [float(np.abs(np.asarray(m)).sum(axis=1).min())
-                for m in atom.matrices]
-        out.append((atom.prob, sums))
-    return out
+    """Per atom: its probability and, for each child matrix, the least of
+    its row sums."""
+    return [(a.prob, np.abs(a.matrices).sum(axis=2).min(axis=1).tolist())
+            for a in model.atoms]
 
 
 def check_harmonic(model, lam):
@@ -213,8 +212,8 @@ def check_harmonic(model, lam):
         quantities["E(min_row_sum(A_1))^-lambda"] = math.inf
         notes.append("zero row sum with positive probability")
     else:
-        e_inv = sum(prob * sums[0] ** (-lam) for prob, sums in atoms)
-        e_inv_n1 = sum(prob * sums[0] ** (-lam)
+        e_inv = sum(prob * _power(sums[0], -lam) for prob, sums in atoms)
+        e_inv_n1 = sum(prob * _power(sums[0], -lam)
                        for prob, sums in atoms if len(sums) == 1)
         quantities["E(min_row_sum(A_1))^-lambda"] = e_inv
         quantities["E(min_row_sum(A_1))^-lambda;N=1"] = e_inv_n1
@@ -226,15 +225,11 @@ def check_harmonic(model, lam):
                 f"Laplace decay of order ||t||^-{lam}; left tail of order x^{lam}; "
                 f"harmonic moments finite below order {lam}")
         if verdict == "holds" and m_low > 1:
-            prod_term = 0.0
-            prod_ok = True
-            for prob, sums in atoms:
-                vals = sums[:m_low]
-                if any(s == 0 for s in vals):
-                    prod_ok = False
-                    break
-                prod_term += prob * float(np.prod([s ** (-lam) for s in vals]))
+            prod_ok = all(all(sums[:m_low]) for _, sums in atoms)
             if prod_ok:
+                # in atom order, each product in child order
+                prod_term = sum((prob * math.prod(_power(s, -lam) for s in sums[:m_low])
+                                 for prob, sums in atoms), 0.0)
                 quantities["E prod_{k<=essinf}(min_row_sum(A_k))^-lambda"] = prod_term
                 quantities["strengthened_order"] = m_low * lam
                 notes.append(
@@ -268,9 +263,8 @@ def exponential_profile(model, epsilon=0.0):
         raise ModelError("exponential profile requires essinf N >= 2")
     p = model.p
 
-    a_low = min(float(np.abs(np.asarray(m)).min())
-                for atom in model.atoms if atom.prob > 0
-                for m in atom.matrices[:m_low])
+    a_low = min(float(np.abs(a.matrices[:m_low]).min())
+                for a in model.atoms if a.prob > 0)
     p_nm = sum(a.prob for a in model.atoms if a.n_children == m_low)
     quantities = {"essinf_N": m_low, "a_lower": a_low, "P(N=essinf_N)": p_nm,
                   "epsilon": epsilon, "p": p}
@@ -304,11 +298,8 @@ def exponential_profile(model, epsilon=0.0):
     quantities_b["epsilon_threshold"] = threshold
     feasible = (a_low + epsilon) * p * m_low < 1
     quantities_b["(a_lower+eps)*p*essinf_N"] = (a_low + epsilon) * p * m_low
-    event_prob = sum(
-        atom.prob for atom in model.atoms
-        if atom.n_children == m_low
-        and all(float(np.abs(np.asarray(m)).max()) <= a_low + epsilon
-                for m in atom.matrices[:m_low]))
+    event_prob = sum(a.prob for a in model.atoms if a.n_children == m_low
+                     and np.abs(a.matrices).max() <= a_low + epsilon)
     quantities_b["P(N=essinf_N, entries <= a_lower+eps)"] = event_prob
     if a_low > 0 and feasible:
         quantities_b["gamma(eps)"] = (-math.log(m_low)
@@ -338,31 +329,31 @@ def check_complex(model, alpha, beta_grid=None, validation=None):
 
     norm_moment = _norm_moment(model, alpha)
     rho_hat_alpha = perron(moment_matrix(model, alpha)).rho
+    first = _power(p, alpha - 1) * rho_hat_alpha
     quantities = {
         "alpha": alpha,
         "E||sum_k |A_k|||^alpha": norm_moment,
         "rho_hat(alpha)": rho_hat_alpha,
-        "p^(alpha-1)*rho_hat(alpha)": p ** (alpha - 1) * rho_hat_alpha,
+        "p^(alpha-1)*rho_hat(alpha)": first,
     }
     notes = []
     assumptions = [_assumption_h_status(model, validation)]
 
     if alpha <= 2:
-        verdict = "holds" if p ** (alpha - 1) * rho_hat_alpha < 1 else "undecided"
+        verdict = "holds" if first < 1 else "undecided"
         return ConditionReport(theorem="T6.1", verdict=verdict,
                                quantities=quantities,
                                assumptions_checked=assumptions, notes=notes)
 
     if not beta_grid:
         raise ModelError("alpha > 2 requires a beta grid in (1, 2]")
-    first = p ** (alpha - 1) * rho_hat_alpha
     best = None
     for beta in beta_grid:
         if not 1 < beta <= 2:
             raise ModelError(f"beta={beta} outside (1, 2]")
         rho_hat_beta = perron(moment_matrix(model, beta)).rho
-        printed = p ** (alpha / beta) * rho_hat_beta
-        powered = p ** (alpha / beta) * rho_hat_beta ** (alpha / beta)
+        printed = _power(p, alpha / beta) * rho_hat_beta
+        powered = _power(p, alpha / beta) * _power(rho_hat_beta, alpha / beta)
         quantities[f"rho_hat({beta})"] = rho_hat_beta
         quantities[f"p^(alpha/beta)*rho_hat({beta})"] = printed
         quantities[f"p^(alpha/beta)*rho_hat({beta})^(alpha/beta)"] = powered

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MatcascadeError, ModelError
+from .model import MatcascadeError
 from .spectral import perron
 
 DEFAULT_CAP = 10_000_000
@@ -97,32 +97,13 @@ def replicate_rng(master_seed, r, rng=None):
     return rng
 
 
-def _atom_tables(model):
-    """Cumulative atom probabilities and per-atom child matrix stacks."""
-    probs = np.array([a.prob for a in model.atoms])
-    cum = np.cumsum(probs)
-    cum[-1] = 1.0
-    dtype = complex if model.is_complex else float
-    stacks = [np.array(a.matrices, dtype=dtype).reshape(-1, model.p, model.p)
-              for a in model.atoms]
-    nch = np.array([a.n_children for a in model.atoms], dtype=np.int64)
-    return cum, stacks, nch
-
-
 def _sampler_draw(model, rng, count):
     """count draws of the child-matrix stack (count, N, p, p) for sampler laws."""
-    fam = model.sampler["family"]
-    params = model.sampler.get("params", {})
-    n = int(params["n_children"])
-    p = model.p
-    shape = (count, n, p, p)
-    if fam == "lognormal":
-        mats = rng.lognormal(params.get("mu", 0.0), params.get("sigma", 1.0), shape)
-    elif fam == "uniform":
-        mats = rng.uniform(params.get("low", 0.0), params.get("high", 1.0), shape)
-    else:
-        raise ModelError(f"unknown sampler family {fam!r}")
-    return mats
+    params = model.sampler["params"]
+    shape = (count, params["n_children"], model.p, model.p)
+    if model.sampler["family"] == "lognormal":
+        return rng.lognormal(params["mu"], params["sigma"], shape)
+    return rng.uniform(params["low"], params["high"], shape)
 
 
 def _apply(mats, y):
@@ -180,9 +161,11 @@ def _run_chunk(model, n, rngs, v, cap, identity_root):
     dtype = v.dtype
     finite = model.mode == "finite-atom"
     if finite:
-        cum, stacks, nch = _atom_tables(model)
+        cum = np.cumsum([a.prob for a in model.atoms])
+        cum[-1] = 1.0
+        nch = np.array([a.n_children for a in model.atoms])
     else:
-        n_children = int(model.sampler["params"]["n_children"])
+        n_children = model.sampler["params"]["n_children"]
 
     rep = np.arange(m0)  # replicate of each node at the current depth
     sizes = [m0]
@@ -229,11 +212,11 @@ def _run_chunk(model, n, rngs, v, cap, identity_root):
 
         groups = []
         if finite:
-            for a, stack in enumerate(stacks):
+            for a, law_atom in enumerate(model.atoms):
                 mask = grow & (atom == a)
                 if mask.any():
                     sel = _select(mask)
-                    groups.append((sel, first[sel], stack))
+                    groups.append((sel, first[sel], law_atom.matrices))
         elif grow.any():
             sel = _select(grow)
             groups.append((sel, first[sel], mats[sel].swapaxes(0, 1)))

@@ -172,13 +172,10 @@ def build_cascade_from_mbrw(spec, t):
     p = spec.p
     atoms = []
     for w, n_children, picked in _coupled_atoms(spec):
-        mats = []
-        for k in range(n_children):
-            a = np.zeros((p, p))
-            for i, config in enumerate(picked):
-                j, disp = config.children[k]
-                a[i, j - 1] = _tilted_weight(-t * disp) / rho
-            mats.append(a)
+        mats = np.zeros((n_children, p, p))
+        for i, config in enumerate(picked):
+            for k, (j, disp) in enumerate(config.children):
+                mats[k, i, j - 1] = _tilted_weight(-t * disp) / rho
         atoms.append(Atom(prob=w, matrices=mats))
     model = CascadeModel(p=p, mode="finite-atom", field_kind="real", atoms=atoms)
 

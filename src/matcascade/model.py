@@ -2,8 +2,12 @@
 
 A finite-atom model lists every realization of the offspring weights
 with its probability, so every expectation downstream is a finite sum.
-Sampler-backed models (fixed child count, i.i.d. uniform or lognormal
-entries) are accepted for simulation only; their mean matrix is closed-form.
+An Atom holds its N child matrices as one (N, p, p) array of the model's
+dtype, made when the law is made (parsed, scaled, tilted); other modules
+only reduce over it.  Sampler-backed models (fixed child count, i.i.d.
+uniform or lognormal entries) are accepted for simulation only; their
+mean matrix is closed-form.  Their parameters are parsed once, into
+numbers with the defaults filled in, and a bad one is named.
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ class Atom:
     """One realization of (N, A_1, ..., A_N); N is the number of matrices."""
 
     prob: float
-    matrices: list  # list of (p, p) ndarrays
+    matrices: np.ndarray  # (N, p, p), of the model's dtype
 
     @property
     def n_children(self):
@@ -80,7 +84,7 @@ class CascadeModel:
     mode: str  # "finite-atom" | "sampler"
     field_kind: str  # "real" | "complex"
     atoms: list = field(default_factory=list)
-    sampler: dict | None = None
+    sampler: dict | None = None  # {"family": ..., "params": parsed numbers}
     source_hash: str | None = None
 
     @property
@@ -108,19 +112,19 @@ class CascadeModel:
         M = N E[entry] J, J the all-ones matrix.
         """
         if self.mode == "sampler":
-            params = self.sampler.get("params", {})
-            if self.sampler["family"] == "uniform":
-                entry = (float(params.get("low", 0.0))
-                         + float(params.get("high", 1.0))) / 2
-            else:
-                log_entry = (float(params.get("mu", 0.0))
-                             + float(params.get("sigma", 1.0))**2 / 2)
-                try:
-                    entry = math.exp(log_entry)
-                except OverflowError:
-                    raise ModelError(f"lognormal sampler mean exp({log_entry!r}) "
-                                     "overflows the float range") from None
-            return np.full((self.p, self.p), int(params["n_children"]) * entry)
+            family, params = self.sampler["family"], self.sampler["params"]
+            try:
+                if family == "uniform":
+                    entry = (params["low"] + params["high"]) / 2
+                else:
+                    entry = math.exp(params["mu"] + params["sigma"]**2 / 2)
+                mean = params["n_children"] * entry
+            except OverflowError:
+                mean = math.inf
+            if mean == math.inf:
+                raise ModelError(f"{family} sampler mean params.n_children * "
+                                 "E[entry] overflows the float range")
+            return np.full((self.p, self.p), mean)
         from .spectral import moment_matrix  # local import: spectral depends on model
 
         return moment_matrix(self, 1)
@@ -154,7 +158,6 @@ class ValidationReport:
     perron: "PerronTriple | None"
     spectral_radius_deviation: float | None
     assumption_h: str  # "holds" or "fails: <reason>"
-    norm_convention: str = "matrix norm: entrywise absolute sum; vector norm: L1"
 
     @property
     def holds(self):
@@ -172,20 +175,56 @@ def _parse_entry(x, complex_mode):
     return complex(v, 0.0) if complex_mode else v
 
 
-def _parse_matrix(rows, p, complex_mode):
-    if len(rows) != p:
-        raise ModelError(f"matrix has {len(rows)} rows, expected {p}")
-    mat = np.empty((p, p), dtype=complex if complex_mode else float)
-    for i, row in enumerate(rows):
-        if len(row) != p:
-            raise ModelError(f"matrix row has {len(row)} entries, expected {p}")
-        for j, x in enumerate(row):
-            mat[i, j] = _parse_entry(x, complex_mode)
-    if not np.all(np.isfinite(mat)):
+def _parse_stack(matrices, p, complex_mode):
+    """The (N, p, p) array of an atom's N matrices."""
+    stack = np.empty((len(matrices), p, p), dtype=complex if complex_mode else float)
+    for mat, rows in zip(stack, matrices):
+        if len(rows) != p:
+            raise ModelError(f"matrix has {len(rows)} rows, expected {p}")
+        for i, row in enumerate(rows):
+            if len(row) != p:
+                raise ModelError(f"matrix row has {len(row)} entries, expected {p}")
+            mat[i] = [_parse_entry(x, complex_mode) for x in row]
+    if not np.all(np.isfinite(stack)):
         raise ModelError("non-finite matrix entry")
-    if not complex_mode and np.any(mat < 0):
+    if not complex_mode and np.any(stack < 0):
         raise ModelError("negative entry in real mode")
-    return mat
+    return stack
+
+
+# the parameters each sampler family reads besides n_children, with defaults
+SAMPLER_DEFAULTS = {"uniform": {"low": 0.0, "high": 1.0},
+                    "lognormal": {"mu": 0.0, "sigma": 1.0}}
+
+
+def _parse_sampler(sampler):
+    """{"family": ..., "params": ...} with n_children an int and every other
+    parameter the family reads a finite float, defaults filled in."""
+    if not isinstance(sampler, dict) or "family" not in sampler:
+        raise ModelError("sampler mode requires a sampler spec with a family")
+    family = sampler["family"]
+    if family not in SAMPLER_DEFAULTS:
+        raise ModelError(f"unknown sampler family {family!r}")
+    given = {**SAMPLER_DEFAULTS[family], **sampler.get("params", {})}
+    params = {}
+    for name in ("n_children", *SAMPLER_DEFAULTS[family]):
+        try:
+            params[name] = float(given[name])
+        except (TypeError, ValueError, OverflowError):
+            params[name] = math.nan
+        if not math.isfinite(params[name]):
+            raise ModelError(f"sampler params.{name} must be a finite number, "
+                             f"got {given[name]!r}")
+    if not (params["n_children"].is_integer() and params["n_children"] >= 1):
+        raise ModelError("sampler params.n_children must be an integer >= 1, "
+                         f"got {given['n_children']!r}")
+    params["n_children"] = int(params["n_children"])
+    if family == "uniform" and not 0 <= params["low"] <= params["high"]:
+        raise ModelError("sampler requires 0 <= params.low <= params.high, got "
+                         f"low={params['low']!r}, high={params['high']!r}")
+    if family == "lognormal" and params["sigma"] < 0:
+        raise ModelError(f"sampler params.sigma must be >= 0, got {params['sigma']!r}")
+    return {"family": family, "params": params}
 
 
 @parses(ModelError, "model")
@@ -202,18 +241,9 @@ def model_from_dict(doc, source_hash=None):
 
     complex_mode = field_kind == "complex"
     if mode == "sampler":
-        sampler = doc.get("sampler")
-        if not isinstance(sampler, dict) or "family" not in sampler:
-            raise ModelError("sampler mode requires a sampler spec with a family")
-        if sampler["family"] not in ("lognormal", "uniform"):
-            raise ModelError(f"unknown sampler family {sampler['family']!r}")
-        params = sampler.get("params", {})
-        if int(params.get("n_children", 0)) < 1:
-            raise ModelError("sampler requires params.n_children >= 1")
-        if float(params.get("low", 0.0)) < 0 or float(params.get("sigma", 1.0)) < 0:
-            raise ModelError("sampler requires params.low >= 0 and params.sigma >= 0")
         return CascadeModel(p=p, mode=mode, field_kind=field_kind,
-                            sampler=sampler, source_hash=source_hash)
+                            sampler=_parse_sampler(doc.get("sampler")),
+                            source_hash=source_hash)
 
     atoms = []
     total = 0.0
@@ -221,8 +251,8 @@ def model_from_dict(doc, source_hash=None):
         prob = float(raw["prob"])
         if not 0.0 < prob <= 1.0:
             raise ModelError(f"atom probability {prob} outside (0, 1]")
-        mats = [_parse_matrix(rows, p, complex_mode) for rows in raw["matrices"]]
-        atoms.append(Atom(prob=prob, matrices=mats))
+        atoms.append(Atom(prob=prob, matrices=_parse_stack(raw["matrices"], p,
+                                                           complex_mode)))
         total += prob
     if not atoms:
         raise ModelError("finite-atom model needs at least one atom")
@@ -240,15 +270,10 @@ def model_to_dict(model):
     if model.mode == "sampler":
         doc["sampler"] = model.sampler
         return doc
-    doc["atoms"] = []
-    for a in model.atoms:
-        mats = []
-        for m in a.matrices:
-            if model.is_complex:
-                mats.append([[[x.real, x.imag] for x in row] for row in m])
-            else:
-                mats.append([[float(x) for x in row] for row in m])
-        doc["atoms"].append({"prob": a.prob, "matrices": mats})
+    # a complex entry is written as its [re, im] pair
+    doc["atoms"] = [{"prob": a.prob, "matrices": (
+        np.stack([a.matrices.real, a.matrices.imag], axis=-1) if model.is_complex
+        else a.matrices).tolist()} for a in model.atoms]
     return doc
 
 
@@ -270,8 +295,7 @@ def scale_model(model, c):
     model._require_finite_atom()
     if c <= 0:
         raise ModelError("scale factor must be positive")
-    atoms = [Atom(prob=a.prob, matrices=[c * m for m in a.matrices])
-             for a in model.atoms]
+    atoms = [Atom(prob=a.prob, matrices=c * a.matrices) for a in model.atoms]
     return CascadeModel(p=model.p, mode=model.mode, field_kind=model.field_kind,
                         atoms=atoms)
 
@@ -348,7 +372,7 @@ def tilt_model(model, t):
     from .spectral import _entry_power
 
     model._require_finite_atom()
-    atoms = [Atom(prob=a.prob, matrices=[_entry_power(m, t) for m in a.matrices])
+    atoms = [Atom(prob=a.prob, matrices=_entry_power(a.matrices, t))
              for a in model.atoms]
     return normalize_model(CascadeModel(p=model.p, mode=model.mode,
                                         field_kind="real", atoms=atoms))

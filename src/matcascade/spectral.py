@@ -125,22 +125,23 @@ def _entry_power(mat, t):
     """Entrywise t-th power with the 0^t conventions.
 
     0^t = 0 for t > 0; t <= 0 with a zero entry is an error (0^0 is
-    ambiguous and 0^t diverges for t < 0).
+    ambiguous and 0^t diverges for t < 0).  A power that overflows is
+    inf, which perron then refuses.
     """
     a = np.abs(mat) if np.iscomplexobj(mat) else np.asarray(mat, dtype=float)
     if t <= 0 and np.any(a == 0):
         raise SpectralError(f"zero entry raised to power t={t}")
-    return np.power(a, t)
+    with np.errstate(over="ignore"):
+        return np.power(a, t)
 
 
 def _child_stack(model):
     """Atom probability and matrix of every child of every atom, in atom
     order: the depth-1 intensity measure before merging."""
     model._require_finite_atom()
-    dtype = complex if model.is_complex else float
-    weights = np.array([a.prob for a in model.atoms for _ in a.matrices])
-    mats = np.array([m for a in model.atoms for m in a.matrices], dtype=dtype)
-    return weights, mats.reshape(-1, model.p, model.p)
+    atoms = model.atoms
+    return (np.repeat([a.prob for a in atoms], [a.n_children for a in atoms]),
+            np.concatenate([a.matrices for a in atoms]))
 
 
 def _power_sum(weights, mats, t):

@@ -7,10 +7,12 @@ from matcascade.model import CascadeModel, Atom, model_from_dict
 
 
 def make_model(p, atoms, field_kind="real"):
+    """Finite-atom model from (prob, matrices) pairs; each atom's matrices
+    become one (N, p, p) array of the field's dtype."""
+    dtype = complex if field_kind == "complex" else float
     return CascadeModel(
         p=p, mode="finite-atom", field_kind=field_kind,
-        atoms=[Atom(prob=prob, matrices=[np.asarray(m, dtype=complex if field_kind == "complex" else float)
-                                         for m in mats])
+        atoms=[Atom(prob=prob, matrices=np.array(mats, dtype=dtype).reshape(-1, p, p))
                for prob, mats in atoms])
 
 

@@ -26,6 +26,18 @@ MODEL_R = {"p": 1, "field": "real", "mode": "finite-atom",
 PHASE = {"p": 1, "field": "complex", "mode": "finite-atom",
          "atoms": [{"prob": 1.0, "matrices": [[[[0.25, 0.4330127018922193]]],
                                               [[[0.25, 0.4330127018922193]]]]}]}
+# every modulus is 1, so M(t) = J at any order t: at a large order only the
+# norm moment and the powers of p overflow
+UNIT_MODULI = {"p": 2, "field": "complex", "mode": "finite-atom",
+               "atoms": [{"prob": 1.0, "matrices": [[[[1, 0], [0, 1]],
+                                                     [[0, -1], [1, 0]]]]}]}
+# the first child's row sum to the power -2 is 1e400
+TINY_CHILD = {"p": 1, "field": "real", "mode": "finite-atom",
+              "atoms": [{"prob": 1.0, "matrices": [[[1e-200]], [[1.0]]]}]}
+UNIFORM = {"p": 2, "mode": "sampler", "sampler": {
+    "family": "uniform", "params": {"n_children": 2, "low": 0.1, "high": 0.4}}}
+LOGNORMAL = {"p": 2, "mode": "sampler", "sampler": {
+    "family": "lognormal", "params": {"n_children": 2, "mu": -1.5, "sigma": 0.4}}}
 TT1 = {"p": 2, "types": [
     {"offspring": [{"prob": 1.0,
                     "children": [{"type": 1, "disp": 0.0},
@@ -109,6 +121,18 @@ class TestCheck:
                      "--alpha", "2", "--lambda", "1", "--out",
                      str(tmp_path / "o")]) == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("doc,flags", [
+        (MODEL_C, ["--alpha", "1100"]),
+        (UNIT_MODULI, ["--alpha", "1100", "--beta", "2"]),
+        (TINY_CHILD, ["--lambda", "2"])], ids=["norm-moment", "complex", "harmonic"])
+    def test_overflow_reported_as_inf(self, doc, flags, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "check"
+        assert main(["check", "--model", str(path), *flags, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert "Infinity" in (out / "conditions.json").read_text()
 
     def test_missing_file(self, tmp_path, capsys):
         code = main(["check", "--model", str(tmp_path / "nope.json"),
@@ -360,6 +384,12 @@ def _spec(edit):
     return doc
 
 
+def _sampler(doc, **params):
+    doc = copy.deepcopy(doc)
+    doc["sampler"]["params"].update(params)
+    return doc
+
+
 def _first_child(doc):
     return doc["types"][0]["offspring"][0]["children"][0]
 
@@ -495,16 +525,34 @@ MALFORMED_INPUTS = {
     "batch-meta-model-id-null": _estimate_batch(
         lambda d: (d / "batch_meta.json").write_text('{"model_id": null}')),
     "simulate-cap-0": _simulate_model(MODEL_C, "--cap", "0"),
+    "simulate-sampler-text-mu": _simulate_model(_sampler(LOGNORMAL, mu="abc")),
+    "simulate-sampler-nan-mu": _simulate_model(_sampler(LOGNORMAL, mu="nan")),
+    "simulate-sampler-text-high": _simulate_model(_sampler(UNIFORM, high="x")),
+    "simulate-sampler-inf-high": _simulate_model(_sampler(UNIFORM, high="inf")),
+    "simulate-sampler-low-above-high": _simulate_model(
+        _sampler(UNIFORM, low=0.5, high=0.1)),
+    "simulate-sampler-fractional-n-children": _simulate_model(
+        _sampler(UNIFORM, n_children=2.7)),
+    # mu + sigma^2/2 is inf, so the mean is exp(inf) without an OverflowError
+    "simulate-sampler-mean-inf": _simulate_model(
+        _sampler(LOGNORMAL, mu=1.7e308, sigma=1.3e154)),
     "simulate-cap-negative": _simulate_model(MODEL_C, "--cap", "-1"),
     "estimate-fresh-cap-negative": _fresh_estimate(MODEL_C, "--cap", "-1"),
     "report-not-rows": _report([1]),
     "report-row-incomplete": _report([{"theorem": "x"}]),
 }
 
-# cases whose message must name the offending flag
+# cases whose message must name the offending flag or model parameter
 FLAG_NAMED = {"check-n-max-0-complex": "--n-max", "estimate-n-max-0": "--n-max",
               "mbrw-build-t-nan": "--t", "mbrw-build-t-inf": "--t",
-              "check-beta-7": "--beta"}
+              "check-beta-7": "--beta",
+              "simulate-sampler-text-mu": "params.mu",
+              "simulate-sampler-nan-mu": "params.mu",
+              "simulate-sampler-text-high": "params.high",
+              "simulate-sampler-inf-high": "params.high",
+              "simulate-sampler-low-above-high": "params.high",
+              "simulate-sampler-fractional-n-children": "params.n_children",
+              "simulate-sampler-mean-inf": "sampler mean"}
 
 
 class TestMalformedInput:

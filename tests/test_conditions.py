@@ -85,6 +85,83 @@ class TestAlphaMoment:
             check_alpha_moments(m, [2])[0]
 
 
+class TestSumOrder:
+    """Sums over a stack of children or atoms add in stack order; a sum
+    over axis 0 adds pairwise when p = 1 and there are more than 8 terms."""
+
+    @pytest.fixture
+    def model12(self):
+        # p = 1, twelve atoms of twelve distinct children; one child of the
+        # fourth atom is zero, so that atom misses the positive-column event
+        rng = np.random.default_rng(18)
+        probs = rng.random(12) + 0.1
+        atoms = [(prob, rng.uniform(0.01, 1.0, (12, 1, 1)))
+                 for prob in probs / probs.sum()]
+        atoms[3][1][5] = 0.0
+        return make_model(1, atoms)
+
+    def test_norm_moment(self, model12):
+        want = 0
+        for a in model12.atoms:
+            total = np.zeros((1, 1))
+            for m in a.matrices:
+                total = total + np.abs(m)
+            want += a.prob * float(total.sum()) ** 2.5
+        rep = check_alpha_moments(model12, [2.5], n_max=1)[0]
+        assert rep.quantities["E||sum_k A_k||^alpha"] == want
+
+    def test_positive_column_probability(self, model12):
+        want = 0.0
+        for a in model12.atoms:
+            if all(m[0, 0] > 0 for m in a.matrices):
+                want += a.prob
+        assert positive_column_probability(model12) == want
+
+
+class TestOverflow:
+    """A quantity past the float range is reported as inf, with no numpy
+    warning, and the verdict follows from the same comparisons."""
+
+    def test_harmonic_negative_power(self):
+        m = make_model(1, [(1.0, [[[1e-200]], [[1.0]]])])
+        rep = check_harmonic(m, 2.0)
+        q = rep.quantities
+        assert q["E(min_row_sum(A_1))^-lambda"] == math.inf
+        assert q["E prod_{k<=essinf}(min_row_sum(A_k))^-lambda"] == math.inf
+        # no atom has a single child, so the N = 1 part is 0 < 1
+        assert rep.verdict == "holds"
+
+    def test_norm_moment(self, model_c):
+        rep = check_alpha_moments(model_c, [1100], n_max=2)[0]
+        assert rep.quantities["E||sum_k A_k||^alpha"] == math.inf
+        # every entry of M(1100) underflows to 0
+        assert rep.notes[0] == "rho_1(alpha) unavailable: matrix is not primitive"
+        assert rep.verdict == "undecided"
+
+    def test_dimension_factor_and_moment_matrix(self):
+        # one all-ones child: M_1(alpha) = J with rho 2, and M_2(alpha) is
+        # the entrywise power of 2J, which overflows
+        m = make_model(2, [(1.0, [np.ones((2, 2))])])
+        rep = check_alpha_moments(m, [1100], n_max=2)[0]
+        q = rep.quantities
+        assert q["rho_1(alpha)"] == pytest.approx(2.0)
+        assert q["p^(alpha-1)*rho_1(alpha)"] == math.inf
+        assert "rho_2(alpha) unavailable: non-finite entries" in rep.notes
+        assert rep.verdict == "not-applicable"  # rho(M) = 2
+
+    @pytest.mark.parametrize("alpha", [1100, 2100])
+    def test_complex(self, alpha):
+        # unit moduli: rho_hat(t) = 2 at every order t
+        m = make_model(2, [(1.0, [[[1, 1j], [-1j, 1]]])], field_kind="complex")
+        rep = check_complex(m, alpha, beta_grid=[2.0])
+        q = rep.quantities
+        assert q["E||sum_k |A_k|||^alpha"] == math.inf
+        assert q["p^(alpha-1)*rho_hat(alpha)"] == math.inf
+        assert q["p^(alpha/beta)*rho_hat(2.0)^(alpha/beta)"] == math.inf
+        assert (q["p^(alpha/beta)*rho_hat(2.0)"] == math.inf) == (alpha > 2048)
+        assert rep.verdict == "undecided"
+
+
 class TestSharedMeasures:
     """check_alpha_moments builds each depth-n measure once for every alpha."""
 

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from matcascade.model import (ModelError, load_model, model_from_dict,
                               model_to_dict, normalize_model, primitivity,
                               save_model, scale_model, tilt_model,
                               validate_model)
+from matcascade.mbrw import build_cascade_from_mbrw, spec_from_dict
 from matcascade.spectral import SpectralError, moment_matrix, perron
 from conftest import make_model, random_primitive_model
 
@@ -24,6 +27,16 @@ MODEL_C_DOC = {"p": 2, "field": "real", "mode": "finite-atom",
                "atoms": [{"prob": 1.0,
                           "matrices": [[[0.3, 0.2], [0.1, 0.4]],
                                        [[0.2, 0.3], [0.4, 0.1]]]}]}
+COMPLEX_DOC = {"p": 2, "field": "complex", "mode": "finite-atom", "atoms": [
+    {"prob": 0.5, "matrices": [[[[0.3, 0.1], [0.2, 0.0]], [[0.1, -0.2], [0.25, 0.05]]],
+                               [[[0.0, 0.2], [0.3, 0.0]], [[0.2, 0.0], [0.1, 0.1]]]]},
+    {"prob": 0.5, "matrices": [[[[0.4, 0.0], [0.1, 0.1]], [[0.2, 0.2], [0.3, -0.1]]]]}]}
+# two types, two children, displacements 0 and log 2
+TT1 = {"p": 2, "types": [
+    {"offspring": [{"prob": 1.0, "children": [{"type": 1, "disp": 0.0},
+                                              {"type": 2, "disp": math.log(2)}]}]},
+    {"offspring": [{"prob": 1.0, "children": [{"type": 1, "disp": math.log(2)},
+                                              {"type": 2, "disp": 0.0}]}]}]}
 
 
 class TestLoad:
@@ -87,6 +100,16 @@ class TestLoad:
         with pytest.raises(ModelError, match=param):
             model_from_dict(doc)
 
+    def test_sampler_params_parsed(self):
+        # numbers with the defaults filled in; a parameter the family does
+        # not read is not checked
+        doc = {"p": 1, "mode": "sampler", "sampler": {"family": "lognormal",
+               "params": {"n_children": "3", "mu": -1, "low": "x"}}}
+        sampler = model_from_dict(doc).sampler
+        assert sampler == {"family": "lognormal",
+                           "params": {"n_children": 3, "mu": -1.0, "sigma": 1.0}}
+        assert [type(v) for v in sampler["params"].values()] == [int, float, float]
+
     def test_complex_entries(self, tmp_path):
         doc = {"p": 1, "field": "complex", "atoms": [
             {"prob": 1.0, "matrices": [[[[0.0, 0.5]]]]}]}
@@ -101,6 +124,47 @@ class TestLoad:
             assert a1.prob == a2.prob
             for m1, m2 in zip(a1.matrices, a2.matrices):
                 np.testing.assert_array_equal(m1, m2)
+
+
+class TestLayout:
+    """However a law is made, each atom holds its N child matrices as one
+    (N, p, p) array of the model's dtype."""
+
+    def test_every_builder(self, model_c):
+        cx = model_from_dict(COMPLEX_DOC)
+        built = [
+            (model_c, float), (scale_model(model_c, 2.0), float),
+            (tilt_model(model_c, 2.0), float), (cx, complex),
+            (scale_model(cx, 2.0), complex), (tilt_model(cx, 2.0), float),
+            (model_from_dict({"p": 2, "atoms": [{"prob": 1.0, "matrices": []}]}), float),
+            (make_model(2, [(1.0, [])], field_kind="complex"), complex),
+            (build_cascade_from_mbrw(spec_from_dict(TT1), 1.0), float)]
+        for model, dtype in built:
+            for a in model.atoms:
+                assert isinstance(a.matrices, np.ndarray)
+                assert a.matrices.dtype == dtype
+                assert a.matrices.shape == (a.n_children, model.p, model.p)
+
+    # sha256 of content_hash() and of the file save_model writes, for
+    # models made in code (no source_hash)
+    PINNED = {
+        "model_c": ("4f9ec311d96bcffe6c242c985876648054b9dcf01cd96d53728b05fdbde1def4",
+                    "2cb43b927e026423993b81e0505c889225559527fb92071014c5528364bfb1dd"),
+        "complex": ("ba895fc59c1598a1ccfc8c6f85636eaaf2abff78e2c45296ecc1639a9f108b5a",
+                    "363dd9893c417f243aba025bcfc173d5adc9beae38620bff5bfa6a1d041d33c5"),
+        "tt1": ("4fb43d080aedc8bae4e681edce3e0f82d1bedf95b2ef314fa57c58d49e76164c",
+                "1bcd796db6e501f01786b49e84a64ce96d72682e5fbf1eed227bc3c983132edd"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_serialization_pinned(self, name, model_c, tmp_path):
+        model = {"model_c": lambda: model_c,
+                 "complex": lambda: model_from_dict(COMPLEX_DOC),
+                 "tt1": lambda: build_cascade_from_mbrw(spec_from_dict(TT1), 1.0)}[name]()
+        save_model(model, str(tmp_path / "m.json"))
+        assert (model.content_hash(),
+                hashlib.sha256((tmp_path / "m.json").read_bytes()).hexdigest()
+                ) == self.PINNED[name]
 
 
 class TestValidate:
