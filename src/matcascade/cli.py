@@ -96,9 +96,8 @@ def cmd_check(args):
         reports += check_alpha_moments(model, args.alpha, n_max=args.n_max,
                                        validation=validation)
         reports += [check_harmonic(model, lam) for lam in args.lam]
-        if model.min_offspring() >= 2:
-            reports += [r for eps in args.epsilon
-                        for r in exponential_profile(model, eps)]
+        reports += [r for eps in args.epsilon
+                    for r in exponential_profile(model, eps)]
     rows = [r.to_dict() for r in reports]
 
     _write_json(os.path.join(args.out, "conditions.json"), rows)
@@ -278,7 +277,8 @@ def build_parser():
     ps.add_argument("--seed", type=int, required=True)
     ps.add_argument("--cap", type=int, default=DEFAULT_CAP)
     ps.add_argument("--workers", type=_count, default=1,
-                    help="wall time only; never changes output bytes")
+                    help="accepted and ignored for now; output never "
+                         "depends on it")
     ps.add_argument("--out", default="out-simulate")
     ps.set_defaults(func=cmd_simulate)
 

@@ -3,8 +3,8 @@
 Every quantity here is a finite sum or an eigenvalue of an exactly
 computed matrix, so reports are deterministic and reproducible.  The
 alpha-moment criteria of several orders are checked in one call, which
-builds each depth-n intensity measure once and reads rho_n(alpha) for
-every order off it.
+builds one intensity measure, to depth n_max, and reads rho_n(alpha) for
+every order and depth off its levels.
 """
 
 from __future__ import annotations
@@ -97,6 +97,15 @@ def _norm_moment(model, alpha):
         for a in model.atoms)
 
 
+def _solved_rho(mat, name, notes):
+    """perron(mat).rho, or None with a note naming the failed solve."""
+    try:
+        return perron(mat).rho
+    except SpectralError as e:
+        notes.append(f"{name} unavailable: {e}")
+        return None
+
+
 def check_alpha_moments(model, alphas, n_max=3, validation=None):
     """Sufficient and necessary moment criteria at each order alpha > 1.
 
@@ -105,9 +114,9 @@ def check_alpha_moments(model, alphas, n_max=3, validation=None):
     rho_n(alpha) <= 1 for all n, strictly when the positive-column event
     has positive probability.  Verdict "undecided" covers the gap.
 
-    Returns one report per alpha, in the given order.  Every alpha uses
-    the same depth-n intensity measure, so each is built at most once.
-    An alpha whose Perron solve fails at depth n stops there.
+    Returns one report per alpha, in the given order.  The intensity
+    measure is built once, to depth n_max, and every alpha reads all its
+    levels.  An alpha whose Perron solve fails at depth n stops there.
     validation, the model's check_assumption_h report if the caller has
     one, saves validating the model again.
     """
@@ -119,15 +128,9 @@ def check_alpha_moments(model, alphas, n_max=3, validation=None):
     h_status = _assumption_h_status(model, validation)
     pcp = positive_column_probability(model)
     p = model.p
-    measures = {}  # depth -> intensity measure
-
-    def moments(alpha, n):
-        """M_n(alpha), as n_step_moment_matrix forms it."""
-        if n == 1:
-            return moment_matrix(model, alpha)
-        if n not in measures:
-            measures[n] = intensity_measure(model, n)
-        return _power_sum(measures[n].weights, measures[n].matrices, alpha)
+    levels = [intensity_measure(model, n_max)]  # depth 1 first
+    while levels[0].below is not None:
+        levels.insert(0, levels[0].below)
 
     reports = []
     for alpha in alphas:
@@ -139,12 +142,11 @@ def check_alpha_moments(model, alphas, n_max=3, validation=None):
         notes = []
         sufficient_at = None
         necessary_violated_at = None
-        for n in range(1, n_max + 1):
-            mn = moments(alpha, n)
-            try:
-                rho_n = perron(mn).rho
-            except SpectralError as e:
-                notes.append(f"rho_{n}(alpha) unavailable: {e}")
+        for nu in levels:
+            n = nu.depth
+            rho_n = _solved_rho(_power_sum(nu.weights, nu.matrices, alpha),
+                                f"rho_{n}(alpha)", notes)
+            if rho_n is None:
                 break
             crit = _power(p, alpha - 1) * rho_n
             quantities[f"rho_{n}(alpha)"] = rho_n
@@ -259,9 +261,12 @@ def exponential_profile(model, epsilon=0.0):
     assumptions.append(("positive-column-event",
                         "ok" if pcp > 0 else "fails: probability 0"))
     m_low = model.min_offspring()
-    if m_low < 2:
-        raise ModelError("exponential profile requires essinf N >= 2")
     p = model.p
+    if m_low < 2:
+        assumptions.append(("essinf N >= 2", f"fails: essinf N={m_low}"))
+        quantities = {"essinf_N": m_low, "epsilon": epsilon, "p": p}
+        return tuple(ConditionReport(theorem, "not-applicable", quantities,
+                                     assumptions) for theorem in ("T2.3a", "T2.3b"))
 
     a_low = min(float(np.abs(a.matrices[:m_low]).min())
                 for a in model.atoms if a.prob > 0)
@@ -318,40 +323,50 @@ def check_complex(model, alpha, beta_grid=None, validation=None):
     For alpha in (1,2] the test is p^(alpha-1) rho_hat(alpha) < 1; for
     alpha > 2 a beta in (1,2] must control the second-order term.  The
     two printed readings of the second-order quantity are both computed.
+    A failed Perron solve is noted on the row: of M(alpha), it leaves the
+    row undecided; of M(beta), it drops that beta.
     validation is as for check_alpha_moments.
     """
     if not 1 < alpha < math.inf:
         raise ModelError("alpha must be > 1 and finite")
     if not model.is_complex:
         raise ModelError("check_complex requires a complex-mode model")
+    if alpha > 2 and not beta_grid:
+        raise ModelError("alpha > 2 requires a beta grid in (1, 2]")
+    for beta in beta_grid or ():
+        if not 1 < beta <= 2:
+            raise ModelError(f"beta={beta} outside (1, 2]")
     model._require_finite_atom()
     p = model.p
 
-    norm_moment = _norm_moment(model, alpha)
-    rho_hat_alpha = perron(moment_matrix(model, alpha)).rho
-    first = _power(p, alpha - 1) * rho_hat_alpha
     quantities = {
         "alpha": alpha,
-        "E||sum_k |A_k|||^alpha": norm_moment,
-        "rho_hat(alpha)": rho_hat_alpha,
-        "p^(alpha-1)*rho_hat(alpha)": first,
+        "E||sum_k |A_k|||^alpha": _norm_moment(model, alpha),
     }
     notes = []
     assumptions = [_assumption_h_status(model, validation)]
 
-    if alpha <= 2:
-        verdict = "holds" if first < 1 else "undecided"
+    def report(verdict):
         return ConditionReport(theorem="T6.1", verdict=verdict,
                                quantities=quantities,
                                assumptions_checked=assumptions, notes=notes)
 
-    if not beta_grid:
-        raise ModelError("alpha > 2 requires a beta grid in (1, 2]")
+    rho_hat_alpha = _solved_rho(moment_matrix(model, alpha), "rho_hat(alpha)",
+                                notes)
+    if rho_hat_alpha is None:
+        return report("undecided")
+    first = _power(p, alpha - 1) * rho_hat_alpha
+    quantities["rho_hat(alpha)"] = rho_hat_alpha
+    quantities["p^(alpha-1)*rho_hat(alpha)"] = first
+    if alpha <= 2:
+        return report("holds" if first < 1 else "undecided")
+
     best = None
     for beta in beta_grid:
-        if not 1 < beta <= 2:
-            raise ModelError(f"beta={beta} outside (1, 2]")
-        rho_hat_beta = perron(moment_matrix(model, beta)).rho
+        rho_hat_beta = _solved_rho(moment_matrix(model, beta),
+                                   f"rho_hat({beta})", notes)
+        if rho_hat_beta is None:
+            continue
         printed = _power(p, alpha / beta) * rho_hat_beta
         powered = _power(p, alpha / beta) * _power(rho_hat_beta, alpha / beta)
         quantities[f"rho_hat({beta})"] = rho_hat_beta
@@ -359,6 +374,8 @@ def check_complex(model, alpha, beta_grid=None, validation=None):
         quantities[f"p^(alpha/beta)*rho_hat({beta})^(alpha/beta)"] = powered
         if best is None or max(first, printed) < best[1]:
             best = (beta, max(first, printed), max(first, powered))
+    if best is None:
+        return report("undecided")
     printed_ok = best[1] < 1
     powered_ok = best[2] < 1
     quantities["best_beta"] = best[0]
@@ -366,7 +383,4 @@ def check_complex(model, alpha, beta_grid=None, validation=None):
         "second-order readings: as-printed "
         f"{'<1' if printed_ok else '>=1'}, power-corrected "
         f"{'<1' if powered_ok else '>=1'}")
-    verdict = "holds" if printed_ok else "undecided"
-    return ConditionReport(theorem="T6.1", verdict=verdict,
-                           quantities=quantities,
-                           assumptions_checked=assumptions, notes=notes)
+    return report("holds" if printed_ok else "undecided")

@@ -3,9 +3,11 @@
 The depth-n intensity measure (expected occupation measure of the path
 products) is the linear substrate: once its finite support is known,
 every entrywise power sum over depth-n products is an exact weighted sum.
-The support is merged bitwise, in order of first occurrence, by array
-operations, and every mean or moment matrix is one weighted power sum
-over a stack of matrices, added in stack order.
+One build gives every depth up to n: each level is formed from the one
+below and links down to depth 1, the child stack itself.  The support is
+merged bitwise, in order of first occurrence, by array operations, and
+every mean or moment matrix is one weighted power sum over a stack of
+matrices, added in stack order.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ class IntensityMeasure:
     depth: int
     weights: np.ndarray  # (m,)
     matrices: np.ndarray  # (m, p, p)
+    below: IntensityMeasure | None  # the depth-(n-1) level; None at depth 1
 
     @property
     def total_weight(self):
@@ -99,13 +102,6 @@ def perron(mat):
     primitive, _ = primitivity(mat)
     if not primitive:
         raise SpectralError("matrix is not primitive")
-
-    p = mat.shape[0]
-    if p == 1:
-        rho = float(mat[0, 0])
-        u = np.array([1.0])
-        v = np.array([1.0])
-        return PerronTriple(rho=rho, u=u, v=v, residual=0.0, iterations=0)
 
     rho, v, it_v = _power_iterate(mat, POWER_TOL, POWER_MAXITER)
     _, u, it_u = _power_iterate(mat.T, POWER_TOL, POWER_MAXITER)
@@ -166,7 +162,7 @@ def _merge(weights, mats):
     The support keeps the order of first occurrence, and each weight adds
     its terms in input order.
     """
-    flat = mats.reshape(len(mats), -1)
+    flat = mats.reshape(len(mats), mats.shape[1] * mats.shape[2])
     keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
     _, first, group = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)  # groups by first occurrence
@@ -176,41 +172,39 @@ def _merge(weights, mats):
 
 
 def intensity_measure(model, n):
-    """Exact weighted support of the depth-n path products.
+    """Exact weighted support of the depth-n path products, each shallower
+    depth linked below it.
 
-    nu_1 puts weight prob on each child matrix of each atom; nu_n is the
-    left-multiplication convolution of nu_1 with nu_{n-1}.  Bitwise-equal
-    matrices are merged by weight (no epsilon merging), and the support
-    keeps the order in which products first occur.  A depth that would
-    form more than SUPPORT_CAP products before merging is refused.
+    nu_1 is the child stack in atom order, unmerged, so its power sums are
+    moment_matrix's; nu_d left-multiplies the merged nu_1 onto nu_{d-1}
+    and merges bitwise-equal products by weight (no epsilon merging),
+    keeping the order of first occurrence.  A depth that would form more
+    than SUPPORT_CAP products before merging is refused.
     """
     base_w, base_m = _child_stack(model)
     if n < 1:
         raise SpectralError("depth n must be >= 1")
-    branch = len(base_w)
-    if branch == 0:
-        raise ModelError("model has no children in any atom")
-
+    nu = IntensityMeasure(depth=1, weights=base_w, matrices=base_m, below=None)
     weights, mats = _merge(base_w, base_m)
     for depth in range(2, n + 1):
-        if branch * len(weights) > SUPPORT_CAP:
+        formed = len(base_w) * len(weights)
+        if formed > SUPPORT_CAP:
             raise ModelError(
-                f"depth {depth} would form {branch * len(weights)} products, "
+                f"depth {depth} would form {formed} products, "
                 f"exceeding cap {SUPPORT_CAP}; use a smaller depth")
         # left-multiply each depth-1 matrix onto the accumulated products
         new_w = np.multiply.outer(base_w, weights).reshape(-1)
         new_m = np.einsum("apq,mqr->ampr", base_m, mats).reshape(-1, model.p, model.p)
         weights, mats = _merge(new_w, new_m)
-    return IntensityMeasure(depth=n, weights=weights, matrices=mats)
+        nu = IntensityMeasure(depth=depth, weights=weights, matrices=mats, below=nu)
+    return nu
 
 
 def n_step_moment_matrix(model, t, n):
     """Exact E sum over depth-n nodes of entrywise t-powers of the products.
 
-    For n = 1 this equals moment_matrix(model, t) exactly; its Perron
+    For n = 1 this is moment_matrix(model, t), bit for bit; its Perron
     triple carries the depth-n eigendata.
     """
-    if n == 1:
-        return moment_matrix(model, t)
     nu = intensity_measure(model, n)
     return _power_sum(nu.weights, nu.matrices, t)

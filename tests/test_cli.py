@@ -134,6 +134,52 @@ class TestCheck:
         assert capsys.readouterr().err == ""
         assert "Infinity" in (out / "conditions.json").read_text()
 
+    def test_failed_complex_solve_noted(self, tmp_path, capsys):
+        # every entry of M(1100) underflows to 0: that row is noted and
+        # undecided, and the alpha = 1.5 row is still written
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(PHASE))
+        out = tmp_path / "check"
+        assert main(["check", "--model", str(path), "--alpha", "1.5",
+                     "--alpha", "1100", "--beta", "2", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = json.loads((out / "conditions.json").read_text())
+        t61 = [r for r in rows if r["theorem"] == "T6.1"]
+        assert [r["quantities"]["alpha"] for r in t61] == [1.5, 1100]
+        assert t61[0]["verdict"] == "holds"
+        assert t61[1]["verdict"] == "undecided"
+        assert t61[1]["notes"] == [
+            "rho_hat(alpha) unavailable: matrix is not primitive"]
+
+    def test_profile_rows_below_two_children(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(
+            {"p": 1, "field": "real", "mode": "finite-atom",
+             "atoms": [{"prob": 0.5, "matrices": [[[1.0]]]},
+                       {"prob": 0.5, "matrices": [[[0.25]], [[0.25]]]}]}))
+        out = tmp_path / "check"
+        assert main(["check", "--model", str(path), "--epsilon", "0.1",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = json.loads((out / "conditions.json").read_text())
+        t23 = [r for r in rows if r["theorem"].startswith("T2.3")]
+        assert [r["theorem"] for r in t23] == ["T2.3a", "T2.3b"]
+        for r in t23:
+            assert r["verdict"] == "not-applicable"
+            assert ["essinf N >= 2", "fails: essinf N=1"] in r["assumptions"]
+
+    def test_measure_built_to_n_max(self, tmp_path, capsys, monkeypatch):
+        # every order stops at depth 1 (M(1100) underflows to 0), but the
+        # measure is built to --n-max first, so its cap still applies
+        from matcascade import spectral
+        monkeypatch.setattr(spectral, "SUPPORT_CAP", 15)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(MODEL_C))
+        code = main(["check", "--model", str(path), "--alpha", "1100",
+                     "--n-max", "4", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "depth 4 would form 16 products" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path, capsys):
         code = main(["check", "--model", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")])

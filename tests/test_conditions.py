@@ -163,7 +163,8 @@ class TestOverflow:
 
 
 class TestSharedMeasures:
-    """check_alpha_moments builds each depth-n measure once for every alpha."""
+    """check_alpha_moments builds one measure, at n_max, for every alpha and
+    depth."""
 
     @pytest.fixture
     def model7(self):
@@ -185,9 +186,10 @@ class TestSharedMeasures:
         return depths
 
     def test_one_build_per_depth(self, model7, built_depths):
+        # one call at n_max builds each depth once, from the one below
         alphas = [1.5, 2, 3]
         reports = conditions.check_alpha_moments(model7, alphas, n_max=6)
-        assert built_depths == [2, 3, 4, 5, 6]
+        assert built_depths == [6]
         assert [r.quantities["alpha"] for r in reports] == alphas
         for alpha, rep in zip(alphas, reports):
             for n in range(1, 7):
@@ -201,7 +203,7 @@ class TestSharedMeasures:
 
     def test_failed_alpha_stops_alone(self, model7, built_depths, monkeypatch):
         # the Perron solve of M_3(3) fails: alpha = 3 stops at depth 3, the
-        # others go on, and no deeper measure is built for alpha = 3 alone
+        # others go on, and the measure is still built once, at n_max
         bad = n_step_moment_matrix(model7, 3, 3)
 
         def failing(mat):
@@ -217,13 +219,13 @@ class TestSharedMeasures:
         assert "rho_3(alpha) unavailable: planted failure" in rep_3.notes
         built_depths.clear()
         conditions.check_alpha_moments(model7, [3], n_max=5)
-        assert built_depths == [2, 3]
+        assert built_depths == [5]
 
-    def test_childless_builds_nothing(self, built_depths):
+    def test_childless_builds_once(self, built_depths):
         m = make_model(1, [(1.0, [])])
         for rep in check_alpha_moments(m, [2, 3], n_max=4):
             assert "rho_1(alpha) unavailable: matrix is not primitive" in rep.notes
-        assert built_depths == []
+        assert built_depths == [4]
 
     def test_any_alpha_out_of_range_rejected(self, model_c):
         with pytest.raises(ModelError, match="alpha must be > 1"):
@@ -325,9 +327,18 @@ class TestExponentialProfile:
         assert "gamma" not in rep_a.quantities
         assert rep_b.verdict == "not-applicable"
 
-    def test_requires_min_two_children(self, model_b):
-        with pytest.raises(ModelError):
-            exponential_profile(model_b, 0.0)
+    def test_requires_min_two_children(self):
+        # a failed hypothesis rates both rows, never raises
+        for atoms, m_low in (
+                ([(0.5, [[[1.0]]]), (0.5, [[[0.25]], [[0.25]]])], 1),
+                ([(0.5, []), (0.5, [[[1.0]], [[1.0]]])], 0)):
+            reports = exponential_profile(make_model(1, atoms), 0.1)
+            assert [r.theorem for r in reports] == ["T2.3a", "T2.3b"]
+            for rep in reports:
+                assert rep.verdict == "not-applicable"
+                assert rep.quantities["essinf_N"] == m_low
+                assert rep.assumptions_checked[-1] == (
+                    "essinf N >= 2", f"fails: essinf N={m_low}")
 
     def test_negative_epsilon(self, model_c):
         with pytest.raises(ValueError):
@@ -358,6 +369,32 @@ class TestComplexCase:
     def test_bad_beta(self):
         with pytest.raises(ValueError):
             check_complex(self.phase_model(), 3, beta_grid=[2.5])
+
+    def test_failed_alpha_solve_noted(self):
+        # every entry of M(1100) underflows to 0
+        rep = check_complex(self.phase_model(), 1100, beta_grid=[2.0])
+        assert rep.verdict == "undecided"
+        assert "rho_hat(alpha)" not in rep.quantities
+        assert rep.notes == ["rho_hat(alpha) unavailable: matrix is not primitive"]
+
+    def test_failed_beta_solve_skipped(self, monkeypatch):
+        model = self.phase_model()
+        bad = conditions.moment_matrix(model, 1.5)
+
+        def failing(mat):
+            if np.array_equal(mat, bad):
+                raise SpectralError("planted failure")
+            return perron(mat)
+
+        monkeypatch.setattr(conditions, "perron", failing)
+        rep = check_complex(model, 3, beta_grid=[1.5, 2.0])
+        assert rep.verdict == "holds"
+        assert "rho_hat(1.5)" not in rep.quantities
+        assert rep.quantities["best_beta"] == 2.0
+        assert rep.notes[0] == "rho_hat(1.5) unavailable: planted failure"
+        rep = check_complex(model, 3, beta_grid=[1.5])
+        assert rep.verdict == "undecided"
+        assert rep.notes == ["rho_hat(1.5) unavailable: planted failure"]
 
     def test_real_model_rejected(self, model_a):
         with pytest.raises(ModelError):

@@ -53,6 +53,17 @@ class TestPerron:
         with pytest.raises(SpectralError):
             perron(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("x", [0.5, 1.0, 0.7320508075688772, 3.0, 1e300,
+                                   1e-300, 5e-324])
+    def test_scalar_is_its_own_root(self, x):
+        # the power iteration stops after one step on a 1 x 1 matrix
+        t = perron(np.array([[x]]))
+        assert t.rho == x  # bitwise
+        np.testing.assert_array_equal(t.u, [1.0])
+        np.testing.assert_array_equal(t.v, [1.0])
+        assert t.residual == 0.0
+        assert t.iterations == 1
+
     @given(seed=st.integers(0, 2000))
     @settings(max_examples=60, deadline=None)
     def test_against_dense_eigensolver(self, seed):
@@ -211,6 +222,25 @@ class TestAgainstReference:
         np.testing.assert_array_equal(nu.matrices, want_m)
 
     @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_levels_bitwise(self, case):
+        make, n = REFERENCE_CASES[case]
+        model = make()
+        nu = intensity_measure(model, n)
+        depths = []
+        while nu.below is not None:
+            depths.append(nu.depth)
+            want_w, want_m = reference_intensity_measure(model, nu.depth)
+            np.testing.assert_array_equal(nu.weights, want_w)
+            np.testing.assert_array_equal(nu.matrices, want_m)
+            nu = nu.below
+        assert depths + [nu.depth] == list(range(n, 0, -1))
+        # depth 1 is the child stack: bitwise-equal children stay apart
+        np.testing.assert_array_equal(
+            nu.weights, [a.prob for a in model.atoms for _ in a.matrices])
+        np.testing.assert_array_equal(
+            nu.matrices, np.concatenate([a.matrices for a in model.atoms]))
+
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
     def test_power_sums_bitwise(self, case):
         make, n = REFERENCE_CASES[case]
         model = make()
@@ -222,6 +252,8 @@ class TestAgainstReference:
                                           reference_power_sum(*measure, t))
             np.testing.assert_array_equal(moment_matrix(model, t),
                                           reference_power_sum(probs, children, t))
+            np.testing.assert_array_equal(n_step_moment_matrix(model, t, 1),
+                                          moment_matrix(model, t))
 
 
 class TestNStepMomentMatrix:
