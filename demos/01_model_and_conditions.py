@@ -22,11 +22,13 @@ DOC = {
 }
 
 model = model_from_dict(DOC)
-report = validate_model(model)
-print("validation:", "ok" if report.holds else "FAILED")
-print("  primitive:", report.primitive,
-      f"(exponent {report.primitivity_exponent})")
-print("  normalization:", report.assumption_h)
+# assumption H: the mean matrix is primitive with spectral radius 1
+row = validate_model(model)
+print("assumption H:", row.verdict)
+print("  primitive:", row.quantities["primitive"],
+      f"(exponent {row.quantities['primitivity_exponent']})")
+print("  spectral radius deviation from 1:",
+      row.quantities["spectral_radius_deviation"])
 
 triple = perron(model.mean_matrix())
 print(f"\nmean matrix spectral radius rho = {triple.rho:.15f}")

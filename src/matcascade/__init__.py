@@ -10,7 +10,6 @@ estimators confront the exact predictions with sample data.
 from .model import (
     Atom,
     CascadeModel,
-    ValidationReport,
     load_model,
     save_model,
     scale_model,

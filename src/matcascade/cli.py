@@ -22,9 +22,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .model import MatcascadeError, load_model, parses, read_json, save_model
-from .conditions import (check_alpha_moments, check_assumption_h, check_complex,
-                         check_harmonic, exponential_profile)
+from .model import (MatcascadeError, load_model, parses, read_json, save_model,
+                    validate_model)
+from .conditions import (check_alpha_moments, check_complex, check_harmonic,
+                         exponential_profile)
 from .engine import (batch_from_binary, batch_to_binary, batch_to_csv,
                      simulate_batch, DEFAULT_CAP)
 from .estimate import (EstimateError, estimate_harmonic, estimate_laplace,
@@ -49,10 +50,10 @@ def _write_json(path, doc):
 
 def _write_manifest(outdir, args_ns, extra):
     manifest = {
-        "argv": sys.argv[1:],
+        "argv": args_ns.argv,
         "version": __version__,
         "config": {k: v for k, v in sorted(vars(args_ns).items())
-                   if k != "func"},
+                   if k not in ("func", "argv")},
     }
     manifest.update(extra)
     blob = json.dumps(manifest["config"], sort_keys=True, default=str)
@@ -86,7 +87,7 @@ def cmd_check(args):
     model = load_model(args.model)
     os.makedirs(args.out, exist_ok=True)
 
-    validation = check_assumption_h(model)
+    validation = validate_model(model)
     reports = [validation]
     if model.is_complex:
         reports += [check_complex(model, alpha, beta_grid=args.beta or None,
@@ -325,6 +326,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
+    args.argv = sys.argv[1:] if argv is None else list(argv)  # for the manifest
     try:
         return args.func(args)
     except (MatcascadeError, OSError) as e:

@@ -10,51 +10,19 @@ every order and depth off its levels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import RHO_TOL, ModelError, offspring_law, validate_model
+from .model import (NORM_CONVENTION, RHO_TOL, ConditionReport, ModelError,
+                    offspring_law, validate_model)
 from .spectral import (SpectralError, _power_sum, intensity_measure,
                        matrix_norm, moment_matrix, perron)
-
-NORM_CONVENTION = "matrix norm: entrywise absolute sum; vector norm: L1"
-
-
-@dataclass
-class ConditionReport:
-    theorem: str  # validation | T2.1a | T2.2 | T2.3a | T2.3b | T6.1 | C2.4a | C2.4b
-    verdict: str  # holds | fails | undecided | not-applicable
-    quantities: dict = field(default_factory=dict)
-    assumptions_checked: list = field(default_factory=list)  # (name, status)
-    notes: list = field(default_factory=list)
-
-    def to_dict(self):
-        """The report as a row of conditions.json."""
-        return {"theorem": self.theorem, "verdict": self.verdict,
-                "quantities": self.quantities,
-                "assumptions": self.assumptions_checked, "notes": self.notes}
-
-
-def check_assumption_h(model):
-    """Assumption H (primitive mean matrix with rho = 1): the validation
-    row of conditions.json."""
-    v = validate_model(model)
-    quantities = {
-        "mean_matrix": v.mean_matrix.tolist(),
-        "primitive": v.primitive,
-        "primitivity_exponent": v.primitivity_exponent,
-        "rho": v.perron.rho if v.perron else None,
-        "spectral_radius_deviation": v.spectral_radius_deviation,
-    }
-    return ConditionReport(theorem="validation", verdict=v.assumption_h,
-                           quantities=quantities, notes=[NORM_CONVENTION])
 
 
 def _assumption_h_status(model, validation=None):
     """The assumption-H row of a report, read off validation (the model's
-    check_assumption_h report) when the caller has already built it."""
-    verdict = (validation or check_assumption_h(model)).verdict
+    validate_model row) when the caller has already built it."""
+    verdict = (validation or validate_model(model)).verdict
     return ("assumption-H", "ok" if verdict == "holds" else verdict)
 
 
@@ -117,7 +85,7 @@ def check_alpha_moments(model, alphas, n_max=3, validation=None):
     Returns one report per alpha, in the given order.  The intensity
     measure is built once, to depth n_max, and every alpha reads all its
     levels.  An alpha whose Perron solve fails at depth n stops there.
-    validation, the model's check_assumption_h report if the caller has
+    validation, the model's validate_model row if the caller has
     one, saves validating the model again.
     """
     if not all(1 < alpha < math.inf for alpha in alphas):

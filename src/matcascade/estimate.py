@@ -92,16 +92,21 @@ def _heavy_tail_flag(g):
     return bool(top > 0.5 * total)
 
 
-def _sample_mean(g, order, label, n, **extra):
-    """Mean of the sample g with its CLT standard error, 95 % interval and
-    heavy-tail flag."""
-    point = float(g.mean())
-    stderr = float(g.std(ddof=1) / np.sqrt(g.size)) if g.size > 1 else 0.0
+def _sample_mean(base, order, label, n, **extra):
+    """Mean of the sample base^order with its CLT standard error, 95 %
+    interval and heavy-tail flag.  Past the float range a value is inf, with
+    no warning; an inf mean has stderr inf, and then ci95 is (-inf, inf)."""
+    with np.errstate(over="ignore"):
+        g = base ** order
+        point = float(g.mean())
+        stderr = (np.inf if point == np.inf else float(g.std(ddof=1) / np.sqrt(g.size))
+                  if g.size > 1 else 0.0)
+        flag = _heavy_tail_flag(g)
+    half = 1.96 * stderr
     return MomentEstimate(
         order=order, target=label, point=point, stderr=stderr,
-        ci95=(point - 1.96 * stderr, point + 1.96 * stderr),
-        n=n, replicates=int(g.size), heavy_tail_flag=_heavy_tail_flag(g),
-        **extra)
+        ci95=(point - half, point + half) if half < np.inf else (-np.inf, np.inf),
+        n=n, replicates=int(g.size), heavy_tail_flag=flag, **extra)
 
 
 def estimate_moment(batch, alpha, target="norm"):
@@ -115,7 +120,7 @@ def estimate_moment(batch, alpha, target="norm"):
     base, label = _target_values(batch, target)
     if base.size == 0:
         raise EstimateError("empty batch")
-    return _sample_mean(base**alpha, alpha, label, batch.n)
+    return _sample_mean(base, alpha, label, batch.n)
 
 
 def estimate_harmonic(batch, lam, y):
@@ -133,14 +138,13 @@ def estimate_harmonic(batch, lam, y):
     base, label = _target_values(batch, y)
     finite_mask = base > 0
     inf_count = int((~finite_mask).sum())
-    g = base[finite_mask] ** (-lam)
-    if g.size == 0:
+    if not finite_mask.any():
         raise EstimateError("no surviving replicates for harmonic estimate")
     note = None
     if inf_count:
         note = (f"{inf_count} infinite term(s) excluded; estimate is "
                 "conditional on survival and biased low")
-    return _sample_mean(g, -lam, label, batch.n,
+    return _sample_mean(base[finite_mask], -lam, label, batch.n,
                         infinite_count=inf_count, bias_note=note)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditions import ConditionReport, offspring_law_assumptions
+from .conditions import ConditionReport, _power, offspring_law_assumptions
 from .model import (PROB_SUM_TOL, Atom, CascadeModel, ModelError, offspring_law,
                     parses, read_json)
 from .spectral import SpectralError, perron
@@ -41,7 +41,6 @@ class MbrwSpec:
 
 @dataclass
 class MbrwSpectral:
-    t: float
     m_tilde: np.ndarray
     rho_tilde: float
     v_tilde: np.ndarray
@@ -126,7 +125,7 @@ def mbrw_spectral(spec, t):
         triple = perron(m)
     except SpectralError as e:
         raise ModelError(f"tilted reproduction matrix: {e}") from e
-    return MbrwSpectral(t=t, m_tilde=m, rho_tilde=triple.rho, v_tilde=triple.v)
+    return MbrwSpectral(m_tilde=m, rho_tilde=triple.rho, v_tilde=triple.v)
 
 
 def _coupled_atoms(spec):
@@ -192,7 +191,8 @@ def build_cascade_from_mbrw(spec, t):
 def mbrw_condition_report(spec, t, alpha=None, lam=None, epsilon=0.0):
     """Moment criteria evaluated directly on the walk's tilted spectra.
 
-    Positive-order part: p^(alpha-1) rho~(alpha t) / rho~(t)^alpha < 1.
+    Positive-order part: p^(alpha-1) rho~(alpha t) / rho~(t)^alpha < 1; a
+    power past the float range is inf, as in conditions, and inf/inf undecided.
     Negative-order part: both printed readings of the single-child
     expectation (with and without t in the exponent) are computed and
     labeled; no intent is guessed between them.
@@ -204,7 +204,8 @@ def mbrw_condition_report(spec, t, alpha=None, lam=None, epsilon=0.0):
             raise ModelError("alpha must be > 1 and finite")
         sp = mbrw_spectral(spec, t)
         sp_a = mbrw_spectral(spec, alpha * t)
-        crit = p ** (alpha - 1) * sp_a.rho_tilde / sp.rho_tilde ** alpha
+        den = _power(sp.rho_tilde, alpha)  # 0 where it underflows
+        crit = _power(p, alpha - 1) * sp_a.rho_tilde / den if den else math.inf
         quantities = {
             "alpha": alpha, "t": t,
             "rho_tilde(t)": sp.rho_tilde,

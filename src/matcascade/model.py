@@ -150,18 +150,22 @@ def offspring_law(items):
     return law
 
 
-@dataclass
-class ValidationReport:
-    mean_matrix: np.ndarray
-    primitive: bool
-    primitivity_exponent: int | None
-    perron: "PerronTriple | None"
-    spectral_radius_deviation: float | None
-    assumption_h: str  # "holds" or "fails: <reason>"
+NORM_CONVENTION = "matrix norm: entrywise absolute sum; vector norm: L1"
 
-    @property
-    def holds(self):
-        return self.assumption_h == "holds"
+
+@dataclass
+class ConditionReport:
+    theorem: str  # validation | T2.1a | T2.2 | T2.3a | T2.3b | T6.1 | C2.4a | C2.4b
+    verdict: str  # holds | fails | undecided | not-applicable
+    quantities: dict = field(default_factory=dict)
+    assumptions_checked: list = field(default_factory=list)  # (name, status)
+    notes: list = field(default_factory=list)
+
+    def to_dict(self):
+        """The report as a row of conditions.json."""
+        return {"theorem": self.theorem, "verdict": self.verdict,
+                "quantities": self.quantities,
+                "assumptions": self.assumptions_checked, "notes": self.notes}
 
 
 def _parse_entry(x, complex_mode):
@@ -316,33 +320,25 @@ def primitivity(mat):
 
 
 def validate_model(model):
-    """Check the standing spectral assumption on the mean matrix.
-
-    Builds M = E sum_k A_k exactly, decides primitivity by boolean powers,
-    attaches Perron data, and reports whether the maximal eigenvalue
-    equals 1.
-    """
+    """Assumption H, that M = E sum_k A_k is primitive (decided by boolean
+    powers) with Perron root rho = 1: the validation row of conditions.json."""
     from .spectral import perron
 
     m = model.mean_matrix()
     primitive, exponent = primitivity(m)
+    rho = perron(m).rho if primitive else None
+    deviation = abs(rho - 1.0) if primitive else None
     if not primitive:
-        return ValidationReport(
-            mean_matrix=m, primitive=False, primitivity_exponent=None,
-            perron=None, spectral_radius_deviation=None,
-            assumption_h="fails: mean matrix is not primitive")
-
-    triple = perron(m)
-    deviation = abs(triple.rho - 1.0)
-    if deviation > RHO_TOL:
-        verdict = (f"fails: spectral radius {triple.rho!r} deviates from 1 "
+        verdict = "fails: mean matrix is not primitive"
+    elif deviation > RHO_TOL:
+        verdict = (f"fails: spectral radius {rho!r} deviates from 1 "
                    f"by {deviation:.3e}; call normalize_model")
     else:
         verdict = "holds"
-    return ValidationReport(
-        mean_matrix=m, primitive=True, primitivity_exponent=exponent,
-        perron=triple, spectral_radius_deviation=deviation,
-        assumption_h=verdict)
+    return ConditionReport("validation", verdict, {
+        "mean_matrix": m.tolist(), "primitive": primitive,
+        "primitivity_exponent": exponent, "rho": rho,
+        "spectral_radius_deviation": deviation}, notes=[NORM_CONVENTION])
 
 
 def normalize_model(model):

@@ -176,10 +176,10 @@ def intensity_measure(model, n):
     depth linked below it.
 
     nu_1 is the child stack in atom order, unmerged, so its power sums are
-    moment_matrix's; nu_d left-multiplies the merged nu_1 onto nu_{d-1}
-    and merges bitwise-equal products by weight (no epsilon merging),
-    keeping the order of first occurrence.  A depth that would form more
-    than SUPPORT_CAP products before merging is refused.
+    moment_matrix's; nu_d left-multiplies each matrix of that stack onto
+    each product of the merged nu_{d-1} (len(stack) * len(nu_{d-1})
+    products) and merges bitwise-equal ones by weight (no epsilon merging)
+    in order of first occurrence, refusing more than SUPPORT_CAP products.
     """
     base_w, base_m = _child_stack(model)
     if n < 1:

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from matcascade.cli import main
-from matcascade.model import load_model
+from matcascade.model import load_model, model_from_dict, model_to_dict, scale_model
 
 MODEL_A = {"p": 1, "field": "real", "mode": "finite-atom",
            "atoms": [{"prob": 1.0, "matrices": [[[0.5]], [[0.5]]]}]}
@@ -34,6 +34,9 @@ UNIT_MODULI = {"p": 2, "field": "complex", "mode": "finite-atom",
 # the first child's row sum to the power -2 is 1e400
 TINY_CHILD = {"p": 1, "field": "real", "mode": "finite-atom",
               "atoms": [{"prob": 1.0, "matrices": [[[1e-200]], [[1.0]]]}]}
+# the mean matrix is a permutation: rho = 1, but not primitive
+PERMUTATION = {"p": 2, "field": "real", "mode": "finite-atom",
+               "atoms": [{"prob": 1.0, "matrices": [[[0.0, 1.0], [1.0, 0.0]]]}]}
 UNIFORM = {"p": 2, "mode": "sampler", "sampler": {
     "family": "uniform", "params": {"n_children": 2, "low": 0.1, "high": 0.4}}}
 LOGNORMAL = {"p": 2, "mode": "sampler", "sampler": {
@@ -104,23 +107,57 @@ class TestCheck:
 
     @pytest.mark.parametrize("doc", [MODEL_C, PHASE], ids=["real", "complex"])
     def test_validates_once(self, doc, tmp_path, monkeypatch):
-        # the validation row's report also rates assumption H in every
-        # moment row
-        from matcascade import conditions
+        # the validation row also rates assumption H in every moment row;
+        # calls are counted through every module that imports validate_model
+        from matcascade import model as model_module
         calls = []
-        validate = conditions.validate_model
+        validate = model_module.validate_model
 
         def counting(model):
             calls.append(1)
             return validate(model)
 
-        monkeypatch.setattr(conditions, "validate_model", counting)
+        patched = [name for name, module in list(sys.modules.items())
+                   if name.split(".")[0] == "matcascade"
+                   and getattr(module, "validate_model", None) is validate]
+        assert {"matcascade.cli", "matcascade.conditions"} <= set(patched)
+        for name in patched:
+            monkeypatch.setattr(sys.modules[name], "validate_model", counting)
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
         assert main(["check", "--model", str(path), "--alpha", "1.5",
                      "--alpha", "2", "--lambda", "1", "--out",
                      str(tmp_path / "o")]) == 0
         assert len(calls) == 1
+
+    # sha256 of conditions.json, one model per assumption-H outcome: holds
+    # (p = 1, p = 2, complex), rho = 2 and a non-primitive mean matrix
+    PINNED = {
+        "model_a": "07d84289643944b193db84f298664a72e7af9fb687676938b9cc373d83cc30aa",
+        "model_c": "3cb5a9876a6fc1203475f9bcb3735159eb634b9e482c81d9bb3cfaac15bb4e06",
+        "model_a_doubled": "746d4ed473e5d331c27d31c8ce035092d9e40f8f4d15d238039b6ac7bad0f947",
+        "permutation": "efa9b730838fa2d15062dabad99a421017ce27443483ecd3ffe4ade6214a32b2",
+        "phase": "b0d16098cc8f8f8bbe25d69dd812cbb3d257f7041b2d4e1dfe43dca0918f92c8",
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_conditions_pinned(self, name, tmp_path):
+        real = ["--alpha", "1.5", "--alpha", "2", "--lambda", "1",
+                "--epsilon", "0", "--n-max", "3"]
+        doc, flags = {
+            "model_a": (MODEL_A, real),
+            "model_c": (MODEL_C, real),
+            "model_a_doubled": (model_to_dict(scale_model(model_from_dict(MODEL_A), 2)),
+                                real),
+            "permutation": (PERMUTATION, real),
+            "phase": (PHASE, ["--alpha", "1.5", "--alpha", "3", "--beta", "2"]),
+        }[name]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "check"
+        assert main(["check", "--model", str(path), *flags, "--out", str(out)]) == 0
+        digest = hashlib.sha256((out / "conditions.json").read_bytes()).hexdigest()
+        assert digest == self.PINNED[name]
 
     @pytest.mark.parametrize("doc,flags", [
         (MODEL_C, ["--alpha", "1100"]),
@@ -179,6 +216,17 @@ class TestCheck:
                      "--n-max", "4", "--out", str(tmp_path / "o")])
         assert code == 2
         assert "depth 4 would form 16 products" in capsys.readouterr().err
+
+    def test_manifest_records_parsed_argv(self, model_c_path, tmp_path,
+                                          monkeypatch):
+        # an in-process caller's own command line is not the one parsed
+        monkeypatch.setattr(sys, "argv", ["host.py", "extra-host-arg"])
+        argv = ["check", "--model", model_c_path, "--alpha", "2",
+                "--out", str(tmp_path / "check")]
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / "check" / "manifest.json").read_text())
+        assert manifest["argv"] == argv
+        assert "argv" not in manifest["config"]
 
     def test_missing_file(self, tmp_path, capsys):
         code = main(["check", "--model", str(tmp_path / "nope.json"),
@@ -330,6 +378,22 @@ class TestEstimate:
         assert len(rows) == len(flags) // 2
         assert all(row["condition"] is None for row in rows)
 
+    def test_moment_overflow_reported_as_inf(self, tmp_path, capsys):
+        # ||Y_8||^1100 overflows on some replicates of MODEL_R: the sample
+        # mean is inf, with no warning and no usable spread
+        path = tmp_path / "model-r.json"
+        path.write_text(json.dumps(MODEL_R))
+        out = tmp_path / "est"
+        assert main(["estimate", "--model", str(path), "--fresh", "--n", "8",
+                     "--replicates", "500", "--seed", "1", "--alpha", "1100",
+                     "--alpha", "2", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        huge, two = (row["estimate"] for row in json.loads(
+            (out / "estimates.json").read_text())["moments"])
+        assert (huge["point"], huge["stderr"]) == (math.inf, math.inf)
+        assert huge["ci95"] == [-math.inf, math.inf]
+        assert math.isfinite(two["point"]) and two["stderr"] > 0
+
     def test_missing_batch_exit2(self, model_c_path, tmp_path):
         code = main(["estimate", "--model", model_c_path, "--batch",
                      str(tmp_path / "missing"), "--out", str(tmp_path / "e")])
@@ -393,6 +457,30 @@ class TestMbrwBuild:
         assert ["max_i", "E", "exp(-(lam+eps)*t*S_1^i)",
                 f"{0.5 * math.exp(8.0) + 0.5:.12g}"] in rows
         assert sum(row[-1] == "0.5" for row in rows if row[:2] == ["E", "max_i"]) == 2
+
+    @pytest.mark.parametrize("offspring,t,verdict,criterion", [
+        # PM1 at t = 0: rho~(0)^1100 = 2^1100 overflows, the criterion is 0
+        ([[(1.0, [(1, 1.0), (1, -1.0)])]], "0", "holds", "0"),
+        # rho~ = 2 at every t: p^1099 and rho~(t)^1100 both overflow
+        ([[(1.0, [(1, 0.0), (2, 0.0)])]] * 2, "1", "undecided", "nan"),
+        # one child, at disp 0 or 5: rho~(1)^1100 underflows to 0
+        ([[(0.5, [(1, 0.0)]), (0.5, [(1, 5.0)])]], "1", "undecided", "inf"),
+    ], ids=["pm1", "two-type", "underflow"])
+    def test_alpha_criterion_out_of_range(self, offspring, t, verdict, criterion,
+                                          tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"p": len(offspring), "types": [
+            {"offspring": [{"prob": prob, "children": [
+                {"type": j, "disp": disp} for j, disp in children]}
+                for prob, children in configs]} for configs in offspring]}))
+        code = main(["mbrw-build", "--spec", str(spec), "--t", t, "--alpha", "1100",
+                     "--out-model", str(tmp_path / "m.json")])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = [line.split() for line in captured.out.splitlines()]
+        assert ["[C2.4a]", "verdict:", verdict] in rows
+        assert ["p^(alpha-1)*rho_tilde(alpha*t)/rho_tilde(t)^alpha", criterion] in rows
 
     def test_bad_spec_exit2(self, tmp_path):
         spec = tmp_path / "bad.json"

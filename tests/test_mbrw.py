@@ -125,8 +125,7 @@ class TestBuild:
         np.testing.assert_allclose(model.mean_matrix(),
                                    [[2 / 3, 1 / 3], [1 / 3, 2 / 3]],
                                    atol=1e-12)
-        rep = validate_model(model)
-        assert rep.holds
+        assert validate_model(model).verdict == "holds"
 
     def test_pm1_t0_is_binary_cascade(self, pm1):
         model = build_cascade_from_mbrw(pm1, 0.0)

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matcascade.model import (ModelError, load_model, model_from_dict,
-                              model_to_dict, normalize_model, primitivity,
-                              save_model, scale_model, tilt_model,
+from matcascade.model import (NORM_CONVENTION, ModelError, load_model,
+                              model_from_dict, model_to_dict, normalize_model,
+                              primitivity, save_model, scale_model, tilt_model,
                               validate_model)
 from matcascade.mbrw import build_cascade_from_mbrw, spec_from_dict
 from matcascade.spectral import SpectralError, moment_matrix, perron
@@ -170,32 +170,47 @@ class TestLayout:
 class TestValidate:
     def test_model_a(self, model_a):
         rep = validate_model(model_a)
-        assert rep.holds
-        assert rep.primitivity_exponent == 1
-        assert rep.perron.rho == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(rep.perron.v, [1.0])
-        np.testing.assert_allclose(rep.perron.u, [1.0])
+        assert rep.theorem == "validation"
+        assert rep.verdict == "holds"
+        assert rep.quantities["primitivity_exponent"] == 1
+        assert rep.quantities["rho"] == pytest.approx(1.0, abs=1e-12)
+        triple = perron(model_a.mean_matrix())
+        np.testing.assert_allclose(triple.v, [1.0])
+        np.testing.assert_allclose(triple.u, [1.0])
 
     def test_model_c(self, model_c):
         rep = validate_model(model_c)
-        assert rep.holds
-        assert rep.primitivity_exponent == 1
+        assert rep.verdict == "holds"
+        assert rep.quantities["primitivity_exponent"] == 1
         # oracle: rank-one [[a,a],[b,b]] has eigenvalues a+b and 0
-        assert rep.perron.rho == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(rep.perron.v, [1.0, 1.0], atol=1e-12)
-        np.testing.assert_allclose(rep.perron.u, [0.5, 0.5], atol=1e-12)
+        assert rep.quantities["rho"] == pytest.approx(1.0, abs=1e-12)
+        triple = perron(model_c.mean_matrix())
+        np.testing.assert_allclose(triple.v, [1.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(triple.u, [0.5, 0.5], atol=1e-12)
 
     def test_permutation_matrix_not_primitive(self):
         m = make_model(2, [(1.0, [[[0.0, 1.0], [1.0, 0.0]]])])
         rep = validate_model(m)
-        assert not rep.primitive
-        assert not rep.holds
+        assert rep.quantities["primitive"] is False
+        assert rep.quantities["rho"] is None
+        assert rep.verdict == "fails: mean matrix is not primitive"
 
     def test_rho_deviation_reported(self, model_a):
         doubled = scale_model(model_a, 2.0)
         rep = validate_model(doubled)
-        assert "normalize_model" in rep.assumption_h
-        assert rep.spectral_radius_deviation == pytest.approx(1.0, abs=1e-12)
+        assert rep.verdict.startswith("fails: ")
+        assert "normalize_model" in rep.verdict
+        assert rep.quantities["spectral_radius_deviation"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_row_layout(self, model_c):
+        # conditions.txt prints the quantities in insertion order
+        rep = validate_model(model_c)
+        assert list(rep.quantities) == ["mean_matrix", "primitive",
+                                        "primitivity_exponent", "rho",
+                                        "spectral_radius_deviation"]
+        assert rep.quantities["mean_matrix"] == model_c.mean_matrix().tolist()
+        assert rep.assumptions_checked == []
+        assert rep.notes == [NORM_CONVENTION]
 
 
 class TestNormalize:
@@ -236,7 +251,7 @@ class TestNormalize:
     def test_normalized_radius(self, seed):
         model = random_primitive_model(np.random.default_rng(seed))
         rep = validate_model(normalize_model(model))
-        assert rep.spectral_radius_deviation <= 1e-12
+        assert rep.quantities["spectral_radius_deviation"] <= 1e-12
 
 
 class TestTiltModel:
@@ -246,7 +261,7 @@ class TestTiltModel:
     @pytest.mark.parametrize("t", [0.5, 1.5, 2.0, 3.0])
     def test_mean_radius_one(self, model_rand, t):
         rep = validate_model(tilt_model(model_rand, t))
-        assert rep.spectral_radius_deviation <= 1e-12
+        assert rep.quantities["spectral_radius_deviation"] <= 1e-12
 
     @pytest.mark.parametrize("t", [0.5, 1.5, 2.0, 3.0])
     def test_v_is_perron_vector_of_moment_matrix(self, model_rand, t):
