@@ -28,9 +28,8 @@ from .conditions import (check_alpha_moments, check_complex, check_harmonic,
                          exponential_profile)
 from .engine import (batch_from_binary, batch_to_binary, batch_to_csv,
                      simulate_batch, DEFAULT_CAP)
-from .estimate import (EstimateError, estimate_harmonic, estimate_laplace,
-                       estimate_moment, fit_power_decay,
-                       fit_stretched_exponential)
+from .estimate import (estimate_harmonic, estimate_laplace, estimate_moment,
+                       fit_power_decay, fit_stretched_exponential)
 from .mbrw import build_cascade_from_mbrw, load_mbrw_spec, mbrw_condition_report
 
 EXIT_OK = 0
@@ -148,18 +147,18 @@ def cmd_estimate(args):
                                cap=args.cap)
     else:
         _, meta = read_json(os.path.join(args.batch, "batch_meta.json"),
-                            "batch metadata", EstimateError)
+                            "batch metadata")
         if not isinstance(meta, dict):
-            raise EstimateError("batch metadata is not a JSON object")
+            raise MatcascadeError("batch metadata is not a JSON object")
         model_id = meta.get("model_id")
         if not isinstance(model_id, str) or not model_id:
-            raise EstimateError("batch metadata has no model_id")
+            raise MatcascadeError("batch metadata has no model_id")
         batch = batch_from_binary(os.path.join(args.batch, "batch.bin"),
                                   model_id=model_id,
                                   master_seed=meta.get("seed", -1))
     if batch.model_id != model.content_hash():
-        raise EstimateError("batch was produced from a different model "
-                            "(hash mismatch); re-simulate or pass --fresh")
+        raise MatcascadeError("batch was produced from a different model "
+                              "(hash mismatch); re-simulate or pass --fresh")
 
     out = {"n": batch.n, "replicates": batch.replicates}
     # the exact side checks need a finite-atom real model
@@ -184,7 +183,7 @@ def cmd_estimate(args):
         })
     if args.laplace_fit and not model.is_complex:
         if not (0 < args.t_min < math.inf and 0 < args.t_max < math.inf):
-            raise EstimateError("--t-min and --t-max must be positive and finite")
+            raise MatcascadeError("--t-min and --t-max must be positive and finite")
         grid = [s * y for s in np.geomspace(args.t_min, args.t_max, 40)]
         curve = estimate_laplace(batch, grid)
         fits = {}
@@ -197,7 +196,7 @@ def cmd_estimate(args):
                  lambda phi: math.log(-math.log(phi)))):
             try:
                 fit = fitter(curve, replicates=batch.replicates)
-            except EstimateError as e:
+            except MatcascadeError as e:
                 fits[name] = {"error": str(e)}
                 continue
             fits[name] = {k: v for k, v in fit.__dict__.items() if k != "grid"}
@@ -238,9 +237,9 @@ def cmd_mbrw_build(args):
     return EXIT_OK
 
 
-@parses(MatcascadeError, "report")
+@parses("report")
 def cmd_report(args):
-    _, doc = read_json(args.input, "report", MatcascadeError)
+    _, doc = read_json(args.input, "report")
     print(_render_table(doc if isinstance(doc, list) else [doc]))
     return EXIT_OK
 

@@ -13,10 +13,10 @@ import math
 
 import numpy as np
 
-from .model import (NORM_CONVENTION, RHO_TOL, ConditionReport, ModelError,
-                    offspring_law, validate_model)
-from .spectral import (SpectralError, _power_sum, intensity_measure,
-                       matrix_norm, moment_matrix, perron)
+from .model import (NORM_CONVENTION, RHO_TOL, ConditionReport,
+                    MatcascadeError, offspring_law, validate_model)
+from .spectral import (_power_sum, intensity_measure, matrix_norm,
+                       moment_matrix, perron)
 
 
 def _assumption_h_status(model, validation=None):
@@ -69,7 +69,7 @@ def _solved_rho(mat, name, notes):
     """perron(mat).rho, or None with a note naming the failed solve."""
     try:
         return perron(mat).rho
-    except SpectralError as e:
+    except MatcascadeError as e:
         notes.append(f"{name} unavailable: {e}")
         return None
 
@@ -89,9 +89,9 @@ def check_alpha_moments(model, alphas, n_max=3, validation=None):
     one, saves validating the model again.
     """
     if not all(1 < alpha < math.inf for alpha in alphas):
-        raise ModelError("alpha must be > 1 and finite")
+        raise MatcascadeError("alpha must be > 1 and finite")
     if n_max < 1:
-        raise ModelError("n_max must be >= 1")
+        raise MatcascadeError("n_max must be >= 1")
     model._require_finite_atom()
     h_status = _assumption_h_status(model, validation)
     pcp = positive_column_probability(model)
@@ -164,7 +164,7 @@ def check_harmonic(model, lam):
     powers of the minimal row sum of the first child matrix.
     """
     if not 0 < lam < math.inf:
-        raise ModelError("lambda must be positive and finite")
+        raise MatcascadeError("lambda must be positive and finite")
     model._require_finite_atom()
     pcp = positive_column_probability(model)
     p_n0, p_n1, law_rows = offspring_law_assumptions(model.atoms)
@@ -222,7 +222,7 @@ def exponential_profile(model, epsilon=0.0):
     feasibility of the matching lower bound.
     """
     if not 0 <= epsilon < math.inf:
-        raise ModelError("epsilon must be >= 0 and finite")
+        raise MatcascadeError("epsilon must be >= 0 and finite")
     model._require_finite_atom()
     assumptions = []
     pcp = positive_column_probability(model)
@@ -296,14 +296,14 @@ def check_complex(model, alpha, beta_grid=None, validation=None):
     validation is as for check_alpha_moments.
     """
     if not 1 < alpha < math.inf:
-        raise ModelError("alpha must be > 1 and finite")
+        raise MatcascadeError("alpha must be > 1 and finite")
     if not model.is_complex:
-        raise ModelError("check_complex requires a complex-mode model")
+        raise MatcascadeError("check_complex requires a complex-mode model")
     if alpha > 2 and not beta_grid:
-        raise ModelError("alpha > 2 requires a beta grid in (1, 2]")
+        raise MatcascadeError("alpha > 2 requires a beta grid in (1, 2]")
     for beta in beta_grid or ():
         if not 1 < beta <= 2:
-            raise ModelError(f"beta={beta} outside (1, 2]")
+            raise MatcascadeError(f"beta={beta} outside (1, 2]")
     model._require_finite_atom()
     p = model.p
 

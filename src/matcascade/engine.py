@@ -45,10 +45,6 @@ BATCH_MAGIC = b"MCSB"
 BATCH_VERSION = 1
 
 
-class SimulationError(MatcascadeError):
-    pass
-
-
 @dataclass
 class SampleBatch:
     """Replicated draws of the depth-n martingale value."""
@@ -258,11 +254,11 @@ def simulate_batch(model, n, replicates, master_seed, cap=DEFAULT_CAP,
     tilted martingale is this recursion run on model.tilt_model(model, t).
     """
     if n < 0:
-        raise SimulationError("n must be >= 0")
+        raise MatcascadeError("n must be >= 0")
     if replicates < 1:
-        raise SimulationError("replicates must be >= 1")
+        raise MatcascadeError("replicates must be >= 1")
     if cap < 1:
-        raise SimulationError(f"population cap must be >= 1, got {cap}")
+        raise MatcascadeError(f"population cap must be >= 1, got {cap}")
     dtype = complex if model.is_complex else float
     v = perron(model.mean_matrix()).v.astype(dtype)
     values = np.empty((replicates, model.p), dtype=dtype)
@@ -333,20 +329,20 @@ def batch_to_binary(batch, path):
 
 
 def batch_from_binary(path, model_id="", master_seed=-1):
-    """Read a batch written by batch_to_binary; SimulationError unless the
+    """Read a batch written by batch_to_binary; MatcascadeError unless the
     file is one, of exactly the length its header implies."""
     with open(path, "rb") as f:
         blob = f.read()
     off = 28
     if len(blob) < off or blob[:4] != BATCH_MAGIC:
-        raise SimulationError("not a batch file (bad magic or short header)")
+        raise MatcascadeError("not a batch file (bad magic or short header)")
     version, p, r, n, cx = struct.unpack("<IIQIB", blob[4:25])
     if version != BATCH_VERSION:
-        raise SimulationError(f"unsupported batch version {version}")
+        raise MatcascadeError(f"unsupported batch version {version}")
     width = 2 * p if cx else p
     expected = off + r + 8 * r * width
     if len(blob) != expected:
-        raise SimulationError(
+        raise MatcascadeError(
             f"batch file has {len(blob)} bytes, its header implies {expected}")
     flags = np.frombuffer(blob[off:off + r], dtype=np.uint8)
     off += r

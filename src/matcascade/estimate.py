@@ -19,10 +19,6 @@ R2_THRESHOLD = 0.98  # a decay fit below this r^2 is flagged as a family mismatc
 FIXED_POINT_T_SCALES = (0.1, 0.3, 1.0, 3.0)  # Laplace residual grid, times ones
 
 
-class EstimateError(MatcascadeError):
-    pass
-
-
 @dataclass
 class MomentEstimate:
     order: float
@@ -70,26 +66,32 @@ class FixedPointReport:
 def _target_values(batch, target):
     vals = batch.ok_values()
     if np.iscomplexobj(vals):
-        raise EstimateError("real-mode estimator applied to a complex batch")
+        raise MatcascadeError("real-mode estimator applied to a complex batch")
     if isinstance(target, str) and target == "norm":
         return np.abs(vals).sum(axis=1), "norm"
     if isinstance(target, int):
         return vals[:, target], f"coord:{target}"
     y = np.asarray(target, dtype=float)
     if y.shape != (batch.p,):
-        raise EstimateError(f"projection vector must have length {batch.p}")
+        raise MatcascadeError(f"projection vector must have length {batch.p}")
     return vals @ y, "proj:" + ",".join(repr(float(c)) for c in y)
 
 
 def _heavy_tail_flag(g):
-    # flagged when the top 10 order statistics dominate the sample moment
+    """Whether the top 10 order statistics carry more than half of the
+    sample sum; always when a term is infinite.  The terms are divided by
+    the largest first, so a finite sample whose sum overflows is judged
+    by the same share."""
     if g.size <= 10:
         return False
-    total = g.sum()
-    if total <= 0:
+    g = np.sort(g)
+    if g[-1] == np.inf:
+        return True
+    if not g[-1] > 0:
         return False
-    top = np.sort(g)[-10:].sum()
-    return bool(top > 0.5 * total)
+    g = g / g[-1]
+    total = g.sum()
+    return bool(total > 0 and g[-10:].sum() > 0.5 * total)
 
 
 def _sample_mean(base, order, label, n, **extra):
@@ -116,10 +118,10 @@ def estimate_moment(batch, alpha, target="norm"):
     vector.  Standard error is the CLT estimate from the sample variance.
     """
     if not 0 < alpha < np.inf:
-        raise EstimateError("alpha must be positive and finite")
+        raise MatcascadeError("alpha must be positive and finite")
     base, label = _target_values(batch, target)
     if base.size == 0:
-        raise EstimateError("empty batch")
+        raise MatcascadeError("empty batch")
     return _sample_mean(base, alpha, label, batch.n)
 
 
@@ -131,15 +133,15 @@ def estimate_harmonic(batch, lam, y):
     as conditionally biased.
     """
     if not 0 < lam < np.inf:
-        raise EstimateError("lambda must be positive and finite")
+        raise MatcascadeError("lambda must be positive and finite")
     y = np.asarray(y, dtype=float)
     if np.any(y < 0) or not np.any(y > 0):
-        raise EstimateError("y must be nonnegative and nonzero")
+        raise MatcascadeError("y must be nonnegative and nonzero")
     base, label = _target_values(batch, y)
     finite_mask = base > 0
     inf_count = int((~finite_mask).sum())
     if not finite_mask.any():
-        raise EstimateError("no surviving replicates for harmonic estimate")
+        raise MatcascadeError("no surviving replicates for harmonic estimate")
     note = None
     if inf_count:
         note = (f"{inf_count} infinite term(s) excluded; estimate is "
@@ -152,14 +154,14 @@ def estimate_laplace(batch, t_grid):
     """Empirical Laplace transform: mean of exp(-t . Y_n) per grid point."""
     t_grid = [np.asarray(t, dtype=float) for t in t_grid]
     if not t_grid:
-        raise EstimateError("empty grid")
+        raise MatcascadeError("empty grid")
     vals = batch.ok_values()
     if np.iscomplexobj(vals):
-        raise EstimateError("Laplace estimator needs a real-mode batch")
+        raise MatcascadeError("Laplace estimator needs a real-mode batch")
     out = []
     for t in t_grid:
         if t.shape != (batch.p,):
-            raise EstimateError(f"grid vectors must have length {batch.p}")
+            raise MatcascadeError(f"grid vectors must have length {batch.p}")
         out.append((t, float(np.exp(-(vals @ t)).mean())))
     return out
 
@@ -186,7 +188,7 @@ def _decay_fit(curve, replicates, kind, floor, upper, transform, sign):
     window = (max(10.0 / replicates, floor) if replicates else floor, upper)
     pts = _curve_window(curve, *window)
     if len(pts) < 5:
-        raise EstimateError(
+        raise MatcascadeError(
             f"only {len(pts)} grid points inside window {window}; "
             "enlarge the grid or the batch")
     xs = np.log(np.array([s for s, _ in pts]))
@@ -230,7 +232,7 @@ def tail_curve(batch, y, x_grid, lam):
     """
     x_grid = np.asarray(x_grid, dtype=float)
     if np.any(np.diff(x_grid) <= 0) or np.any(x_grid <= 0):
-        raise EstimateError("x grid must be positive and increasing")
+        raise MatcascadeError("x grid must be positive and increasing")
     proj, _ = _target_values(batch, np.asarray(y, dtype=float))
     n = proj.size
     out = []
@@ -254,7 +256,7 @@ def tail_slope_test(points, level=0.05):
 
     usable = [q for q in points if not q.flagged and q.ratio > 0]
     if len(usable) < 3:
-        raise EstimateError("too few resolvable points for the slope test")
+        raise MatcascadeError("too few resolvable points for the slope test")
     xs = np.log([q.x for q in usable])
     ys = np.log([q.ratio for q in usable])
     res = stats.linregress(xs, ys)
@@ -286,12 +288,12 @@ def fixed_point_check(model, n, replicates, seed, skip_root_weights=False):
 
     skip_root_weights replaces B2's root matrices by the identity (a
     seeded corruption used to verify the check has power).  Complex
-    models have no Laplace transform here and raise EstimateError.
+    models have no Laplace transform here and raise MatcascadeError.
     """
     from scipy import stats  # deferred: slow to import, and no CLI command needs it
 
     if model.is_complex:
-        raise EstimateError("the fixed-point check needs a real-mode model")
+        raise MatcascadeError("the fixed-point check needs a real-mode model")
     b1 = simulate_batch(model, n, replicates, seed)
     b2 = simulate_batch(model, n + 1, replicates, seed + 0x9E3779B9,
                         identity_root=skip_root_weights)

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditions import ConditionReport, _power, offspring_law_assumptions
-from .model import (PROB_SUM_TOL, Atom, CascadeModel, ModelError, offspring_law,
-                    parses, read_json)
-from .spectral import SpectralError, perron
+from .model import (PROB_SUM_TOL, Atom, CascadeModel, MatcascadeError,
+                    offspring_law, parse_dimension, parses, read_json)
+from .spectral import perron
 
 BUILD_TOL = 1e-12
 
@@ -48,18 +48,18 @@ class MbrwSpectral:
 
 def load_mbrw_spec(path):
     """Read an MBRW spec file (JSON): per type, offspring configurations."""
-    _, doc = read_json(path, "spec", ModelError)
+    _, doc = read_json(path, "spec")
     return spec_from_dict(doc)
 
 
-@parses(ModelError, "spec")
+@parses("spec")
 def spec_from_dict(doc):
-    p = int(doc["p"])
+    p = parse_dimension(doc["p"])
     if p < 1:
-        raise ModelError("p must be >= 1")
+        raise MatcascadeError("p must be >= 1")
     types = doc["types"]
     if len(types) != p:
-        raise ModelError(f"expected {p} type entries, got {len(types)}")
+        raise MatcascadeError(f"expected {p} type entries, got {len(types)}")
     offspring = []
     for i, entry in enumerate(types):
         configs = []
@@ -67,18 +67,18 @@ def spec_from_dict(doc):
         for raw in entry["offspring"]:
             prob = float(raw["prob"])
             if not 0.0 < prob <= 1.0:
-                raise ModelError(f"config probability {prob} outside (0, 1]")
+                raise MatcascadeError(f"config probability {prob} outside (0, 1]")
             children = []
             for ch in raw["children"]:
                 j = float(ch["type"])
                 if not (j.is_integer() and 1 <= j <= p):
-                    raise ModelError(
+                    raise MatcascadeError(
                         f"child type {ch['type']!r} is not an integer in 1..{p}")
                 children.append((int(j), float(ch["disp"])))
             configs.append(OffspringConfig(prob=prob, children=children))
             total += prob
         if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ModelError(
+            raise MatcascadeError(
                 f"type {i+1} offspring probabilities sum to {total!r}")
         offspring.append(configs)
     spec = MbrwSpec(p=p, offspring=offspring)
@@ -94,19 +94,19 @@ def _check_common_offspring_law(spec):
         keys = set(ref) | set(law)
         for k in keys:
             if abs(ref.get(k, 0.0) - law.get(k, 0.0)) > 1e-12:
-                raise ModelError(
+                raise MatcascadeError(
                     "offspring-count law differs between parent types 1 and "
                     f"{i}: P(N={k}) is {ref.get(k, 0.0)} vs {law.get(k, 0.0)}")
     return ref
 
 
 def _tilted_weight(x):
-    """exp(x) for an exponent -s * displacement; ModelError if it overflows."""
+    """exp(x) for an exponent -s * displacement; MatcascadeError if it overflows."""
     try:
         return math.exp(x)
     except OverflowError:
-        raise ModelError(f"tilted displacement weight exp({x!r}) overflows "
-                         "the float range") from None
+        raise MatcascadeError(f"tilted displacement weight exp({x!r}) overflows "
+                              "the float range") from None
 
 
 def mbrw_spectral(spec, t):
@@ -123,8 +123,8 @@ def mbrw_spectral(spec, t):
                 m[i, j - 1] += c.prob * _tilted_weight(-t * disp)
     try:
         triple = perron(m)
-    except SpectralError as e:
-        raise ModelError(f"tilted reproduction matrix: {e}") from e
+    except MatcascadeError as e:
+        raise MatcascadeError(f"tilted reproduction matrix: {e}") from e
     return MbrwSpectral(m_tilde=m, rho_tilde=triple.rho, v_tilde=triple.v)
 
 
@@ -181,10 +181,10 @@ def build_cascade_from_mbrw(spec, t):
     mean = model.mean_matrix()
     expected = sp.m_tilde / rho
     if np.abs(mean - expected).max() > BUILD_TOL:
-        raise ModelError("built cascade mean matrix mismatch")
+        raise MatcascadeError("built cascade mean matrix mismatch")
     v = perron(mean).v
     if np.abs(v - sp.v_tilde).max() > 1e-10:
-        raise ModelError("built cascade right eigenvector mismatch")
+        raise MatcascadeError("built cascade right eigenvector mismatch")
     return model
 
 
@@ -201,7 +201,7 @@ def mbrw_condition_report(spec, t, alpha=None, lam=None, epsilon=0.0):
     p = spec.p
     if alpha is not None:
         if not 1 < alpha < math.inf:
-            raise ModelError("alpha must be > 1 and finite")
+            raise MatcascadeError("alpha must be > 1 and finite")
         sp = mbrw_spectral(spec, t)
         sp_a = mbrw_spectral(spec, alpha * t)
         den = _power(sp.rho_tilde, alpha)  # 0 where it underflows
@@ -218,9 +218,9 @@ def mbrw_condition_report(spec, t, alpha=None, lam=None, epsilon=0.0):
                                        quantities=quantities, notes=notes))
     if lam is not None:
         if not 0 < lam < math.inf:
-            raise ModelError("lambda must be positive and finite")
+            raise MatcascadeError("lambda must be positive and finite")
         if not math.isfinite(epsilon):
-            raise ModelError("epsilon must be finite")
+            raise MatcascadeError("epsilon must be finite")
         p_n0, p_n1, assumptions = offspring_law_assumptions(spec.offspring[0])
         quantities = {"lambda": lam, "epsilon": epsilon, "t": t,
                       "P(N=0)": p_n0, "P(N=1)": p_n1}

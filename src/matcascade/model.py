@@ -30,14 +30,10 @@ class MatcascadeError(ValueError):
     """Bad input or arguments; the command line exits 2 on it."""
 
 
-class ModelError(MatcascadeError):
-    """Malformed model file or contract violation."""
-
-
-def parses(error, what):
+def parses(what):
     """Decorate a document parser so that a document of the wrong shape
-    (what indexing, int() and float() raise on it) raises error with a
-    one-line reason instead."""
+    (what indexing, int() and float() raise on it) raises MatcascadeError
+    with a one-line reason instead."""
     def decorate(parse):
         @functools.wraps(parse)
         def wrapper(*args, **kwargs):
@@ -48,22 +44,22 @@ def parses(error, what):
             except (AttributeError, LookupError, OverflowError, TypeError,
                     ValueError) as e:
                 reason = f"missing key {e}" if isinstance(e, KeyError) else e
-                raise error(f"malformed {what}: {reason}") from e
+                raise MatcascadeError(f"malformed {what}: {reason}") from e
         return wrapper
     return decorate
 
 
-def read_json(path, what, error):
-    """(bytes, document) of the UTF-8 JSON file at path; error naming what
-    if it cannot be read or parsed."""
+def read_json(path, what):
+    """(bytes, document) of the UTF-8 JSON file at path; MatcascadeError
+    naming what if it cannot be read or parsed."""
     try:
         with open(path, "rb") as f:
             raw = f.read()
         return raw, json.loads(raw.decode("utf-8"))
     except (OSError, UnicodeDecodeError) as e:
-        raise error(f"cannot read {what}: {e}") from e
+        raise MatcascadeError(f"cannot read {what}: {e}") from e
     except json.JSONDecodeError as e:
-        raise error(f"parse error in {path}: {e}") from e
+        raise MatcascadeError(f"parse error in {path}: {e}") from e
 
 
 @dataclass
@@ -91,11 +87,6 @@ class CascadeModel:
     def is_complex(self):
         return self.field_kind == "complex"
 
-    def mean_offspring(self):
-        """E N for finite-atom laws."""
-        self._require_finite_atom()
-        return sum(a.prob * a.n_children for a in self.atoms)
-
     def min_offspring(self):
         """essinf N: smallest child count carried with positive probability."""
         self._require_finite_atom()
@@ -122,9 +113,13 @@ class CascadeModel:
             except OverflowError:
                 mean = math.inf
             if mean == math.inf:
-                raise ModelError(f"{family} sampler mean params.n_children * "
-                                 "E[entry] overflows the float range")
-            return np.full((self.p, self.p), mean)
+                raise MatcascadeError(f"{family} sampler mean params.n_children * "
+                                      "E[entry] overflows the float range")
+            try:
+                return np.full((self.p, self.p), mean)
+            except (MemoryError, ValueError) as e:
+                raise MatcascadeError(f"the {self.p} x {self.p} mean matrix "
+                                      "cannot be allocated") from e
         from .spectral import moment_matrix  # local import: spectral depends on model
 
         return moment_matrix(self, 1)
@@ -138,7 +133,7 @@ class CascadeModel:
 
     def _require_finite_atom(self):
         if self.mode != "finite-atom":
-            raise ModelError("operation requires a finite-atom model")
+            raise MatcascadeError("operation requires a finite-atom model")
 
 
 def offspring_law(items):
@@ -168,31 +163,45 @@ class ConditionReport:
                 "assumptions": self.assumptions_checked, "notes": self.notes}
 
 
+def parse_dimension(value):
+    """int(value) for the dimension p of a document; a fractional number
+    is refused, not truncated."""
+    p = int(value)
+    if isinstance(value, float) and p != value:
+        raise MatcascadeError(f"dimension p must be an integer, got {value!r}")
+    return p
+
+
 def _parse_entry(x, complex_mode):
     if isinstance(x, (list, tuple)):
         if not complex_mode:
-            raise ModelError("two-element entry in real mode")
+            raise MatcascadeError("two-element entry in real mode")
         if len(x) != 2:
-            raise ModelError("complex entry must be [re, im]")
+            raise MatcascadeError("complex entry must be [re, im]")
         return complex(float(x[0]), float(x[1]))
     v = float(x)
     return complex(v, 0.0) if complex_mode else v
 
 
 def _parse_stack(matrices, p, complex_mode):
-    """The (N, p, p) array of an atom's N matrices."""
-    stack = np.empty((len(matrices), p, p), dtype=complex if complex_mode else float)
-    for mat, rows in zip(stack, matrices):
+    """The (N, p, p) array of an atom's N matrices, allocated once every
+    matrix is found to be p x p."""
+    shape = (len(matrices), p, p)
+    for rows in matrices:
         if len(rows) != p:
-            raise ModelError(f"matrix has {len(rows)} rows, expected {p}")
-        for i, row in enumerate(rows):
+            raise MatcascadeError(f"matrix has {len(rows)} rows, expected {p}")
+        for row in rows:
             if len(row) != p:
-                raise ModelError(f"matrix row has {len(row)} entries, expected {p}")
+                raise MatcascadeError(
+                    f"matrix row has {len(row)} entries, expected {p}")
+    stack = np.empty(shape, dtype=complex if complex_mode else float)
+    for mat, rows in zip(stack, matrices):
+        for i, row in enumerate(rows):
             mat[i] = [_parse_entry(x, complex_mode) for x in row]
     if not np.all(np.isfinite(stack)):
-        raise ModelError("non-finite matrix entry")
+        raise MatcascadeError("non-finite matrix entry")
     if not complex_mode and np.any(stack < 0):
-        raise ModelError("negative entry in real mode")
+        raise MatcascadeError("negative entry in real mode")
     return stack
 
 
@@ -205,10 +214,10 @@ def _parse_sampler(sampler):
     """{"family": ..., "params": ...} with n_children an int and every other
     parameter the family reads a finite float, defaults filled in."""
     if not isinstance(sampler, dict) or "family" not in sampler:
-        raise ModelError("sampler mode requires a sampler spec with a family")
+        raise MatcascadeError("sampler mode requires a sampler spec with a family")
     family = sampler["family"]
     if family not in SAMPLER_DEFAULTS:
-        raise ModelError(f"unknown sampler family {family!r}")
+        raise MatcascadeError(f"unknown sampler family {family!r}")
     given = {**SAMPLER_DEFAULTS[family], **sampler.get("params", {})}
     params = {}
     for name in ("n_children", *SAMPLER_DEFAULTS[family]):
@@ -217,31 +226,32 @@ def _parse_sampler(sampler):
         except (TypeError, ValueError, OverflowError):
             params[name] = math.nan
         if not math.isfinite(params[name]):
-            raise ModelError(f"sampler params.{name} must be a finite number, "
-                             f"got {given[name]!r}")
+            raise MatcascadeError(f"sampler params.{name} must be a finite number, "
+                                  f"got {given[name]!r}")
     if not (params["n_children"].is_integer() and params["n_children"] >= 1):
-        raise ModelError("sampler params.n_children must be an integer >= 1, "
-                         f"got {given['n_children']!r}")
+        raise MatcascadeError("sampler params.n_children must be an integer >= 1, "
+                              f"got {given['n_children']!r}")
     params["n_children"] = int(params["n_children"])
     if family == "uniform" and not 0 <= params["low"] <= params["high"]:
-        raise ModelError("sampler requires 0 <= params.low <= params.high, got "
-                         f"low={params['low']!r}, high={params['high']!r}")
+        raise MatcascadeError("sampler requires 0 <= params.low <= params.high, got "
+                              f"low={params['low']!r}, high={params['high']!r}")
     if family == "lognormal" and params["sigma"] < 0:
-        raise ModelError(f"sampler params.sigma must be >= 0, got {params['sigma']!r}")
+        raise MatcascadeError(
+            f"sampler params.sigma must be >= 0, got {params['sigma']!r}")
     return {"family": family, "params": params}
 
 
-@parses(ModelError, "model")
+@parses("model")
 def model_from_dict(doc, source_hash=None):
-    p = int(doc["p"])
+    p = parse_dimension(doc["p"])
     mode = doc.get("mode", "finite-atom")
     field_kind = doc.get("field", "real")
     if p < 1:
-        raise ModelError("dimension p must be >= 1")
+        raise MatcascadeError("dimension p must be >= 1")
     if field_kind not in ("real", "complex"):
-        raise ModelError(f"unknown field {field_kind!r}")
+        raise MatcascadeError(f"unknown field {field_kind!r}")
     if mode not in ("finite-atom", "sampler"):
-        raise ModelError(f"unknown mode {mode!r}")
+        raise MatcascadeError(f"unknown mode {mode!r}")
 
     complex_mode = field_kind == "complex"
     if mode == "sampler":
@@ -254,14 +264,15 @@ def model_from_dict(doc, source_hash=None):
     for raw in doc.get("atoms", []):
         prob = float(raw["prob"])
         if not 0.0 < prob <= 1.0:
-            raise ModelError(f"atom probability {prob} outside (0, 1]")
+            raise MatcascadeError(f"atom probability {prob} outside (0, 1]")
         atoms.append(Atom(prob=prob, matrices=_parse_stack(raw["matrices"], p,
                                                            complex_mode)))
         total += prob
     if not atoms:
-        raise ModelError("finite-atom model needs at least one atom")
+        raise MatcascadeError("finite-atom model needs at least one atom")
     if abs(total - 1.0) > PROB_SUM_TOL:
-        raise ModelError(f"atom probabilities sum to {total!r}, off by more than {PROB_SUM_TOL}")
+        raise MatcascadeError(f"atom probabilities sum to {total!r}, "
+                              f"off by more than {PROB_SUM_TOL}")
     if total != 1.0:
         for a in atoms:
             a.prob /= total
@@ -284,7 +295,7 @@ def model_to_dict(model):
 def load_model(path):
     """Read a model file (JSON, UTF-8) and return a validated CascadeModel
     whose source_hash is the SHA-256 of the file's bytes."""
-    raw, doc = read_json(path, "model", ModelError)
+    raw, doc = read_json(path, "model")
     return model_from_dict(doc, source_hash=hashlib.sha256(raw).hexdigest())
 
 
@@ -298,7 +309,7 @@ def scale_model(model, c):
     """Multiply every matrix of every atom by the scalar c > 0."""
     model._require_finite_atom()
     if c <= 0:
-        raise ModelError("scale factor must be positive")
+        raise MatcascadeError("scale factor must be positive")
     atoms = [Atom(prob=a.prob, matrices=c * a.matrices) for a in model.atoms]
     return CascadeModel(p=model.p, mode=model.mode, field_kind=model.field_kind,
                         atoms=atoms)
@@ -343,13 +354,13 @@ def validate_model(model):
 
 def normalize_model(model):
     """Rescale every weight matrix by 1/rho so the mean matrix has rho = 1."""
-    from .spectral import SpectralError, perron
+    from .spectral import perron
 
     model._require_finite_atom()
     try:
         rho = perron(model.mean_matrix()).rho
-    except SpectralError as e:
-        raise ModelError(f"cannot normalize: {e}") from e
+    except MatcascadeError as e:
+        raise MatcascadeError(f"cannot normalize: {e}") from e
     return scale_model(model, 1.0 / rho)
 
 
@@ -361,7 +372,7 @@ def tilt_model(model, t):
     Its martingale is the tilted one: Y_n is the sum over depth-n nodes
     of the products of t-powered weights along the path, times the
     Perron vector V(t) of M(t), divided by rho(M(t))^n.  At t = 1 model
-    itself is returned.  A zero entry with t <= 0 raises SpectralError.
+    itself is returned.  A zero entry with t <= 0 raises MatcascadeError.
     """
     if t == 1:
         return model

@@ -16,16 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MatcascadeError, ModelError, primitivity
+from .model import MatcascadeError, primitivity
 
 POWER_TOL = 1e-13
-POWER_MAXITER = 100_000
+POWER_MAXITER = 5_000  # plain steps before the squarings of the shifted matrix
+POWER_SQUARINGS = 64
 RESIDUAL_TOL = 1e-10
 SUPPORT_CAP = 1_000_000  # most products one intensity-measure depth may form
-
-
-class SpectralError(MatcascadeError):
-    """Non-primitive input or eigensolver failure."""
 
 
 @dataclass
@@ -51,39 +48,57 @@ class IntensityMeasure:
     matrices: np.ndarray  # (m, p, p)
     below: IntensityMeasure | None  # the depth-(n-1) level; None at depth 1
 
-    @property
-    def total_weight(self):
-        return float(self.weights.sum())
-
 
 def matrix_norm(a):
     """Entrywise absolute sum (the norm convention used throughout)."""
     return float(np.abs(a).sum())
 
 
-def _power_iterate(mat, tol, maxiter):
-    """Dominant eigenpair by power iteration from the all-ones vector."""
+def _power_iterate(mat):
+    """(v, steps): the dominant eigenvector by power iteration from the
+    all-ones vector, or (None, POWER_MAXITER) if it has not converged."""
     p = mat.shape[0]
     v = np.full(p, 1.0 / p)
-    rho = 1.0
-    for it in range(1, maxiter + 1):
+    for it in range(1, POWER_MAXITER + 1):
         w = mat @ v
         s = w.sum()
         if s <= 0:
-            raise SpectralError("power iteration collapsed to zero vector")
-        rho = s
+            raise MatcascadeError("power iteration collapsed to zero vector")
         v_new = w / s
-        if np.abs(v_new - v).max() <= tol:
-            v = v_new
-            break
+        if np.abs(v_new - v).max() <= POWER_TOL:
+            return v_new, it
         v = v_new
-    else:
-        raise SpectralError(
-            f"power iteration did not converge within {maxiter} iterations")
-    # one Rayleigh-style refinement of rho on the converged direction
+    return None, POWER_MAXITER
+
+
+def _dominant_pair(mat):
+    """(rho, v, steps) of a primitive matrix: v by power iteration, rho by
+    one Rayleigh-style step on it.
+
+    When the second eigenvalue is close to rho in modulus, the plain steps
+    do not converge.  Then v comes from repeated squaring of
+    B = mat / max + s I, s its mean row sum: B has the same eigenvectors,
+    its Perron root dominates a second eigenvalue near -rho by a margin,
+    and k squarings take 2^k steps, enough for one near +rho too.
+    """
+    v, steps = _power_iterate(mat)
+    if v is None:
+        b = mat / mat.max()
+        b = b + b.sum() / len(b) * np.eye(len(b))
+        v = np.full(len(b), 1.0 / len(b))
+        for k in range(1, POWER_SQUARINGS + 1):
+            b = b @ b
+            b /= b.sum()
+            v_new = b.sum(axis=1)
+            if np.abs(v_new - v).max() <= POWER_TOL:
+                break
+            v = v_new
+        else:
+            raise MatcascadeError("power iteration did not converge within "
+                                  f"{POWER_SQUARINGS} squarings")
+        v, steps = v_new, steps + k
     w = mat @ v
-    rho = float(w.sum() / v.sum())
-    return rho, v, it
+    return float(w.sum() / v.sum()), v, steps
 
 
 def perron(mat):
@@ -94,24 +109,24 @@ def perron(mat):
     """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise SpectralError("perron expects a square matrix")
+        raise MatcascadeError("perron expects a square matrix")
     if not np.all(np.isfinite(mat)):
-        raise SpectralError("non-finite entries")
+        raise MatcascadeError("non-finite entries")
     if np.any(mat < 0):
-        raise SpectralError("negative entries")
+        raise MatcascadeError("negative entries")
     primitive, _ = primitivity(mat)
     if not primitive:
-        raise SpectralError("matrix is not primitive")
+        raise MatcascadeError("matrix is not primitive")
 
-    rho, v, it_v = _power_iterate(mat, POWER_TOL, POWER_MAXITER)
-    _, u, it_u = _power_iterate(mat.T, POWER_TOL, POWER_MAXITER)
+    rho, v, it_v = _dominant_pair(mat)
+    _, u, it_u = _dominant_pair(mat.T)
 
     u = u / u.sum()
     v = v / float(u @ v)
     residual = max(np.abs(u @ mat - rho * u).max(),
                    np.abs(mat @ v - rho * v).max())
     if residual > RESIDUAL_TOL * max(1.0, rho):
-        raise SpectralError(
+        raise MatcascadeError(
             f"Perron residual {residual:.3e} exceeds tolerance (ill-conditioned)")
     return PerronTriple(rho=rho, u=u, v=v, residual=residual,
                         iterations=max(it_v, it_u))
@@ -126,7 +141,7 @@ def _entry_power(mat, t):
     """
     a = np.abs(mat) if np.iscomplexobj(mat) else np.asarray(mat, dtype=float)
     if t <= 0 and np.any(a == 0):
-        raise SpectralError(f"zero entry raised to power t={t}")
+        raise MatcascadeError(f"zero entry raised to power t={t}")
     with np.errstate(over="ignore"):
         return np.power(a, t)
 
@@ -183,13 +198,13 @@ def intensity_measure(model, n):
     """
     base_w, base_m = _child_stack(model)
     if n < 1:
-        raise SpectralError("depth n must be >= 1")
+        raise MatcascadeError("depth n must be >= 1")
     nu = IntensityMeasure(depth=1, weights=base_w, matrices=base_m, below=None)
     weights, mats = _merge(base_w, base_m)
     for depth in range(2, n + 1):
         formed = len(base_w) * len(weights)
         if formed > SUPPORT_CAP:
-            raise ModelError(
+            raise MatcascadeError(
                 f"depth {depth} would form {formed} products, "
                 f"exceeding cap {SUPPORT_CAP}; use a smaller depth")
         # left-multiply each depth-1 matrix onto the accumulated products

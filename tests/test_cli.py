@@ -37,6 +37,10 @@ TINY_CHILD = {"p": 1, "field": "real", "mode": "finite-atom",
 # the mean matrix is a permutation: rho = 1, but not primitive
 PERMUTATION = {"p": 2, "field": "real", "mode": "finite-atom",
                "atoms": [{"prob": 1.0, "matrices": [[[0.0, 1.0], [1.0, 0.0]]]}]}
+# M = [[1e-4, 1], [1, 0]] is primitive, with eigenvalues near +1 and -1
+NEAR_CYCLIC = {"p": 2, "field": "real", "mode": "finite-atom",
+               "atoms": [{"prob": 1.0,
+                          "matrices": [[[5e-5, 0.5], [0.5, 0.0]]] * 2}]}
 UNIFORM = {"p": 2, "mode": "sampler", "sampler": {
     "family": "uniform", "params": {"n_children": 2, "low": 0.1, "high": 0.4}}}
 LOGNORMAL = {"p": 2, "mode": "sampler", "sampler": {
@@ -233,6 +237,30 @@ class TestCheck:
                      "--out", str(tmp_path / "o")])
         assert code == 2
         assert "cannot read model" in capsys.readouterr().err
+
+
+class TestNearCyclic:
+    """A primitive mean matrix whose second eigenvalue is close to the
+    Perron root in modulus still has its Perron data solved."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "near-cyclic.json"
+        path.write_text(json.dumps(NEAR_CYCLIC))
+        return str(path)
+
+    def test_check(self, path, tmp_path):
+        out = tmp_path / "check"
+        assert main(["check", "--model", path, "--alpha", "2",
+                     "--out", str(out)]) == 0
+        rows = json.loads((out / "conditions.json").read_text())
+        assert rows[0]["quantities"]["rho"] == pytest.approx(1 + 5e-5, rel=1e-8)
+        assert not any("unavailable" in note for row in rows
+                       for note in row["notes"])
+
+    def test_simulate(self, path, tmp_path):
+        assert main(["simulate", "--model", path, "--n", "3", "--replicates",
+                     "10", "--seed", "1", "--out", str(tmp_path / "sim")]) == 0
 
 
 class TestSimulate:
@@ -543,6 +571,13 @@ MALFORMED_MODELS = {
     "sampler-mean-overflow": {
         "p": 1, "mode": "sampler",
         "sampler": {"family": "lognormal", "params": {"n_children": 2, "mu": 800}}},
+    "fractional-p": dict(MODEL_C, p=2.5),
+    # the shapes are checked before any (N, p, p) array is allocated
+    "p-above-rows": dict(MODEL_A, p=1_000_000),
+    # a 10^10 x 10^10 mean matrix exceeds the address space: nothing is allocated
+    "sampler-p-unallocatable": {
+        "p": 10**10, "mode": "sampler",
+        "sampler": {"family": "uniform", "params": {"n_children": 2}}},
 }
 
 MALFORMED_SPECS = {
@@ -557,6 +592,7 @@ MALFORMED_SPECS = {
     "text-type": _spec(lambda d: _first_child(d).update(type="a")),
     "fractional-type": _spec(lambda d: _first_child(d).update(type=1.5)),
     "tilted-weight-overflow": _spec(lambda d: _first_child(d).update(disp=-1000)),
+    "fractional-p": _spec(lambda d: d.update(p=2.5)),
 }
 
 
@@ -686,7 +722,92 @@ FLAG_NAMED = {"check-n-max-0-complex": "--n-max", "estimate-n-max-0": "--n-max",
               "simulate-sampler-inf-high": "params.high",
               "simulate-sampler-low-above-high": "params.high",
               "simulate-sampler-fractional-n-children": "params.n_children",
-              "simulate-sampler-mean-inf": "sampler mean"}
+              "simulate-sampler-mean-inf": "sampler mean",
+              "model-fractional-p": "dimension p",
+              "spec-fractional-p": "dimension p"}
+
+# the stderr line of each case, tmp_path written {tmp}
+PINNED_ERRORS = {
+    "batch-bin-missing":
+        "error: [Errno 2] No such file or directory: '{tmp}/sim/batch.bin'",
+    "batch-meta-model-id-null": "error: batch metadata has no model_id",
+    "batch-meta-no-model-id": "error: batch metadata has no model_id",
+    "batch-meta-not-json":
+        "error: parse error in {tmp}/sim/batch_meta.json: Expecting property "
+        "name enclosed in double quotes: line 1 column 2 (char 1)",
+    "batch-truncated": "error: batch file has 363 bytes, its header implies 368",
+    "check-alpha-inf": "error: alpha must be > 1 and finite",
+    "check-alpha-nan": "error: alpha must be > 1 and finite",
+    "check-beta-7": "error: --beta must lie in (1, 2], got 7.0",
+    "check-epsilon-nan": "error: epsilon must be >= 0 and finite",
+    "check-lambda-nan": "error: lambda must be positive and finite",
+    "check-n-max-0": "error: --n-max must be >= 1",
+    "check-n-max-0-complex": "error: --n-max must be >= 1",
+    "estimate-alpha-nan": "error: alpha must be positive and finite",
+    "estimate-fresh-cap-negative": "error: population cap must be >= 1, got -1",
+    "estimate-lambda-nan": "error: lambda must be positive and finite",
+    "estimate-n-max-0": "error: --n-max must be >= 1",
+    "estimate-t-max-inf": "error: --t-min and --t-max must be positive and finite",
+    "mbrw-build-alpha-1": "error: alpha must be > 1 and finite",
+    "mbrw-build-alpha-nan": "error: alpha must be > 1 and finite",
+    "mbrw-build-epsilon-nan": "error: epsilon must be finite",
+    "mbrw-build-lambda-nan": "error: lambda must be positive and finite",
+    "mbrw-build-lambda-negative": "error: lambda must be positive and finite",
+    "mbrw-build-t-inf": "error: --t must be finite, got inf",
+    "mbrw-build-t-nan": "error: --t must be finite, got nan",
+    "model-atoms-number": "error: malformed model: 'int' object is not iterable",
+    "model-fractional-p": "error: dimension p must be an integer, got 2.5",
+    "model-matrices-number":
+        "error: malformed model: object of type 'int' has no len()",
+    "model-missing-matrices": "error: malformed model: missing key 'matrices'",
+    "model-missing-prob": "error: malformed model: missing key 'prob'",
+    "model-p-above-rows": "error: matrix has 1 rows, expected 1000000",
+    "model-row-number": "error: malformed model: object of type 'int' has no len()",
+    "model-sampler-mean-overflow":
+        "error: lognormal sampler mean params.n_children * E[entry] overflows "
+        "the float range",
+    "model-sampler-p-unallocatable":
+        "error: the 10000000000 x 10000000000 mean matrix cannot be allocated",
+    "model-sampler-text-n-children":
+        "error: sampler params.n_children must be a finite number, got 'x'",
+    "model-text-entry":
+        "error: malformed model: could not convert string to float: 'abc'",
+    "model-text-p":
+        "error: malformed model: invalid literal for int() with base 10: 'x'",
+    "model-text-prob": "error: malformed model: could not convert string to float: 'x'",
+    "report-not-rows": "error: malformed report: 'int' object is not subscriptable",
+    "report-row-incomplete": "error: malformed report: missing key 'verdict'",
+    "simulate-cap-0": "error: population cap must be >= 1, got 0",
+    "simulate-cap-negative": "error: population cap must be >= 1, got -1",
+    "simulate-sampler-fractional-n-children":
+        "error: sampler params.n_children must be an integer >= 1, got 2.7",
+    "simulate-sampler-inf-high":
+        "error: sampler params.high must be a finite number, got 'inf'",
+    "simulate-sampler-low-above-high":
+        "error: sampler requires 0 <= params.low <= params.high, got low=0.5, "
+        "high=0.1",
+    "simulate-sampler-mean-inf":
+        "error: lognormal sampler mean params.n_children * E[entry] overflows "
+        "the float range",
+    "simulate-sampler-nan-mu":
+        "error: sampler params.mu must be a finite number, got 'nan'",
+    "simulate-sampler-text-high":
+        "error: sampler params.high must be a finite number, got 'x'",
+    "simulate-sampler-text-mu":
+        "error: sampler params.mu must be a finite number, got 'abc'",
+    "spec-fractional-p": "error: dimension p must be an integer, got 2.5",
+    "spec-fractional-type": "error: child type 1.5 is not an integer in 1..2",
+    "spec-missing-children": "error: malformed spec: missing key 'children'",
+    "spec-missing-disp": "error: malformed spec: missing key 'disp'",
+    "spec-missing-offspring": "error: malformed spec: missing key 'offspring'",
+    "spec-missing-p": "error: malformed spec: missing key 'p'",
+    "spec-missing-prob": "error: malformed spec: missing key 'prob'",
+    "spec-missing-type": "error: malformed spec: missing key 'type'",
+    "spec-missing-types": "error: malformed spec: missing key 'types'",
+    "spec-text-type": "error: malformed spec: could not convert string to float: 'a'",
+    "spec-tilted-weight-overflow":
+        "error: tilted displacement weight exp(1000.0) overflows the float range",
+}
 
 
 class TestMalformedInput:
@@ -701,6 +822,14 @@ class TestMalformedInput:
         assert len(lines) == 1 and lines[0].startswith("error: "), err
         flag = FLAG_NAMED.get(case)
         assert flag is None or flag in lines[0], err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+    def test_message_pinned(self, case, tmp_path, capsys):
+        argv = MALFORMED_INPUTS[case](tmp_path)
+        capsys.readouterr()
+        assert main(argv) == 2
+        want = PINNED_ERRORS[case].replace("{tmp}", str(tmp_path))
+        assert capsys.readouterr().err == want + "\n"
 
 
 class TestUsage:

@@ -7,8 +7,9 @@ from matcascade.conditions import (check_alpha_moments, check_complex,
                                    check_harmonic, exponential_profile,
                                    positive_column_probability)
 from matcascade import conditions
-from matcascade.model import CascadeModel, ModelError, normalize_model, scale_model
-from matcascade.spectral import SpectralError, n_step_moment_matrix, perron
+from matcascade.model import (CascadeModel, MatcascadeError, normalize_model,
+                              scale_model)
+from matcascade.spectral import n_step_moment_matrix, perron
 from conftest import make_model
 
 
@@ -81,7 +82,7 @@ class TestAlphaMoment:
         m = CascadeModel(p=1, mode="sampler", field_kind="real",
                          sampler={"family": "uniform",
                                   "params": {"n_children": 2}})
-        with pytest.raises(ModelError):
+        with pytest.raises(MatcascadeError, match="requires a finite-atom model"):
             check_alpha_moments(m, [2])[0]
 
 
@@ -208,7 +209,7 @@ class TestSharedMeasures:
 
         def failing(mat):
             if np.array_equal(mat, bad):
-                raise SpectralError("planted failure")
+                raise MatcascadeError("planted failure")
             return perron(mat)
 
         monkeypatch.setattr(conditions, "perron", failing)
@@ -228,7 +229,7 @@ class TestSharedMeasures:
         assert built_depths == [4]
 
     def test_any_alpha_out_of_range_rejected(self, model_c):
-        with pytest.raises(ModelError, match="alpha must be > 1"):
+        with pytest.raises(MatcascadeError, match="alpha must be > 1"):
             check_alpha_moments(model_c, [2, 1.0])
 
 
@@ -383,7 +384,7 @@ class TestComplexCase:
 
         def failing(mat):
             if np.array_equal(mat, bad):
-                raise SpectralError("planted failure")
+                raise MatcascadeError("planted failure")
             return perron(mat)
 
         monkeypatch.setattr(conditions, "perron", failing)
@@ -397,7 +398,7 @@ class TestComplexCase:
         assert rep.notes == ["rho_hat(1.5) unavailable: planted failure"]
 
     def test_real_model_rejected(self, model_a):
-        with pytest.raises(ModelError):
+        with pytest.raises(MatcascadeError, match="requires a complex-mode model"):
             check_complex(model_a, 2)
 
     def test_report_serializes(self, model_c):

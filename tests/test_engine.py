@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from matcascade import engine
-from matcascade.engine import (SimulationError, batch_from_binary,
-                               batch_to_binary, batch_to_csv, replicate_rng,
-                               simulate_batch, _sampler_draw)
-from matcascade.model import model_from_dict, normalize_model, tilt_model
+from matcascade.engine import (batch_from_binary, batch_to_binary, batch_to_csv,
+                               replicate_rng, simulate_batch, _sampler_draw)
+from matcascade.model import (MatcascadeError, model_from_dict, normalize_model,
+                              tilt_model)
 from matcascade.spectral import moment_matrix, perron
 from conftest import make_model, random_primitive_model, reference_fold
 
@@ -394,9 +394,9 @@ class TestExtinctionAndCap:
         assert traj[-1].capped[0]
 
     def test_bad_arguments(self, model_a):
-        with pytest.raises(SimulationError):
+        with pytest.raises(MatcascadeError, match="n must be >= 0"):
             simulate_batch(model_a, -1, 10, 0)
-        with pytest.raises(SimulationError):
+        with pytest.raises(MatcascadeError, match="replicates must be >= 1"):
             simulate_batch(model_a, 2, 0, 0)
 
     @pytest.mark.parametrize("cap", [0, -1])
@@ -404,7 +404,7 @@ class TestExtinctionAndCap:
         # at cap = -1 a root without children would breach it, and be
         # flagged capped rather than extinct
         model = make_model(1, [(0.5, []), (0.5, [[[1.0]]])])
-        with pytest.raises(SimulationError, match="cap"):
+        with pytest.raises(MatcascadeError, match="cap"):
             simulate_batch(model, 3, 8, 1, cap=cap)
 
 
@@ -547,7 +547,7 @@ class TestSerialization:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(SimulationError, match="magic"):
+        with pytest.raises(MatcascadeError, match="magic"):
             batch_from_binary(str(path))
 
     @pytest.mark.parametrize("keep", [28, -8, -1])
@@ -558,7 +558,7 @@ class TestSerialization:
         blob = path.read_bytes()
         assert len(blob) == 28 + 3 + 8 * 3 * 2
         path.write_bytes(blob[:keep])
-        with pytest.raises(SimulationError, match=f"{len(blob[:keep])} bytes"):
+        with pytest.raises(MatcascadeError, match=f"{len(blob[:keep])} bytes"):
             batch_from_binary(str(path))
 
 

@@ -3,11 +3,11 @@ import pytest
 
 from matcascade import estimate
 from matcascade.engine import SampleBatch, simulate_batch
-from matcascade.estimate import (EstimateError, TailPoint, estimate_harmonic,
-                                 estimate_laplace, estimate_moment,
-                                 fit_power_decay, fit_stretched_exponential,
-                                 fixed_point_check, tail_curve, tail_slope_test)
-from matcascade.model import model_from_dict
+from matcascade.estimate import (TailPoint, estimate_harmonic, estimate_laplace,
+                                 estimate_moment, fit_power_decay,
+                                 fit_stretched_exponential, fixed_point_check,
+                                 tail_curve, tail_slope_test)
+from matcascade.model import MatcascadeError, model_from_dict
 from conftest import make_model
 
 
@@ -48,14 +48,27 @@ class TestMoment:
         est = estimate_moment(synthetic_batch(vals), 2)
         assert est.heavy_tail_flag
 
+    def test_infinite_term_flagged(self):
+        # 2^1100 overflows: the sample mean is inf, and the flag must say so
+        vals = np.ones(100)
+        vals[0] = 2.0
+        est = estimate_moment(synthetic_batch(vals), 1100)
+        assert est.point == np.inf and est.heavy_tail_flag
+
+    def test_overflowing_sum_judged_by_share(self):
+        heavy = np.concatenate([np.full(10, 1e308), np.ones(1000)])
+        assert estimate._heavy_tail_flag(heavy)
+        # 1000 equal terms: the top 10 carry 1 %, though the sum overflows
+        assert not estimate._heavy_tail_flag(np.full(1000, 1e306))
+
     def test_excludes_capped(self, model_a):
         batch = simulate_batch(model_a, 8, 5, 1, cap=10)
-        with pytest.raises(EstimateError, match="empty"):
+        with pytest.raises(MatcascadeError, match="empty"):
             estimate_moment(batch, 2)
 
     def test_bad_alpha(self, model_a):
         batch = simulate_batch(model_a, 2, 10, 0)
-        with pytest.raises(EstimateError):
+        with pytest.raises(MatcascadeError, match="alpha must be positive"):
             estimate_moment(batch, 0)
 
 
@@ -78,9 +91,9 @@ class TestHarmonic:
 
     def test_bad_projection(self, model_c):
         batch = simulate_batch(model_c, 3, 10, 0)
-        with pytest.raises(EstimateError):
+        with pytest.raises(MatcascadeError, match="y must be nonnegative and nonzero"):
             estimate_harmonic(batch, 1.0, [0.0, 0.0])
-        with pytest.raises(EstimateError):
+        with pytest.raises(MatcascadeError, match="y must be nonnegative and nonzero"):
             estimate_harmonic(batch, 1.0, [-1.0, 1.0])
 
 
@@ -99,7 +112,7 @@ class TestLaplace:
 
     def test_empty_grid(self, model_c):
         batch = simulate_batch(model_c, 2, 10, 0)
-        with pytest.raises(EstimateError):
+        with pytest.raises(MatcascadeError, match="empty grid"):
             estimate_laplace(batch, [])
 
 
@@ -149,7 +162,7 @@ class TestDecayFits:
         assert fit.r2_flag
 
     def test_too_few_points(self):
-        with pytest.raises(EstimateError, match="grid points"):
+        with pytest.raises(MatcascadeError, match="grid points"):
             fit_power_decay(power_curve(2.0, n_pts=3))
 
 
@@ -175,7 +188,7 @@ class TestTailCurve:
 
     def test_bad_grid(self, model_a):
         batch = simulate_batch(model_a, 2, 10, 0)
-        with pytest.raises(EstimateError):
+        with pytest.raises(MatcascadeError, match="x grid must be positive"):
             tail_curve(batch, [1.0], [0.5, 0.4], lam=1.0)
 
 
@@ -199,7 +212,7 @@ class TestTailSlope:
         assert drift and slope < 0 and pvalue < 0.05
 
     def test_too_few_points(self):
-        with pytest.raises(EstimateError):
+        with pytest.raises(MatcascadeError, match="too few resolvable points"):
             tail_slope_test(self.points_from_ratio([0.1, 0.2], [1.0, 1.0]))
 
 
@@ -248,5 +261,5 @@ class TestFixedPoint:
 
         monkeypatch.setattr(estimate, "simulate_batch", no_simulation)
         model = make_model(1, [(1.0, [[[0.5j]], [[0.5]]])], field_kind="complex")
-        with pytest.raises(EstimateError, match="real-mode"):
+        with pytest.raises(MatcascadeError, match="real-mode"):
             fixed_point_check(model, 3, 100, 1)

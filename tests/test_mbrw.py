@@ -9,7 +9,7 @@ from matcascade import mbrw
 from matcascade.cli import main
 from matcascade.conditions import check_harmonic
 from matcascade.engine import simulate_batch
-from matcascade.model import ModelError, validate_model
+from matcascade.model import MatcascadeError, validate_model
 from matcascade.spectral import moment_matrix, perron
 from matcascade.mbrw import (build_cascade_from_mbrw, load_mbrw_spec,
                              mbrw_condition_report, mbrw_spectral,
@@ -79,19 +79,19 @@ class TestSpecLoading:
             {"offspring": [{"prob": 1.0,
                             "children": [{"type": 1, "disp": 0.0}]}]},
         ]}
-        with pytest.raises(ModelError, match="offspring-count law"):
+        with pytest.raises(MatcascadeError, match="offspring-count law"):
             spec_from_dict(bad)
 
     def test_probability_sum_checked(self):
         bad = {"p": 1, "types": [{"offspring": [
             {"prob": 0.7, "children": [{"type": 1, "disp": 0.0}]}]}]}
-        with pytest.raises(ModelError, match="sum"):
+        with pytest.raises(MatcascadeError, match="sum"):
             spec_from_dict(bad)
 
     def test_child_type_range(self):
         bad = {"p": 1, "types": [{"offspring": [
             {"prob": 1.0, "children": [{"type": 2, "disp": 0.0}]}]}]}
-        with pytest.raises(ModelError, match="type"):
+        with pytest.raises(MatcascadeError, match="type"):
             spec_from_dict(bad)
 
 

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matcascade.model import (NORM_CONVENTION, ModelError, load_model,
+from matcascade.model import (NORM_CONVENTION, MatcascadeError, load_model,
                               model_from_dict, model_to_dict, normalize_model,
                               primitivity, save_model, scale_model, tilt_model,
                               validate_model)
 from matcascade.mbrw import build_cascade_from_mbrw, spec_from_dict
-from matcascade.spectral import SpectralError, moment_matrix, perron
+from matcascade.spectral import moment_matrix, perron
 from conftest import make_model, random_primitive_model
 
 
@@ -55,19 +55,19 @@ class TestLoad:
 
     def test_negative_entry_rejected(self, tmp_path):
         doc = {"p": 1, "atoms": [{"prob": 1.0, "matrices": [[[-0.1]]]}]}
-        with pytest.raises(ModelError, match="negative entry"):
+        with pytest.raises(MatcascadeError, match="negative entry"):
             load_model(write_model(tmp_path, doc))
 
     def test_parse_error(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
-        with pytest.raises(ModelError, match="parse error"):
+        with pytest.raises(MatcascadeError, match="parse error"):
             load_model(str(path))
 
     def test_probability_sum_off(self, tmp_path):
         doc = {"p": 1, "atoms": [{"prob": 0.6, "matrices": [[[0.5]]]},
                                  {"prob": 0.5, "matrices": [[[0.5]]]}]}
-        with pytest.raises(ModelError, match="sum"):
+        with pytest.raises(MatcascadeError, match="sum"):
             load_model(write_model(tmp_path, doc))
 
     def test_tiny_probability_drift_renormalized(self, tmp_path):
@@ -79,7 +79,7 @@ class TestLoad:
 
     def test_dimension_mismatch(self, tmp_path):
         doc = {"p": 2, "atoms": [{"prob": 1.0, "matrices": [[[0.5]]]}]}
-        with pytest.raises(ModelError):
+        with pytest.raises(MatcascadeError, match="matrix has 1 rows, expected 2"):
             load_model(write_model(tmp_path, doc))
 
     def test_n_zero_atom_accepted(self):
@@ -97,7 +97,7 @@ class TestLoad:
     def test_negative_sampler_parameter_rejected(self, family, param):
         doc = {"p": 1, "mode": "sampler", "sampler": {
             "family": family, "params": {"n_children": 2, param: -0.1}}}
-        with pytest.raises(ModelError, match=param):
+        with pytest.raises(MatcascadeError, match=param):
             model_from_dict(doc)
 
     def test_sampler_params_parsed(self):
@@ -233,7 +233,8 @@ class TestNormalize:
 
     def test_non_primitive_rejected(self):
         m = make_model(2, [(1.0, [[[0.0, 1.0], [1.0, 0.0]]])])
-        with pytest.raises(ModelError):
+        with pytest.raises(MatcascadeError,
+                           match="cannot normalize: matrix is not primitive"):
             normalize_model(m)
 
     @given(c=st.floats(min_value=0.01, max_value=100.0), seed=st.integers(0, 500))
@@ -283,7 +284,7 @@ class TestTiltModel:
     @pytest.mark.parametrize("t", [0.0, -1.0])
     def test_zero_entry_nonpositive_power_rejected(self, t):
         m = make_model(2, [(1.0, [[[0.0, 0.5], [0.5, 0.5]]])])
-        with pytest.raises(SpectralError, match="zero entry"):
+        with pytest.raises(MatcascadeError, match="zero entry"):
             tilt_model(m, t)
 
 

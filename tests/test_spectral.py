@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matcascade import spectral
-from matcascade.model import ModelError
-from matcascade.spectral import (IntensityMeasure, SpectralError, intensity_measure,
-                                 matrix_norm, moment_matrix, n_step_moment_matrix,
-                                 perron)
+from matcascade.model import MatcascadeError, offspring_law
+from matcascade.spectral import (IntensityMeasure, intensity_measure, matrix_norm,
+                                 moment_matrix, n_step_moment_matrix, perron)
 from matcascade.mbrw import build_cascade_from_mbrw, spec_from_dict
 from conftest import (brute_force_moment_matrix, eig_perron_oracle, make_model,
                       random_primitive_model, reference_intensity_measure,
@@ -42,16 +41,36 @@ class TestPerron:
         assert t.residual <= 1e-10
 
     def test_non_primitive_rejected(self):
-        with pytest.raises(SpectralError, match="primitive"):
+        with pytest.raises(MatcascadeError, match="primitive"):
             perron(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
     def test_negative_rejected(self):
-        with pytest.raises(SpectralError):
+        with pytest.raises(MatcascadeError, match="negative entries"):
             perron(np.array([[-1.0]]))
 
     def test_non_square_rejected(self):
-        with pytest.raises(SpectralError):
+        with pytest.raises(MatcascadeError, match="square matrix"):
             perron(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("mat", [
+        [[1e-4, 1.0], [1.0, 0.0]], [[1e-5, 1.0], [1.0, 0.0]],
+        [[1e-6, 1.0], [1.0, 0.0]],
+        [[1e-6, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]],
+        [[1.0, 1e-5], [4e-5, 1.0]]])
+    def test_second_eigenvalue_near_rho_in_modulus(self, mat):
+        # near-cyclic (second eigenvalue near -rho or rho e^{2 pi i/3}) and
+        # nearly reducible (near +rho): plain iteration does not converge
+        t = perron(np.array(mat))
+        rho, u, v = eig_perron_oracle(mat)
+        assert t.rho == pytest.approx(rho, rel=1e-12)
+        np.testing.assert_allclose(t.u, u, atol=1e-10)
+        np.testing.assert_allclose(t.v, v, atol=1e-10)
+
+    def test_slow_but_converging_plain_iteration_kept(self):
+        # within the plain budget: the same steps, and bits, as ever
+        t = perron(np.array([[1e-2, 1.0], [1.0, 0.0]]))
+        assert t.iterations == 2395
+        assert t.rho == 1.0050124999218766
 
     @pytest.mark.parametrize("x", [0.5, 1.0, 0.7320508075688772, 3.0, 1e300,
                                    1e-300, 5e-324])
@@ -94,7 +113,7 @@ class TestMomentMatrix:
 
     def test_negative_t_zero_entry_rejected(self):
         m = make_model(2, [(1.0, [[[0.5, 0.0], [0.5, 0.5]]])])
-        with pytest.raises(SpectralError, match="zero entry"):
+        with pytest.raises(MatcascadeError, match="zero entry"):
             moment_matrix(m, -1.0)
 
     def test_negative_t_positive_entries(self, model_c):
@@ -108,17 +127,24 @@ class TestMomentMatrix:
         np.testing.assert_allclose(moment_matrix(m, 2), [[0.5]], atol=1e-15)
 
 
+def _mean_offspring(model):
+    """E N, from the law of the child count."""
+    return sum(n * q for n, q in offspring_law(model.atoms).items())
+
+
 class TestIntensityMeasure:
     def test_model_a_depth2(self, model_a):
         nu = intensity_measure(model_a, 2)
         assert nu.weights.shape == (1,)
-        assert nu.total_weight == pytest.approx(4.0, abs=1e-12)
+        assert nu.weights.sum() == pytest.approx(_mean_offspring(model_a) ** 2,
+                                                 abs=1e-12)
         np.testing.assert_allclose(nu.matrices[0], [[0.25]], atol=0)
 
     def test_model_b_depth3(self, model_b):
         nu = intensity_measure(model_b, 3)
         assert len(nu.weights) == 1
-        assert nu.total_weight == pytest.approx(1.0, abs=1e-12)
+        assert nu.weights.sum() == pytest.approx(_mean_offspring(model_b) ** 3,
+                                                 abs=1e-12)
         np.testing.assert_allclose(nu.matrices[0],
                                    [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
@@ -136,7 +162,7 @@ class TestIntensityMeasure:
 
     def test_support_cap(self, model_c, monkeypatch):
         monkeypatch.setattr(spectral, "SUPPORT_CAP", 10)
-        with pytest.raises(ModelError, match="cap"):
+        with pytest.raises(MatcascadeError, match="cap"):
             intensity_measure(model_c, 4)
 
     def test_cap_counts_merged_support(self, model_a):
@@ -151,7 +177,7 @@ class TestIntensityMeasure:
         monkeypatch.setattr(spectral, "SUPPORT_CAP", 8)
         assert len(intensity_measure(model_c, 3).weights) == 8
         monkeypatch.setattr(spectral, "SUPPORT_CAP", 15)
-        with pytest.raises(ModelError, match="depth 4 would form 16 products"):
+        with pytest.raises(MatcascadeError, match="depth 4 would form 16 products"):
             intensity_measure(model_c, 4)
 
     @given(seed=st.integers(0, 300), n=st.integers(1, 3))
@@ -159,8 +185,8 @@ class TestIntensityMeasure:
     def test_total_weight_is_mean_offspring_power(self, seed, n):
         model = random_primitive_model(np.random.default_rng(seed))
         nu = intensity_measure(model, n)
-        assert nu.total_weight == pytest.approx(model.mean_offspring() ** n,
-                                                rel=1e-12)
+        assert nu.weights.sum() == pytest.approx(_mean_offspring(model) ** n,
+                                                 rel=1e-12)
 
 
 def _walk_model():
