@@ -4,9 +4,10 @@ Commands: check, simulate, estimate, mbrw-build, report.  check,
 simulate and estimate write a manifest (command line, hashes, seed,
 version) sufficient to reproduce their outputs bitwise.
 
-Exit codes: 0 ok, 1 usage, 2 bad input or I/O, 3 all replicates capped.
-Code 2 comes from one place, ``main``, which prints any MatcascadeError
-or OSError as a one-line ``error: ...`` message; a traceback means a bug.
+Exit codes: 0 ok, 1 usage, 2 bad input, I/O or memory, 3 all replicates
+capped.  Code 2 comes from one place, ``main``, which prints any
+MatcascadeError, OSError or MemoryError, raised in this process or in a
+worker, as a one-line ``error: ...`` message; a traceback means a bug.
 Scientific verdicts never change the exit code.
 """
 
@@ -27,7 +28,7 @@ from .model import (MatcascadeError, load_model, parses, read_json, save_model,
 from .conditions import (check_alpha_moments, check_complex, check_harmonic,
                          exponential_profile)
 from .engine import (batch_from_binary, batch_to_binary, batch_to_csv,
-                     simulate_batch, DEFAULT_CAP)
+                     process_count, simulate_batch, CHUNK, DEFAULT_CAP)
 from .estimate import (estimate_harmonic, estimate_laplace, estimate_moment,
                        fit_power_decay, fit_stretched_exponential)
 from .mbrw import build_cascade_from_mbrw, load_mbrw_spec, mbrw_condition_report
@@ -114,12 +115,12 @@ def cmd_simulate(args):
     model = load_model(args.model)
     os.makedirs(args.out, exist_ok=True)
     batch = simulate_batch(model, args.n, args.replicates, args.seed,
-                           cap=args.cap)
+                           cap=args.cap, workers=args.workers)
     if batch.capped_count == batch.replicates:
         print("error: every replicate exceeded the population cap",
               file=sys.stderr)
         return EXIT_ALL_FAILED
-    batch_to_csv(batch, os.path.join(args.out, "batch.csv"))
+    batch_to_csv(batch, os.path.join(args.out, "batch.csv"), workers=args.workers)
     batch_to_binary(batch, os.path.join(args.out, "batch.bin"))
     meta = {
         "model_hash": model.source_hash,
@@ -131,7 +132,9 @@ def cmd_simulate(args):
         "field": batch.field_kind,
     }
     _write_json(os.path.join(args.out, "batch_meta.json"), meta)
-    _write_manifest(args.out, args, {"model_hash": meta["model_hash"]})
+    _write_manifest(args.out, args, {
+        "model_hash": meta["model_hash"],
+        "processes": process_count(batch.replicates, args.workers)})
     print(f"wrote {batch.replicates} replicates "
           f"({batch.extinct_count} extinct, {batch.capped_count} capped)")
     return EXIT_OK
@@ -276,9 +279,11 @@ def build_parser():
     ps.add_argument("--replicates", type=_count, required=True)
     ps.add_argument("--seed", type=int, required=True)
     ps.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    ps.add_argument("--workers", type=_count, default=1,
-                    help="accepted and ignored for now; output never "
-                         "depends on it")
+    ps.add_argument("--workers", type=_count, default=None,
+                    help="processes that simulate and format the rows, at "
+                         f"most one per usable core and per {CHUNK} "
+                         "replicates (default: the usable cores); output "
+                         "bytes never depend on it")
     ps.add_argument("--out", default="out-simulate")
     ps.set_defaults(func=cmd_simulate)
 
@@ -328,8 +333,8 @@ def main(argv=None):
     args.argv = sys.argv[1:] if argv is None else list(argv)  # for the manifest
     try:
         return args.func(args)
-    except (MatcascadeError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (MatcascadeError, OSError, MemoryError) as e:
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -25,10 +25,18 @@ the p-vectors back to the roots.  Every depth-n node carries V, so the
 depth-(n-1) nodes fold their child matrices against V itself and no
 depth-n leaf is ever built.  A node's arithmetic depends only on its
 own subtree, so results do not depend on the chunking.
+
+Given workers > 1, simulate_batch and batch_to_csv hand whole chunks to
+forked worker processes, at most one per usable core and per chunk
+(process_count), and gather the results in chunk order; a run of at
+most one chunk, or a platform without fork, stays in-process.  Every
+chunk is keyed and formatted as in one process, so the values and the
+bytes written never depend on the worker count.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -230,8 +238,73 @@ def _run_chunk(model, n, rngs, v, cap, identity_root):
     return y, extinct, capped
 
 
+def usable_cores():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def process_count(replicates, workers=1):
+    """Processes that a run over `replicates` rows uses when `workers`
+    are asked for (None: the usable cores): at most one per usable core
+    and per CHUNK of rows, and one where the platform cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    cores = usable_cores()
+    return min(cores if workers is None else workers, cores, -(-replicates // CHUNK))
+
+
+_task = None  # the function forked workers apply to their shards
+
+
+def _call_task(shard):
+    return _task(shard)
+
+
+def _in_workers(fn, shards, processes):
+    """Yield fn(shard) for each shard, in shard order.
+
+    With at most one process this is map.  Otherwise forked workers
+    inherit fn through the module global _task, so only shards and
+    results are pickled, and at most two shards per worker are in flight
+    beyond the one yielded next, which bounds the results the parent
+    holds.  A worker's exception is raised here; a worker that dies
+    raises MatcascadeError.  No worker outlives the generator.
+    """
+    if processes <= 1:
+        yield from map(fn, shards)
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # fork, not spawn: a worker inherits fn with its model and arrays
+    # instead of importing numpy again, and calls no BLAS routine, whose
+    # threads are the only ones the parent may hold (the pool forks its
+    # workers before it starts its own thread)
+    global _task
+    _task = fn
+    pool = ProcessPoolExecutor(processes,
+                               mp_context=multiprocessing.get_context("fork"))
+    try:
+        pending = []
+        for shard in shards:
+            pending.append(pool.submit(_call_task, shard))
+            if len(pending) > 2 * processes:
+                yield pending.pop(0).result()
+        while pending:
+            yield pending.pop(0).result()
+    except BrokenProcessPool as e:
+        raise MatcascadeError(f"a worker process died: {e}") from None
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+        _task = None
+
+
 def simulate_batch(model, n, replicates, master_seed, cap=DEFAULT_CAP,
-                   identity_root=False):
+                   identity_root=False, workers=1):
     """R independent draws of the depth-n martingale value Y_n.
 
     Replicate r draws from its own stream, keyed by (master_seed, r).
@@ -252,6 +325,9 @@ def simulate_batch(model, n, replicates, master_seed, cap=DEFAULT_CAP,
     the identity, whatever law drew them, with the same offspring law and
     the same draws (the seeded corruption of the fixed-point check).  The
     tilted martingale is this recursion run on model.tilt_model(model, t).
+
+    workers (None: the usable cores) caps the processes that simulate
+    the chunks (process_count); the batch does not depend on it.
     """
     if n < 0:
         raise MatcascadeError("n must be >= 0")
@@ -265,13 +341,21 @@ def simulate_batch(model, n, replicates, master_seed, cap=DEFAULT_CAP,
     extinct = np.zeros(replicates, dtype=bool)
     capped = np.zeros(replicates, dtype=bool)
 
-    rngs = [None] * min(CHUNK, replicates)  # built for the first chunk, then re-keyed
-    for start in range(0, replicates, CHUNK):
+    # each process builds the generators of its first chunk, then re-keys them
+    rngs = [None] * min(CHUNK, replicates)
+
+    def run(start):
         stop = min(start + CHUNK, replicates)
-        rngs = [replicate_rng(master_seed, r, rng)
-                for r, rng in zip(range(start, stop), rngs)]
-        values[start:stop], extinct[start:stop], capped[start:stop] = _run_chunk(
-            model, n, rngs, v, cap, identity_root)
+        for i, r in enumerate(range(start, stop)):
+            rngs[i] = replicate_rng(master_seed, r, rngs[i])
+        return _run_chunk(model, n, rngs[:stop - start], v, cap, identity_root)
+
+    done = 0  # replicates gathered so far
+    for y, e, c in _in_workers(run, range(0, replicates, CHUNK),
+                               process_count(replicates, workers)):
+        rows = slice(done, done + len(y))
+        values[rows], extinct[rows], capped[rows] = y, e, c
+        done += len(y)
     return SampleBatch(model_id=model.content_hash(), n=n, replicates=replicates,
                        values=values, master_seed=master_seed,
                        field_kind=model.field_kind, extinct=extinct, capped=capped)
@@ -285,11 +369,13 @@ def _float_columns(values):
     return np.ascontiguousarray(values).view(np.float64)
 
 
-def batch_to_csv(batch, path):
+def batch_to_csv(batch, path, workers=1):
     """CSV: replicate, extinct_flag, capped_flag, then Y columns.
 
     Complex batches write re/im column pairs.  Floats use repr so a
-    rerun with identical flags reproduces the file bytes.
+    rerun with identical flags reproduces the file bytes.  workers (None:
+    the usable cores) caps the processes that format the rows
+    (process_count); the bytes do not depend on it.
     """
     p = batch.p
     if np.iscomplexobj(batch.values):
@@ -298,15 +384,20 @@ def batch_to_csv(batch, path):
         cols = [f"Y{j+1}" for j in range(p)]
     columns = _float_columns(batch.values)
     row = "%d,%d,%d" + ",%r" * columns.shape[1] + "\n"
+
+    def text(start):
+        block = slice(start, start + CHUNK)
+        rows = zip(range(start, batch.replicates), batch.extinct[block].tolist(),
+                   batch.capped[block].tolist(), *columns[block].T.tolist())
+        return "".join(row % r for r in rows)
+
     with open(path, "w", encoding="utf-8") as f:
         f.write("replicate,extinct,capped," + ",".join(cols) + "\n")
         # rows become Python floats and text one chunk at a time, to bound
-        # memory, and each chunk goes to the file in one write
-        for start in range(0, batch.replicates, CHUNK):
-            block = slice(start, start + CHUNK)
-            rows = zip(range(start, batch.replicates), batch.extinct[block].tolist(),
-                       batch.capped[block].tolist(), *columns[block].T.tolist())
-            f.write("".join(row % r for r in rows))
+        # memory, and each chunk goes to the file in one write, in order
+        for chunk in _in_workers(text, range(0, batch.replicates, CHUNK),
+                                 process_count(batch.replicates, workers)):
+            f.write(chunk)
 
 
 def batch_to_binary(batch, path):

@@ -2,15 +2,19 @@ import copy
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 
 import pytest
 
+from matcascade import engine, spectral
 from matcascade.cli import main
-from matcascade.model import load_model, model_from_dict, model_to_dict, scale_model
+from matcascade.model import (MatcascadeError, load_model, model_from_dict,
+                              model_to_dict, scale_model)
 
 MODEL_A = {"p": 1, "field": "real", "mode": "finite-atom",
            "atoms": [{"prob": 1.0, "matrices": [[[0.5]], [[0.5]]]}]}
@@ -293,6 +297,28 @@ class TestSimulate:
         main(["simulate", "--model", model_c_path, "--n", "4", "--replicates",
               "50", "--seed", "3", "--workers", "8", "--out", str(o2)])
         assert (o1 / "batch.bin").read_bytes() == (o2 / "batch.bin").read_bytes()
+
+    def test_default_workers_bytes_equal_one_worker(self, tmp_path, monkeypatch):
+        # three chunks over two forked workers by default, whatever the machine
+        monkeypatch.setattr(engine, "usable_cores", lambda: 2)
+        model = tmp_path / "model-r.json"
+        model.write_text(json.dumps(MODEL_R))
+        runs = {}
+        for name, flags in (("one", ["--workers", "1"]), ("default", [])):
+            out = tmp_path / name
+            assert main(["simulate", "--model", str(model), "--n", "5",
+                         "--replicates", str(2 * engine.CHUNK + 17), "--seed", "3",
+                         *flags, "--out", str(out)]) == 0
+            runs[name] = out
+        assert multiprocessing.active_children() == []
+        for name in ("batch.csv", "batch.bin"):
+            assert (runs["one"] / name).read_bytes() == (runs["default"] / name).read_bytes()
+        one, default = (json.loads((runs[k] / "manifest.json").read_text())
+                        for k in ("one", "default"))
+        assert (one["processes"], one["config"]["workers"]) == (1, 1)
+        # the default is recorded as null, so its config hash is the same
+        # on every machine; the processes used sit outside the config
+        assert (default["processes"], default["config"]["workers"]) == (2, None)
 
     def test_crlf_model_one_hash(self, tmp_path):
         # the batch is tagged with the hash of the file's bytes, as the manifest is
@@ -823,6 +849,24 @@ class TestMalformedInput:
         flag = FLAG_NAMED.get(case)
         assert flag is None or flag in lines[0], err
 
+    @pytest.mark.parametrize("message, want", [
+        ("Unable to allocate 74.5 GiB for an array with shape (1, 100000, 100000) "
+         "and data type float64",
+         "error: Unable to allocate 74.5 GiB for an array with shape "
+         "(1, 100000, 100000) and data type float64"),
+        ("", "error: out of memory")])
+    def test_memory_error_exit2_one_line(self, message, want, tmp_path, capsys,
+                                         monkeypatch):
+        # a childless model of large p: its mean matrix would take 74.5 GiB,
+        # so the allocation is planted rather than made
+        def unallocatable(weights, mats, t):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(spectral, "_power_sum", unallocatable)
+        argv = _check_model({"p": 100000, "atoms": [{"prob": 1.0, "matrices": []}]})
+        assert main(argv(tmp_path)) == 2
+        assert capsys.readouterr().err == want + "\n"
+
     @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
     def test_message_pinned(self, case, tmp_path, capsys):
         argv = MALFORMED_INPUTS[case](tmp_path)
@@ -830,6 +874,59 @@ class TestMalformedInput:
         assert main(argv) == 2
         want = PINNED_ERRORS[case].replace("{tmp}", str(tmp_path))
         assert capsys.readouterr().err == want + "\n"
+
+
+class TestWorkerFailure:
+    """A worker that fails ends simulate with exit 2 and one stderr line,
+    and leaves no process behind."""
+
+    @pytest.fixture(autouse=True)
+    def sharded(self, monkeypatch):
+        # eight chunks (the last holds one replicate) over two workers, and
+        # a failure rather than a hang if the run does not end
+        monkeypatch.setattr(engine, "CHUNK", 7)
+        monkeypatch.setattr(engine, "usable_cores", lambda: 2)
+
+        def hung(signum, frame):
+            pytest.fail("simulate did not end within 60 s")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    def planted(self):
+        raise MatcascadeError("planted failure")
+
+    def out_of_memory(self):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    def killed(self):
+        os._exit(1)
+
+    @pytest.mark.parametrize("fail, want", [
+        ("planted", "error: planted failure"),
+        ("out_of_memory", "error: Unable to allocate 74.5 GiB for an array"),
+        ("killed", "error: a worker process died: ")])
+    def test_exit2_one_line(self, fail, want, model_c_path, tmp_path, capfd,
+                            monkeypatch):
+        parent, run_chunk, fail = os.getpid(), engine._run_chunk, getattr(self, fail)
+
+        def failing(model, n, rngs, *rest):
+            if len(rngs) == 1 and os.getpid() != parent:
+                fail()
+            return run_chunk(model, n, rngs, *rest)
+
+        monkeypatch.setattr(engine, "_run_chunk", failing)
+        out = tmp_path / "o"
+        assert main(["simulate", "--model", model_c_path, "--n", "3",
+                     "--replicates", "50", "--seed", "1", "--out", str(out)]) == 2
+        # read at the file descriptor, so a worker's stderr would show too
+        err = capfd.readouterr().err
+        assert err.startswith(want) and err.count("\n") == 1, err
+        assert not (out / "batch.csv").exists()
+        assert multiprocessing.active_children() == []
 
 
 class TestUsage:

@@ -1,3 +1,6 @@
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -607,3 +610,70 @@ class TestReplicateStreams:
         monkeypatch.setattr(engine, "CHUNK", 4)
         simulate_batch(model_rand, 3, 10, 1)
         assert 0 < len(built) <= 4
+
+
+class TestWorkers:
+    """Chunks sharded over forked workers give the one-process batch and
+    file bytes, bit for bit."""
+
+    CASES = {
+        "finite-atom": lambda: (random_primitive_model(
+            np.random.default_rng(7), p=2, min_atoms=2), 4, 10**7),
+        "complex": lambda: (complex_model([0.5j, 0.25 + 0.25j, 0.1]), 3, 10**7),
+        "uniform-sampler": lambda: (model_from_dict(
+            {"p": 2, "mode": "sampler", "sampler": SAMPLERS["uniform"]}), 3, 10**7),
+        "extinct": lambda: (make_model(1, [(0.5, []), (0.5, [[[0.5]], [[0.5]]])]),
+                            6, 10**7),
+        "capped": lambda: (varying_offspring_model(), 6, 20),
+    }
+
+    @pytest.fixture(autouse=True)
+    def three_cores(self, monkeypatch):
+        # eight chunks of 7 replicates, and three cores whatever the machine
+        monkeypatch.setattr(engine, "CHUNK", 7)
+        monkeypatch.setattr(engine, "usable_cores", lambda: 3)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bitwise_equal_to_one_process(self, case, tmp_path):
+        model, n, cap = self.CASES[case]()
+        files = {}
+        for workers in (1, 2, 3):
+            batch = simulate_batch(model, n, 50, 4, cap=cap, workers=workers)
+            csv, binary = tmp_path / f"{workers}.csv", tmp_path / f"{workers}.bin"
+            batch_to_csv(batch, str(csv), workers=workers)
+            batch_to_binary(batch, str(binary))
+            files[workers] = (batch, csv.read_bytes(), binary.read_bytes())
+        one, csv1, bin1 = files[1]
+        if case == "extinct":
+            assert 0 < one.extinct_count < 50
+        if case == "capped":
+            assert 0 < one.capped_count < 50
+        for batch, csv, binary in (files[2], files[3]):
+            assert batch.values.tobytes() == one.values.tobytes()
+            np.testing.assert_array_equal(batch.extinct, one.extinct)
+            np.testing.assert_array_equal(batch.capped, one.capped)
+            assert csv == csv1 and binary == bin1
+
+    @pytest.mark.parametrize("replicates, workers, forked", [
+        (50, 3, 3), (50, None, 3), (15, 8, 3), (14, 8, 2), (7, 8, 0), (50, 1, 0)])
+    def test_process_count(self, replicates, workers, forked, monkeypatch, tmp_path):
+        # every chunk, in this process or a worker, logs its process id
+        log, run_chunk = tmp_path / "pids", engine._run_chunk
+
+        def logging_pid(*args):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            return run_chunk(*args)
+
+        monkeypatch.setattr(engine, "_run_chunk", logging_pid)
+        assert engine.process_count(replicates, workers) == max(forked, 1)
+        simulate_batch(random_primitive_model(np.random.default_rng(1), p=2),
+                       2, replicates, 1, workers=workers)
+        pids = set(map(int, log.read_text().split()))
+        # a run of at most one chunk, or on one worker, stays in this process;
+        # otherwise only workers simulate, and a worker may take more chunks
+        if forked == 0:
+            assert pids == {os.getpid()}
+        else:
+            assert os.getpid() not in pids and len(pids) <= forked
+        assert multiprocessing.active_children() == []
