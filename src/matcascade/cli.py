@@ -2,7 +2,11 @@
 
 Commands: check, simulate, estimate, mbrw-build, report.  check,
 simulate and estimate write a manifest (command line, hashes, seed,
-version) sufficient to reproduce their outputs bitwise.
+version) sufficient to reproduce their outputs bitwise.  simulate and
+estimate --fresh draw through one step, _draw, on the usable cores
+unless simulate --workers says otherwise; simulate's batch_meta.json
+records where its batch came from, and estimate --batch checks it
+against the model and batch.bin.
 
 Exit codes: 0 ok, 1 usage, 2 bad input, I/O or memory, 3 all replicates
 capped.  Code 2 comes from one place, ``main``, which prints any
@@ -111,25 +115,32 @@ def cmd_check(args):
     return EXIT_OK
 
 
+def _draw(model, args, workers=None):
+    """simulate's and estimate --fresh's batch (workers None: the usable
+    cores), or None, after one stderr line, if every replicate is capped."""
+    batch = simulate_batch(model, args.n, args.replicates, args.seed,
+                           cap=args.cap, workers=workers)
+    if batch.capped_count < batch.replicates:
+        return batch
+    print("error: every replicate exceeded the population cap", file=sys.stderr)
+
+
 def cmd_simulate(args):
     model = load_model(args.model)
     os.makedirs(args.out, exist_ok=True)
-    batch = simulate_batch(model, args.n, args.replicates, args.seed,
-                           cap=args.cap, workers=args.workers)
-    if batch.capped_count == batch.replicates:
-        print("error: every replicate exceeded the population cap",
-              file=sys.stderr)
+    batch = _draw(model, args, args.workers)
+    if batch is None:
         return EXIT_ALL_FAILED
     batch_to_csv(batch, os.path.join(args.out, "batch.csv"), workers=args.workers)
     batch_to_binary(batch, os.path.join(args.out, "batch.bin"))
     meta = {
         "model_hash": model.source_hash,
-        "model_id": batch.model_id,
+        "model_id": model.content_hash(),
         "n": batch.n, "replicates": batch.replicates,
-        "seed": batch.master_seed,
+        "seed": args.seed,
         "extinct_count": batch.extinct_count,
         "capped_count": batch.capped_count,
-        "field": batch.field_kind,
+        "field": model.field_kind,
     }
     _write_json(os.path.join(args.out, "batch_meta.json"), meta)
     _write_manifest(args.out, args, {
@@ -146,8 +157,9 @@ def cmd_estimate(args):
     model = load_model(args.model)
     os.makedirs(args.out, exist_ok=True)
     if args.fresh:
-        batch = simulate_batch(model, args.n, args.replicates, args.seed,
-                               cap=args.cap)
+        batch = _draw(model, args)
+        if batch is None:
+            return EXIT_ALL_FAILED
     else:
         _, meta = read_json(os.path.join(args.batch, "batch_meta.json"),
                             "batch metadata")
@@ -156,12 +168,17 @@ def cmd_estimate(args):
         model_id = meta.get("model_id")
         if not isinstance(model_id, str) or not model_id:
             raise MatcascadeError("batch metadata has no model_id")
-        batch = batch_from_binary(os.path.join(args.batch, "batch.bin"),
-                                  model_id=model_id,
-                                  master_seed=meta.get("seed", -1))
-    if batch.model_id != model.content_hash():
-        raise MatcascadeError("batch was produced from a different model "
-                              "(hash mismatch); re-simulate or pass --fresh")
+        if model_id != model.content_hash():
+            raise MatcascadeError("batch was produced from a different model "
+                                  "(hash mismatch); re-simulate or pass --fresh")
+        batch = batch_from_binary(os.path.join(args.batch, "batch.bin"))
+        if (batch.n, batch.replicates) != (meta.get("n"), meta.get("replicates")):
+            raise MatcascadeError(
+                f"batch.bin holds n={batch.n}, R={batch.replicates}; batch_meta.json "
+                f"says n={meta.get('n')}, R={meta.get('replicates')}")
+        if batch.p != model.p:
+            raise MatcascadeError(
+                f"batch.bin holds p={batch.p}; the model has p={model.p}")
 
     out = {"n": batch.n, "replicates": batch.replicates}
     # the exact side checks need a finite-atom real model

@@ -24,7 +24,9 @@ canonical (replicate, parent, child) order), and a bottom-up pass folds
 the p-vectors back to the roots.  Every depth-n node carries V, so the
 depth-(n-1) nodes fold their child matrices against V itself and no
 depth-n leaf is ever built.  A node's arithmetic depends only on its
-own subtree, so results do not depend on the chunking.
+own subtree, so results do not depend on the chunking.  A SampleBatch
+holds the draw alone (n, values and the extinct and capped flags); its
+provenance is the caller's to record.
 
 Given workers > 1, simulate_batch and batch_to_csv hand whole chunks to
 forked worker processes, at most one per usable core and per chunk
@@ -51,20 +53,21 @@ WINDOW = 16  # uniforms drawn per replicate up front, before any spill draws
 
 BATCH_MAGIC = b"MCSB"
 BATCH_VERSION = 1
+BATCH_HEADER = struct.Struct("<4sIIQIB3x")
 
 
 @dataclass
 class SampleBatch:
     """Replicated draws of the depth-n martingale value."""
 
-    model_id: str
     n: int
-    replicates: int
     values: np.ndarray  # (R, p), float or complex
-    master_seed: int
-    field_kind: str
     extinct: np.ndarray  # (R,) bool: tree died out before depth n
     capped: np.ndarray  # (R,) bool: population cap breached (values are NaN)
+
+    @property
+    def replicates(self):
+        return self.values.shape[0]
 
     @property
     def p(self):
@@ -356,9 +359,7 @@ def simulate_batch(model, n, replicates, master_seed, cap=DEFAULT_CAP,
         rows = slice(done, done + len(y))
         values[rows], extinct[rows], capped[rows] = y, e, c
         done += len(y)
-    return SampleBatch(model_id=model.content_hash(), n=n, replicates=replicates,
-                       values=values, master_seed=master_seed,
-                       field_kind=model.field_kind, extinct=extinct, capped=capped)
+    return SampleBatch(n=n, values=values, extinct=extinct, capped=capped)
 
 
 # ---------------------------------------------------------------------------
@@ -403,31 +404,29 @@ def batch_to_csv(batch, path, workers=1):
 def batch_to_binary(batch, path):
     """Compact binary layout.
 
-    Header: magic 'MCSB' (4 bytes), uint32 version, uint32 p, uint64 R,
-    uint32 n, uint8 field tag (0 real, 1 complex), 3 pad bytes; then R
-    flag bytes (bit 0 extinct, bit 1 capped); then the value matrix as
-    little-endian float64, row-major, re/im interleaved when complex.
+    Header (BATCH_HEADER, 28 bytes): magic 'MCSB', uint32 version, uint32 p,
+    uint64 R, uint32 n, uint8 field tag (0 real, 1 complex), 3 pad bytes;
+    then R flag bytes (bit 0 extinct, bit 1 capped); then the value matrix
+    as little-endian float64, row-major, re/im interleaved when complex.
     """
-    cx = np.iscomplexobj(batch.values)
-    header = BATCH_MAGIC + struct.pack(
-        "<IIQIB3x", BATCH_VERSION, batch.p, batch.replicates, batch.n, int(cx))
     flags = (batch.extinct.astype(np.uint8)
              | (batch.capped.astype(np.uint8) << 1))
     with open(path, "wb") as f:
-        f.write(header)
+        f.write(BATCH_HEADER.pack(BATCH_MAGIC, BATCH_VERSION, batch.p, batch.replicates,
+                                  batch.n, int(np.iscomplexobj(batch.values))))
         f.write(flags.tobytes())
         f.write(_float_columns(batch.values).astype("<f8").tobytes())
 
 
-def batch_from_binary(path, model_id="", master_seed=-1):
+def batch_from_binary(path):
     """Read a batch written by batch_to_binary; MatcascadeError unless the
     file is one, of exactly the length its header implies."""
     with open(path, "rb") as f:
         blob = f.read()
-    off = 28
+    off = BATCH_HEADER.size
     if len(blob) < off or blob[:4] != BATCH_MAGIC:
         raise MatcascadeError("not a batch file (bad magic or short header)")
-    version, p, r, n, cx = struct.unpack("<IIQIB", blob[4:25])
+    _, version, p, r, n, cx = BATCH_HEADER.unpack_from(blob)
     if version != BATCH_VERSION:
         raise MatcascadeError(f"unsupported batch version {version}")
     width = 2 * p if cx else p
@@ -436,11 +435,7 @@ def batch_from_binary(path, model_id="", master_seed=-1):
         raise MatcascadeError(
             f"batch file has {len(blob)} bytes, its header implies {expected}")
     flags = np.frombuffer(blob[off:off + r], dtype=np.uint8)
-    off += r
-    payload = np.frombuffer(blob[off:], dtype="<f8").reshape(r, width)
-    values = (payload.view(complex) if cx else payload).copy()
-    return SampleBatch(model_id=model_id, n=n, replicates=r, values=values,
-                       master_seed=master_seed,
-                       field_kind="complex" if cx else "real",
+    payload = np.frombuffer(blob[off + r:], dtype="<f8").reshape(r, width)
+    return SampleBatch(n=n, values=(payload.view(complex) if cx else payload).copy(),
                        extinct=(flags & 1).astype(bool),
                        capped=((flags >> 1) & 1).astype(bool))

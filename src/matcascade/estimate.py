@@ -158,6 +158,8 @@ def estimate_laplace(batch, t_grid):
     vals = batch.ok_values()
     if np.iscomplexobj(vals):
         raise MatcascadeError("Laplace estimator needs a real-mode batch")
+    if not len(vals):
+        raise MatcascadeError("empty batch")
     out = []
     for t in t_grid:
         if t.shape != (batch.p,):
@@ -235,6 +237,8 @@ def tail_curve(batch, y, x_grid, lam):
         raise MatcascadeError("x grid must be positive and increasing")
     proj, _ = _target_values(batch, np.asarray(y, dtype=float))
     n = proj.size
+    if n == 0:
+        raise MatcascadeError("empty batch")
     out = []
     for x in x_grid:
         k = int((proj <= x).sum())

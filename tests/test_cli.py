@@ -379,6 +379,60 @@ class TestEstimate:
         assert code == 2
         assert "hash mismatch" in capsys.readouterr().err
 
+    def test_model_checked_before_batch_bin(self, model_a_path, model_c_path,
+                                            tmp_path, capsys):
+        sim = tmp_path / "sim"
+        main(["simulate", "--model", model_a_path, "--n", "4",
+              "--replicates", "20", "--seed", "1", "--out", str(sim)])
+        (sim / "batch.bin").unlink()
+        code = main(["estimate", "--model", model_c_path, "--batch", str(sim),
+                     "--alpha", "2", "--out", str(tmp_path / "e")])
+        assert code == 2
+        assert "hash mismatch" in capsys.readouterr().err
+
+    def test_fresh_equals_simulate_then_batch(self, tmp_path, monkeypatch):
+        # one draw step: --fresh gives the bytes of simulate + --batch, and
+        # shards as simulate does (three chunks over two forked workers)
+        monkeypatch.setattr(engine, "usable_cores", lambda: 2)
+        processes = []
+        in_workers = engine._in_workers
+
+        def spy(fn, shards, count):
+            processes.append(count)
+            return in_workers(fn, shards, count)
+
+        monkeypatch.setattr(engine, "_in_workers", spy)
+        model = tmp_path / "model-r.json"
+        model.write_text(json.dumps(MODEL_R))
+        draw = ["--model", str(model), "--n", "5", "--seed", "5",
+                "--replicates", str(2 * engine.CHUNK + 17)]
+        flags = ["--alpha", "2", "--lambda", "1", "--laplace-fit"]
+        sim, batch, fresh = (tmp_path / k for k in ("sim", "batch", "fresh"))
+        assert main(["simulate", *draw, "--out", str(sim)]) == 0
+        assert main(["estimate", "--model", str(model), "--batch", str(sim),
+                     *flags, "--out", str(batch)]) == 0
+        assert main(["estimate", *draw, "--fresh", *flags,
+                     "--out", str(fresh)]) == 0
+        # simulate_batch and batch_to_csv of simulate, then simulate_batch of --fresh
+        assert processes == [2, 2, 2]
+        assert multiprocessing.active_children() == []
+        for name in ("estimates.json", "laplace_curve.csv",
+                     "power_fit_points.csv", "stretched_fit_points.csv"):
+            assert (batch / name).read_bytes() == (fresh / name).read_bytes()
+
+    def test_fresh_all_capped_exit3(self, model_a_path, tmp_path, capsys):
+        # the flags of TestSimulate.test_all_capped_exit3
+        draw = ["--model", model_a_path, "--n", "10", "--replicates", "5",
+                "--seed", "1", "--cap", "8"]
+        assert main(["simulate", *draw, "--out", str(tmp_path / "o")]) == 3
+        simulate_err = capsys.readouterr().err
+        out = tmp_path / "e"
+        assert main(["estimate", *draw, "--fresh", "--alpha", "2",
+                     "--laplace-fit", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == simulate_err == (
+            "error: every replicate exceeded the population cap\n")
+        assert list(out.iterdir()) == []
+
     def test_fresh_with_laplace_fit(self, model_c_path, tmp_path):
         out = tmp_path / "est"
         code = main(["estimate", "--model", model_c_path, "--fresh", "--n",
@@ -680,6 +734,19 @@ def _truncate(sim):
     (sim / "batch.bin").write_bytes(blob[:-5])
 
 
+def _foreign_bin(doc, n, replicates):
+    """Damage for _estimate_batch: batch.bin replaced by that of a seed-1
+    simulate run of doc at depth n."""
+    def damage(sim):
+        model, other = sim.parent / "foreign.json", sim.parent / "foreign"
+        model.write_text(json.dumps(doc))
+        assert main(["simulate", "--model", str(model), "--n", str(n),
+                     "--replicates", str(replicates), "--seed", "1",
+                     "--out", str(other)]) == 0
+        (sim / "batch.bin").write_bytes((other / "batch.bin").read_bytes())
+    return damage
+
+
 def _report(doc):
     def argv(tmp_path):
         path = tmp_path / "report.json"
@@ -720,6 +787,10 @@ MALFORMED_INPUTS = {
         lambda d: (d / "batch_meta.json").write_text("{}")),
     "batch-meta-model-id-null": _estimate_batch(
         lambda d: (d / "batch_meta.json").write_text('{"model_id": null}')),
+    # the metadata says n=3, R=20; batch.bin holds n=5, R=7
+    "batch-bin-other-n-r": _estimate_batch(_foreign_bin(MODEL_C, 5, 7)),
+    # the metadata names the p=2 model; batch.bin holds a p=1 batch
+    "batch-bin-other-p": _estimate_batch(_foreign_bin(MODEL_A, 3, 20)),
     "simulate-cap-0": _simulate_model(MODEL_C, "--cap", "0"),
     "simulate-sampler-text-mu": _simulate_model(_sampler(LOGNORMAL, mu="abc")),
     "simulate-sampler-nan-mu": _simulate_model(_sampler(LOGNORMAL, mu="nan")),
@@ -754,6 +825,9 @@ FLAG_NAMED = {"check-n-max-0-complex": "--n-max", "estimate-n-max-0": "--n-max",
 
 # the stderr line of each case, tmp_path written {tmp}
 PINNED_ERRORS = {
+    "batch-bin-other-n-r":
+        "error: batch.bin holds n=5, R=7; batch_meta.json says n=3, R=20",
+    "batch-bin-other-p": "error: batch.bin holds p=1; the model has p=2",
     "batch-bin-missing":
         "error: [Errno 2] No such file or directory: '{tmp}/sim/batch.bin'",
     "batch-meta-model-id-null": "error: batch metadata has no model_id",

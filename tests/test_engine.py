@@ -544,7 +544,7 @@ class TestSerialization:
         path = tmp_path / "c.bin"
         batch_to_binary(batch, str(path))
         again = batch_from_binary(str(path))
-        assert again.field_kind == "complex"
+        assert np.iscomplexobj(again.values)
         np.testing.assert_array_equal(batch.values, again.values)
 
     def test_bad_magic(self, tmp_path):

@@ -16,9 +16,7 @@ def synthetic_batch(values):
     if values.shape[0] == 1:
         values = values.T
     r = values.shape[0]
-    return SampleBatch(model_id="synthetic", n=1, replicates=r, values=values,
-                       master_seed=0, field_kind="real",
-                       extinct=np.zeros(r, dtype=bool),
+    return SampleBatch(n=1, values=values, extinct=np.zeros(r, dtype=bool),
                        capped=np.zeros(r, dtype=bool))
 
 
@@ -115,6 +113,27 @@ class TestLaplace:
         with pytest.raises(MatcascadeError, match="empty grid"):
             estimate_laplace(batch, [])
 
+
+
+class TestEmptySample:
+    """Every estimator refuses a sample with no usable row, as
+    estimate_moment does, instead of a RuntimeWarning and nan or a
+    ZeroDivisionError."""
+
+    @pytest.fixture
+    def all_capped(self):
+        model = make_model(1, [(1.0, [[[0.5]], [[0.5]]])])
+        batch = simulate_batch(model, 3, 50, 1, cap=1)
+        assert batch.capped_count == batch.replicates == 50
+        return batch
+
+    def test_laplace(self, all_capped):
+        with pytest.raises(MatcascadeError, match="^empty batch$"):
+            estimate_laplace(all_capped, [np.ones(1)])
+
+    def test_tail_curve(self, all_capped):
+        with pytest.raises(MatcascadeError, match="^empty batch$"):
+            tail_curve(all_capped, [1.0], [0.5], lam=1.0)
 
 def power_curve(exponent, scale=1.0, n_pts=30):
     ss = np.geomspace(0.5, 400.0, n_pts)
