@@ -9,14 +9,15 @@ deeper one's stream.
 
 Each replicate owns a counter-based (Philox) stream keyed by the master
 seed and the replicate index, so a draw is reproducible from that pair
-alone and independent of batch size or worker count.  A run builds one
-generator per replicate slot of its first chunk and re-keys those for
-every later chunk, so no replicate pays for a new bit generator or its
-OS-entropy read.  For finite-atom laws each replicate's first WINDOW
-uniforms are drawn in one call up front; a node reads its uniform there
-by its stream position (draws its replicate used before, plus its rank
-at its depth), and only the draws past the window go to the stream one
-call per replicate and generation, in the same order.  A chunk of
+alone and independent of batch size or worker count.  Each process of a
+run builds one generator per replicate slot of its first shard, from a
+fixed seed and without reading OS entropy, and re-keys those for every
+replicate, so no later replicate pays for a new bit generator.  For
+finite-atom laws each replicate's first WINDOW uniforms are drawn in one
+call up front; a node reads its uniform there by its stream position
+(draws its replicate used before, plus its rank at its depth), and only
+the draws past the window go to the stream one call per replicate and
+generation, in the same order.  A chunk of
 replicates is simulated in two passes that follow the recursion
 Y = sum_k A_k Y(k): a top-down pass grows only the tree topology (the
 atom drawn at each node and the offset of its first child, nodes kept in
@@ -28,12 +29,14 @@ own subtree, so results do not depend on the chunking.  A SampleBatch
 holds the draw alone (n, values and the extinct and capped flags); its
 provenance is the caller's to record.
 
-Given workers > 1, simulate_batch and batch_to_csv hand whole chunks to
-forked worker processes, at most one per usable core and per chunk
-(process_count), and gather the results in chunk order; a run of at
-most one chunk, or a platform without fork, stays in-process.  Every
-chunk is keyed and formatted as in one process, so the values and the
-bytes written never depend on the worker count.
+simulate_batch and batch_to_csv split a run into shards of at most CHUNK
+rows, as many per process and as equal as whole rows allow.  Given
+workers > 1, they hand the shards to forked worker processes, at most
+one per usable core and per CHUNK rows (process_count), and gather the
+results in shard order; a run of at most one CHUNK, or a platform
+without fork, stays in-process.  Every replicate is keyed and formatted
+as in one process, so the values and the bytes written never depend on
+the worker count or the shard sizes.
 """
 
 from __future__ import annotations
@@ -54,6 +57,8 @@ WINDOW = 16  # uniforms drawn per replicate up front, before any spill draws
 BATCH_MAGIC = b"MCSB"
 BATCH_VERSION = 1
 BATCH_HEADER = struct.Struct("<4sIIQIB3x")
+
+_BUILD_SEED = np.random.SeedSequence(0)  # builds generators, which are re-keyed before use
 
 
 @dataclass
@@ -91,13 +96,13 @@ def replicate_rng(master_seed, r, rng=None):
 
     Given a Philox Generator rng, re-keys it in place (counter and buffer
     reset, as on a new one) and returns it, rather than building a new
-    bit generator, which costs ten times more and reads OS entropy that
-    the key then overrides.
+    bit generator, which costs ten times more.  Without one, it builds a
+    generator from the fixed _BUILD_SEED and re-keys that: Philox(key=...)
+    would read OS entropy that the key then overrides.
     """
     key = (master_seed % 2**64, r % 2**64)
     if rng is None:
-        key = np.array(key, dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        rng = np.random.Generator(np.random.Philox(_BUILD_SEED))
     rng.bit_generator.state = {
         "bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": key},
         "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
@@ -252,11 +257,24 @@ def usable_cores():
 def process_count(replicates, workers=1):
     """Processes that a run over `replicates` rows uses when `workers`
     are asked for (None: the usable cores): at most one per usable core
-    and per CHUNK of rows, and one where the platform cannot fork."""
+    and per CHUNK of rows, at least one, and one where the platform
+    cannot fork."""
     if not hasattr(os, "fork"):
         return 1
     cores = usable_cores()
-    return min(cores if workers is None else workers, cores, -(-replicates // CHUNK))
+    return max(1, min(cores if workers is None else workers, cores,
+                      -(-replicates // CHUNK)))
+
+
+def _shards(replicates, processes):
+    """(start, stop) row ranges of a run over `processes`: the fewest
+    shards of at most CHUNK rows whose count is a multiple of processes,
+    as equal as whole rows allow, so that every process simulates or
+    formats the same share (5 chunks of CHUNK rows over 2 processes
+    would leave one of them idle for the fifth)."""
+    count = min(processes * -(-replicates // (processes * CHUNK)), replicates) or 1
+    bounds = [i * replicates // count for i in range(count + 1)]
+    return list(zip(bounds, bounds[1:]))
 
 
 _task = None  # the function forked workers apply to their shards
@@ -330,7 +348,7 @@ def simulate_batch(model, n, replicates, master_seed, cap=DEFAULT_CAP,
     tilted martingale is this recursion run on model.tilt_model(model, t).
 
     workers (None: the usable cores) caps the processes that simulate
-    the chunks (process_count); the batch does not depend on it.
+    the shards (process_count); the batch does not depend on it.
     """
     if n < 0:
         raise MatcascadeError("n must be >= 0")
@@ -344,21 +362,19 @@ def simulate_batch(model, n, replicates, master_seed, cap=DEFAULT_CAP,
     extinct = np.zeros(replicates, dtype=bool)
     capped = np.zeros(replicates, dtype=bool)
 
-    # each process builds the generators of its first chunk, then re-keys them
-    rngs = [None] * min(CHUNK, replicates)
+    processes = process_count(replicates, workers)
+    shards = _shards(replicates, processes)
+    # each process builds the generators of its first shard, then re-keys them
+    rngs = [None] * max(stop - start for start, stop in shards)
 
-    def run(start):
-        stop = min(start + CHUNK, replicates)
+    def run(shard):
+        start, stop = shard
         for i, r in enumerate(range(start, stop)):
             rngs[i] = replicate_rng(master_seed, r, rngs[i])
         return _run_chunk(model, n, rngs[:stop - start], v, cap, identity_root)
 
-    done = 0  # replicates gathered so far
-    for y, e, c in _in_workers(run, range(0, replicates, CHUNK),
-                               process_count(replicates, workers)):
-        rows = slice(done, done + len(y))
-        values[rows], extinct[rows], capped[rows] = y, e, c
-        done += len(y)
+    for (start, stop), (y, e, c) in zip(shards, _in_workers(run, shards, processes)):
+        values[start:stop], extinct[start:stop], capped[start:stop] = y, e, c
     return SampleBatch(n=n, values=values, extinct=extinct, capped=capped)
 
 
@@ -386,18 +402,19 @@ def batch_to_csv(batch, path, workers=1):
     columns = _float_columns(batch.values)
     row = "%d,%d,%d" + ",%r" * columns.shape[1] + "\n"
 
-    def text(start):
-        block = slice(start, start + CHUNK)
-        rows = zip(range(start, batch.replicates), batch.extinct[block].tolist(),
+    def text(shard):
+        block = slice(*shard)
+        rows = zip(range(*shard), batch.extinct[block].tolist(),
                    batch.capped[block].tolist(), *columns[block].T.tolist())
         return "".join(row % r for r in rows)
 
     with open(path, "w", encoding="utf-8") as f:
         f.write("replicate,extinct,capped," + ",".join(cols) + "\n")
-        # rows become Python floats and text one chunk at a time, to bound
-        # memory, and each chunk goes to the file in one write, in order
-        for chunk in _in_workers(text, range(0, batch.replicates, CHUNK),
-                                 process_count(batch.replicates, workers)):
+        # rows become Python floats and text one shard at a time, to bound
+        # memory, and each shard goes to the file in one write, in order
+        processes = process_count(batch.replicates, workers)
+        for chunk in _in_workers(text, _shards(batch.replicates, processes),
+                                 processes):
             f.write(chunk)
 
 

@@ -23,6 +23,9 @@ POWER_MAXITER = 5_000  # plain steps before the squarings of the shifted matrix
 POWER_SQUARINGS = 64
 RESIDUAL_TOL = 1e-10
 SUPPORT_CAP = 1_000_000  # most products one intensity-measure depth may form
+# odd, so its powers, the per-word multipliers of _merge's hash, are invertible
+# modulo 2^64: two rows that differ in one word hash differently
+HASH_BASE = 0x9E3779B97F4A7C15
 
 
 @dataclass
@@ -175,9 +178,18 @@ def _merge(weights, mats):
     """Sum the weights of bitwise-equal matrices.
 
     The support keeps the order of first occurrence, and each weight adds
-    its terms in input order.
+    its terms in input order.  When no two matrices hash equal, none are
+    equal (equal bits hash equal), and the input is returned unchanged:
+    the merge would give the same arrays, sorting 72-byte keys (p = 3) to
+    find that out.
     """
     flat = mats.reshape(len(mats), mats.shape[1] * mats.shape[2])
+    words = flat.view(np.uint64)
+    multipliers = np.uint64(HASH_BASE) ** np.arange(1, words.shape[1] + 1,
+                                                    dtype=np.uint64)
+    hashes = np.sort(words @ multipliers)  # wraps modulo 2^64
+    if not (hashes[1:] == hashes[:-1]).any():
+        return weights, mats
     keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
     _, first, group = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)  # groups by first occurrence

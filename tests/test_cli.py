@@ -38,6 +38,20 @@ UNIT_MODULI = {"p": 2, "field": "complex", "mode": "finite-atom",
 # the first child's row sum to the power -2 is 1e400
 TINY_CHILD = {"p": 1, "field": "real", "mode": "finite-atom",
               "atoms": [{"prob": 1.0, "matrices": [[[1e-200]], [[1.0]]]}]}
+# two-type walk with random offspring, extinction among them
+WALK_R = {"p": 2, "types": [
+    {"offspring": [{"prob": 0.2, "children": []},
+                   {"prob": 0.5, "children": [{"type": 1, "disp": 0.0},
+                                              {"type": 2, "disp": 0.7}]},
+                   {"prob": 0.3, "children": [{"type": 2, "disp": 0.3},
+                                              {"type": 1, "disp": 0.5},
+                                              {"type": 2, "disp": 1.1}]}]},
+    {"offspring": [{"prob": 0.2, "children": []},
+                   {"prob": 0.5, "children": [{"type": 1, "disp": 0.2},
+                                              {"type": 1, "disp": 0.9}]},
+                   {"prob": 0.3, "children": [{"type": 2, "disp": 0.1},
+                                              {"type": 2, "disp": 0.4},
+                                              {"type": 1, "disp": 0.6}]}]}]}
 # the mean matrix is a permutation: rho = 1, but not primitive
 PERMUTATION = {"p": 2, "field": "real", "mode": "finite-atom",
                "atoms": [{"prob": 1.0, "matrices": [[[0.0, 1.0], [1.0, 0.0]]]}]}
@@ -319,6 +333,40 @@ class TestSimulate:
         # the default is recorded as null, so its config hash is the same
         # on every machine; the processes used sit outside the config
         assert (default["processes"], default["config"]["workers"]) == (2, None)
+
+    # sha256 of batch.csv and batch.bin at R = 2 CHUNK + 17, seed 3, on one
+    # process and on two: the stream contract, recorded before the shards
+    # were re-laid, so that a change to the shards or the streams shows
+    PINNED_BATCHES = {
+        "finite-atom": ("b5fd27865d4f467078efb75837bda7d0adf22ca58cca0e46d85a922b32ae91b2",
+                        "1e648e2356e1b8939f3451c3ecee6be3cdaa6d83df54ce02281fc2c519366d0b"),
+        "walk": ("c10d633589c1b681dbf0a89e95fc28ee6238c465a69e077ac34273b73d44defe",
+                 "1a5d3ac126e508902d52c05501653577115db194f7bd89152c6003c515e98752"),
+    }
+
+    @pytest.mark.parametrize("workers", [["--workers", "1"], []], ids=["one", "default"])
+    @pytest.mark.parametrize("case", sorted(PINNED_BATCHES))
+    def test_batch_pinned(self, case, workers, tmp_path, monkeypatch):
+        monkeypatch.setattr(engine, "usable_cores", lambda: 2)
+        model = tmp_path / "model.json"
+        if case == "walk":
+            spec = tmp_path / "spec.json"
+            spec.write_text(json.dumps(WALK_R))
+            assert main(["mbrw-build", "--spec", str(spec), "--t", "1.0",
+                         "--out-model", str(model)]) == 0
+            n = 4
+        else:
+            model.write_text(json.dumps(MODEL_R))
+            n = 5
+        out = tmp_path / "sim"
+        assert main(["simulate", "--model", str(model), "--n", str(n),
+                     "--replicates", str(2 * engine.CHUNK + 17), "--seed", "3",
+                     *workers, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["processes"] == (2 if not workers else 1)
+        digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                        for name in ("batch.csv", "batch.bin"))
+        assert digests == self.PINNED_BATCHES[case]
 
     def test_crlf_model_one_hash(self, tmp_path):
         # the batch is tagged with the hash of the file's bytes, as the manifest is
@@ -956,8 +1004,8 @@ class TestWorkerFailure:
 
     @pytest.fixture(autouse=True)
     def sharded(self, monkeypatch):
-        # eight chunks (the last holds one replicate) over two workers, and
-        # a failure rather than a hang if the run does not end
+        # eight shards of 6 or 7 replicates over two workers, and a failure
+        # rather than a hang if the run does not end
         monkeypatch.setattr(engine, "CHUNK", 7)
         monkeypatch.setattr(engine, "usable_cores", lambda: 2)
 
@@ -988,7 +1036,9 @@ class TestWorkerFailure:
         parent, run_chunk, fail = os.getpid(), engine._run_chunk, getattr(self, fail)
 
         def failing(model, n, rngs, *rest):
-            if len(rngs) == 1 and os.getpid() != parent:
+            # the shard that holds the last replicate fails, in a worker
+            last = rngs[-1].bit_generator.state["state"]["key"][1]
+            if last == 49 and os.getpid() != parent:
                 fail()
             return run_chunk(model, n, rngs, *rest)
 

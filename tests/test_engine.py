@@ -1,5 +1,7 @@
+import cProfile
 import multiprocessing
 import os
+import pstats
 
 import numpy as np
 import pytest
@@ -576,25 +578,47 @@ class TestReplicateStreams:
         b = replicate_rng(123, 45).random(8)
         np.testing.assert_array_equal(a, b)
 
-    def test_rekeyed_equals_new(self):
+    @staticmethod
+    def keys():
+        """(master_seed, r) pairs: random ones, then ones near, at and past
+        2^64 and negative ones, which key by their residues mod 2^64."""
         pick = np.random.default_rng(8)
         top = 2**64 - 1
         keys = [(int(pick.integers(0, 2**63)), int(pick.integers(0, 2**63)))
                 for _ in range(20)]
-        keys += [(top, 0), (0, top), (top, top - 1), (top - 2, 5),
-                 (2**64, 3), (2**64 + 7, 2**65 + 1), (3 * 2**64 - 1, 2**64)]
+        return keys + [(top, 0), (0, top), (top, top - 1), (top - 2, 5),
+                       (2**64, 3), (2**64 + 7, 2**65 + 1), (3 * 2**64 - 1, 2**64),
+                       (-1, 0), (0, -5), (-2**64 - 3, -2**63)]
+
+    @staticmethod
+    def assert_same_stream(rng, seed, r):
+        keyed = np.random.Generator(np.random.Philox(
+            key=np.array([seed % 2**64, r % 2**64], dtype=np.uint64)))
+        np.testing.assert_array_equal(rng.random(9), keyed.random(9))
+        np.testing.assert_array_equal(
+            rng.integers(0, 2**32, size=5, dtype=np.uint32),
+            keyed.integers(0, 2**32, size=5, dtype=np.uint32))
+
+    def test_rekeyed_equals_new(self):
         rng = replicate_rng(0, 0)
-        for i, (seed, r) in enumerate(keys):
+        for i, (seed, r) in enumerate(self.keys()):
             # leave the generator mid-buffer, with a buffered 32-bit half
             rng.random(i % 7)
             rng.integers(0, 2**31, size=i % 3 + 1, dtype=np.uint32)
             assert replicate_rng(seed, r, rng) is rng
-            fresh = np.random.Generator(np.random.Philox(
-                key=np.array([seed % 2**64, r % 2**64], dtype=np.uint64)))
-            np.testing.assert_array_equal(rng.random(9), fresh.random(9))
-            np.testing.assert_array_equal(
-                rng.integers(0, 2**32, size=5, dtype=np.uint32),
-                fresh.integers(0, 2**32, size=5, dtype=np.uint32))
+            self.assert_same_stream(rng, seed, r)
+
+    def test_built_equals_keyed(self):
+        for seed, r in self.keys():
+            self.assert_same_stream(replicate_rng(seed, r), seed, r)
+
+    def test_built_without_os_entropy(self):
+        # Philox(key=...) calls os.urandom for a seed that the key overrides
+        profile = cProfile.Profile()
+        profile.runcall(replicate_rng, 5, 7)
+        called = {name for _, _, name in pstats.Stats(profile).stats}
+        assert "replicate_rng" in called
+        assert not any("urandom" in name or "getrandbits" in name for name in called)
 
     def test_one_generator_per_chunk_slot(self, model_rand, monkeypatch):
         # re-keying replaces a new Philox (and its OS-entropy read) per
@@ -610,6 +634,34 @@ class TestReplicateStreams:
         monkeypatch.setattr(engine, "CHUNK", 4)
         simulate_batch(model_rand, 3, 10, 1)
         assert 0 < len(built) <= 4
+
+
+class TestShards:
+    """A run's rows split into the fewest shards of at most CHUNK rows whose
+    count is a multiple of the process count, as equal as whole rows allow."""
+
+    def test_twenty_thousand_rows_over_two_processes(self):
+        # 5 chunks of CHUNK rows would give one process 3 and the other 2
+        shards = engine._shards(20_000, 2)
+        assert len(shards) == 6
+        assert max(stop - start for start, stop in shards) == 3334
+
+    @pytest.mark.parametrize("chunk", [2, 7, 4096])
+    @pytest.mark.parametrize("processes", [1, 2, 3, 5])
+    def test_cover_balanced_and_at_most_chunk(self, chunk, processes, monkeypatch):
+        monkeypatch.setattr(engine, "CHUNK", chunk)
+        for replicates in [1, 2, 3, chunk, chunk + 1, 2 * chunk + 17,
+                           5 * chunk, 5 * chunk + 1, 20_000]:
+            used = min(processes, -(-replicates // chunk))  # as process_count
+            shards = engine._shards(replicates, used)
+            sizes = [stop - start for start, stop in shards]
+            assert [start for start, _ in shards] == [0] + np.cumsum(sizes)[:-1].tolist()
+            assert sum(sizes) == replicates
+            assert 0 < min(sizes) and max(sizes) <= chunk
+            assert max(sizes) - min(sizes) <= 1
+            assert len(shards) % used == 0
+            # fewest such shards: one shard fewer per process breaks the cap
+            assert len(shards) == used or replicates > (len(shards) - used) * chunk
 
 
 class TestWorkers:

@@ -282,6 +282,90 @@ class TestAgainstReference:
                                           moment_matrix(model, t))
 
 
+# p = 3, seven children in three atoms, as the exact_moments benchmark
+# workload: no two products of depth 2 or more are bitwise equal
+NO_MERGE_MODEL = [
+    (0.3, [[[0.24, 0.47, 0.17], [0.08, 0.19, 0.37], [0.4, 0.29, 0.19]],
+           [[0.46, 0.47, 0.25], [0.23, 0.33, 0.37], [0.33, 0.24, 0.25]]]),
+    (0.3, [[[0.34, 0.46, 0.07], [0.09, 0.39, 0.26], [0.4, 0.29, 0.26]],
+           [[0.48, 0.22, 0.34], [0.29, 0.1, 0.13], [0.42, 0.29, 0.36]]]),
+    (0.4, [[[0.25, 0.43, 0.43], [0.24, 0.11, 0.42], [0.27, 0.3, 0.28]],
+           [[0.07, 0.28, 0.09], [0.08, 0.42, 0.11], [0.37, 0.25, 0.28]],
+           [[0.28, 0.13, 0.08], [0.34, 0.1, 0.08], [0.07, 0.32, 0.48]]]),
+]
+
+
+def _products(model, n):
+    """The unmerged depth-n products and weights, formed as the library
+    forms them from the depth-(n-1) level."""
+    w, m = spectral._child_stack(model)
+    below = intensity_measure(model, n - 1)
+    return (np.multiply.outer(w, below.weights).reshape(-1),
+            np.einsum("apq,mqr->ampr", m, below.matrices).reshape(-1, model.p, model.p))
+
+
+class TestMergePrecheck:
+    """When no two products hash equal, _merge returns its input, which is
+    what the full merge gives; any equal hash falls back to the full
+    merge.  HASH_BASE = 0 makes every hash 0, so it forces the full merge."""
+
+    def full_merge(self, weights, mats, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "HASH_BASE", 0)
+            return spectral._merge(weights, mats)
+
+    @pytest.mark.parametrize("p, field_kind, seed", [
+        (1, "real", 0), (2, "real", 1), (3, "real", 2), (1, "complex", 3),
+        (2, "complex", 4)])
+    def test_no_merge_returns_input(self, p, field_kind, seed, monkeypatch):
+        # random matrices, no two equal, as the products of a model whose
+        # products never coincide (p = 1 products commute, so they merge)
+        rng = np.random.default_rng(seed)
+        weights = rng.random(2000)
+        products = rng.uniform(0.05, 1.0, (2000, p, p))
+        if field_kind == "complex":
+            products = products * np.exp(2j * np.pi * rng.random((2000, p, p)))
+        merged_w, merged_m = spectral._merge(weights, products)
+        assert merged_w is weights and merged_m is products
+        want_w, want_m = self.full_merge(weights, products, monkeypatch)
+        assert len(want_w) == len(weights)  # none merged
+        assert merged_w.dtype == want_w.dtype and merged_m.dtype == want_m.dtype
+        assert merged_w.tobytes() == want_w.tobytes()
+        assert merged_m.tobytes() == want_m.tobytes()
+
+    def test_exact_moments_model_against_reference(self):
+        model = make_model(3, NO_MERGE_MODEL)
+        nu = intensity_measure(model, 5)
+        for depth in (5, 4):
+            want_w, want_m = reference_intensity_measure(model, depth)
+            assert len(want_w) == 7 ** depth
+            assert nu.depth == depth
+            assert nu.weights.tobytes() == want_w.tobytes()
+            assert nu.matrices.tobytes() == want_m.tobytes()
+            nu = nu.below
+
+    def test_planted_collision_falls_back(self, monkeypatch):
+        # every hash equal: the full merge runs, with the same output
+        model = make_model(3, NO_MERGE_MODEL)
+        weights, products = _products(model, 4)
+        fast_w, fast_m = spectral._merge(weights, products)
+        unique = np.unique
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counting)
+        full_w, full_m = self.full_merge(weights, products, monkeypatch)
+        assert calls == [1] and full_m is not products
+        assert full_w.tobytes() == fast_w.tobytes()
+        assert full_m.tobytes() == fast_m.tobytes()
+        want_w, want_m = reference_intensity_measure(model, 4)
+        assert full_w.tobytes() == want_w.tobytes()
+        assert full_m.tobytes() == want_m.tobytes()
+
+
 class TestNStepMomentMatrix:
     def test_model_a_t2_n2(self, model_a):
         out = n_step_moment_matrix(model_a, 2, 2)
