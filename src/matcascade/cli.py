@@ -2,11 +2,12 @@
 
 Commands: check, simulate, estimate, mbrw-build, report.  check,
 simulate and estimate write a manifest (command line, hashes, seed,
-version) sufficient to reproduce their outputs bitwise.  simulate and
-estimate --fresh draw through one step, _draw, on the usable cores
-unless simulate --workers says otherwise; simulate's batch_meta.json
-records where its batch came from, and estimate --batch checks it
-against the model and batch.bin.
+version) sufficient to reproduce their outputs bitwise.  simulate draws
+on the usable cores unless --workers says otherwise, and its
+batch_meta.json records where its batch came from; estimate reads only
+that batch, checks the metadata against the model and batch.bin, and
+copies the batch's n, replicates and seed into its own manifest.  A
+flag that the model cannot serve is refused, never dropped.
 
 Exit codes: 0 ok, 1 usage, 2 bad input, I/O or memory, 3 all replicates
 capped.  Code 2 comes from one place, ``main``, which prints any
@@ -85,10 +86,16 @@ def _render_table(reports):
 def cmd_check(args):
     if args.n_max < 1:  # complex models never reach check_alpha_moments
         raise MatcascadeError("--n-max must be >= 1")
-    for beta in args.beta:  # real models never reach check_complex
+    for beta in args.beta:  # before the real-model refusal below
         if not 1 < beta <= 2:
             raise MatcascadeError(f"--beta must lie in (1, 2], got {beta!r}")
     model = load_model(args.model)
+    unserved = ({"--lambda": args.lam, "--epsilon": args.epsilon}
+                if model.is_complex else {"--beta": args.beta})
+    for flag, values in unserved.items():
+        if values:
+            raise MatcascadeError(
+                f"{flag} does not apply to a {model.field_kind} model")
     os.makedirs(args.out, exist_ok=True)
 
     validation = validate_model(model)
@@ -115,21 +122,14 @@ def cmd_check(args):
     return EXIT_OK
 
 
-def _draw(model, args, workers=None):
-    """simulate's and estimate --fresh's batch (workers None: the usable
-    cores), or None, after one stderr line, if every replicate is capped."""
-    batch = simulate_batch(model, args.n, args.replicates, args.seed,
-                           cap=args.cap, workers=workers)
-    if batch.capped_count < batch.replicates:
-        return batch
-    print("error: every replicate exceeded the population cap", file=sys.stderr)
-
-
 def cmd_simulate(args):
     model = load_model(args.model)
     os.makedirs(args.out, exist_ok=True)
-    batch = _draw(model, args, args.workers)
-    if batch is None:
+    batch = simulate_batch(model, args.n, args.replicates, args.seed,
+                           cap=args.cap, workers=args.workers)
+    if batch.capped_count == batch.replicates:
+        print("error: every replicate exceeded the population cap",
+              file=sys.stderr)
         return EXIT_ALL_FAILED
     batch_to_csv(batch, os.path.join(args.out, "batch.csv"), workers=args.workers)
     batch_to_binary(batch, os.path.join(args.out, "batch.bin"))
@@ -156,29 +156,24 @@ def cmd_estimate(args):
         raise MatcascadeError("--n-max must be >= 1")
     model = load_model(args.model)
     os.makedirs(args.out, exist_ok=True)
-    if args.fresh:
-        batch = _draw(model, args)
-        if batch is None:
-            return EXIT_ALL_FAILED
-    else:
-        _, meta = read_json(os.path.join(args.batch, "batch_meta.json"),
-                            "batch metadata")
-        if not isinstance(meta, dict):
-            raise MatcascadeError("batch metadata is not a JSON object")
-        model_id = meta.get("model_id")
-        if not isinstance(model_id, str) or not model_id:
-            raise MatcascadeError("batch metadata has no model_id")
-        if model_id != model.content_hash():
-            raise MatcascadeError("batch was produced from a different model "
-                                  "(hash mismatch); re-simulate or pass --fresh")
-        batch = batch_from_binary(os.path.join(args.batch, "batch.bin"))
-        if (batch.n, batch.replicates) != (meta.get("n"), meta.get("replicates")):
-            raise MatcascadeError(
-                f"batch.bin holds n={batch.n}, R={batch.replicates}; batch_meta.json "
-                f"says n={meta.get('n')}, R={meta.get('replicates')}")
-        if batch.p != model.p:
-            raise MatcascadeError(
-                f"batch.bin holds p={batch.p}; the model has p={model.p}")
+    _, meta = read_json(os.path.join(args.batch, "batch_meta.json"),
+                        "batch metadata")
+    if not isinstance(meta, dict):
+        raise MatcascadeError("batch metadata is not a JSON object")
+    model_id = meta.get("model_id")
+    if not isinstance(model_id, str) or not model_id:
+        raise MatcascadeError("batch metadata has no model_id")
+    if model_id != model.content_hash():
+        raise MatcascadeError("batch was produced from a different model "
+                              "(hash mismatch); re-simulate")
+    batch = batch_from_binary(os.path.join(args.batch, "batch.bin"))
+    if (batch.n, batch.replicates) != (meta.get("n"), meta.get("replicates")):
+        raise MatcascadeError(
+            f"batch.bin holds n={batch.n}, R={batch.replicates}; batch_meta.json "
+            f"says n={meta.get('n')}, R={meta.get('replicates')}")
+    if batch.p != model.p:
+        raise MatcascadeError(
+            f"batch.bin holds p={batch.p}; the model has p={model.p}")
 
     out = {"n": batch.n, "replicates": batch.replicates}
     # the exact side checks need a finite-atom real model
@@ -201,7 +196,7 @@ def cmd_estimate(args):
             "estimate": est.__dict__,
             "condition": side.to_dict() if side else None,
         })
-    if args.laplace_fit and not model.is_complex:
+    if args.laplace_fit:
         if not (0 < args.t_min < math.inf and 0 < args.t_max < math.inf):
             raise MatcascadeError("--t-min and --t-max must be positive and finite")
         grid = [s * y for s in np.geomspace(args.t_min, args.t_max, 40)]
@@ -234,7 +229,9 @@ def cmd_estimate(args):
                 f.write(f"{float(np.abs(t).sum())!r},{phi!r}\n")
 
     text = _write_json(os.path.join(args.out, "estimates.json"), out)
-    _write_manifest(args.out, args, {"model_hash": model.source_hash})
+    _write_manifest(args.out, args, {
+        "model_hash": model.source_hash,
+        "batch": {k: meta.get(k) for k in ("n", "replicates", "seed")}})
     print(text)
     return EXIT_OK
 
@@ -242,6 +239,8 @@ def cmd_estimate(args):
 def cmd_mbrw_build(args):
     if not math.isfinite(args.t):
         raise MatcascadeError(f"--t must be finite, got {args.t!r}")
+    if args.epsilon and not args.lam:
+        raise MatcascadeError("--epsilon applies only with --lambda")
     spec = load_mbrw_spec(args.spec)
     model = build_cascade_from_mbrw(spec, args.t)
     reports = [r for alpha in args.alpha
@@ -304,16 +303,12 @@ def build_parser():
     ps.add_argument("--out", default="out-simulate")
     ps.set_defaults(func=cmd_simulate)
 
-    pe = sub.add_parser("estimate", help="moment/harmonic/decay estimates")
+    # no prefix matching, so simulate's --n is refused here, not read as --n-max
+    pe = sub.add_parser("estimate", help="moment/harmonic/decay estimates",
+                        allow_abbrev=False)
     pe.add_argument("--model", required=True)
     pe.add_argument("--batch", default="out-simulate",
                     help="directory holding batch.bin + batch_meta.json")
-    pe.add_argument("--fresh", action="store_true",
-                    help="simulate inline instead of reading a batch")
-    pe.add_argument("--n", type=int, default=8)
-    pe.add_argument("--replicates", type=_count, default=10000)
-    pe.add_argument("--seed", type=int, default=1)
-    pe.add_argument("--cap", type=int, default=DEFAULT_CAP)
     pe.add_argument("--alpha", type=float, action="append", default=[])
     pe.add_argument("--lambda", dest="lam", type=float, action="append",
                     default=[])

@@ -84,7 +84,8 @@ def check_alpha_moments(model, alphas, n_max=3, validation=None):
 
     Returns one report per alpha, in the given order.  The intensity
     measure is built once, to depth n_max, and every alpha reads all its
-    levels.  An alpha whose Perron solve fails at depth n stops there.
+    levels; with no alpha, nothing is built.  An alpha whose Perron
+    solve fails at depth n stops there.
     validation, the model's validate_model row if the caller has
     one, saves validating the model again.
     """
@@ -93,6 +94,8 @@ def check_alpha_moments(model, alphas, n_max=3, validation=None):
     if n_max < 1:
         raise MatcascadeError("n_max must be >= 1")
     model._require_finite_atom()
+    if not alphas:  # no order asked for: nothing to validate or build
+        return []
     h_status = _assumption_h_status(model, validation)
     pcp = positive_column_probability(model)
     p = model.p

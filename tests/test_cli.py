@@ -1,3 +1,4 @@
+import argparse
 import copy
 import hashlib
 import json
@@ -5,6 +6,7 @@ import math
 import multiprocessing
 import os
 import pathlib
+import random
 import signal
 import subprocess
 import sys
@@ -12,7 +14,7 @@ import sys
 import pytest
 
 from matcascade import engine, spectral
-from matcascade.cli import main
+from matcascade.cli import build_parser, main
 from matcascade.model import (MatcascadeError, load_model, model_from_dict,
                               model_to_dict, scale_model)
 
@@ -127,8 +129,11 @@ class TestCheck:
         t23a = next(r for r in rows if r["theorem"] == "T2.3a")
         assert t23a["verdict"] == verdict
 
-    @pytest.mark.parametrize("doc", [MODEL_C, PHASE], ids=["real", "complex"])
-    def test_validates_once(self, doc, tmp_path, monkeypatch):
+    # with the one flag each field serves beside --alpha
+    @pytest.mark.parametrize("doc, served", [(MODEL_C, ["--lambda", "1"]),
+                                             (PHASE, ["--beta", "1.5"])],
+                             ids=["real", "complex"])
+    def test_validates_once(self, doc, served, tmp_path, monkeypatch):
         # the validation row also rates assumption H in every moment row;
         # calls are counted through every module that imports validate_model
         from matcascade import model as model_module
@@ -148,7 +153,7 @@ class TestCheck:
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
         assert main(["check", "--model", str(path), "--alpha", "1.5",
-                     "--alpha", "2", "--lambda", "1", "--out",
+                     "--alpha", "2", *served, "--out",
                      str(tmp_path / "o")]) == 0
         assert len(calls) == 1
 
@@ -238,6 +243,28 @@ class TestCheck:
                      "--n-max", "4", "--out", str(tmp_path / "o")])
         assert code == 2
         assert "depth 4 would form 16 products" in capsys.readouterr().err
+
+    def test_no_order_builds_no_measure(self, tmp_path, monkeypatch):
+        # 7^8 depth-8 products would exceed SUPPORT_CAP, but no --alpha
+        # asks for the measure, so only the validation and T2.2 rows are made
+        from matcascade import conditions
+        built = []
+        monkeypatch.setattr(conditions, "intensity_measure",
+                            lambda *a, **k: built.append(a))
+        rng = random.Random(11)
+        mats = [[[rng.uniform(0.01, 0.15) for _ in range(3)] for _ in range(3)]
+                for _ in range(7)]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({
+            "p": 3, "field": "real", "mode": "finite-atom",
+            "atoms": [{"prob": 0.25, "matrices": mats[:3]},
+                      {"prob": 0.75, "matrices": mats[3:]}]}))
+        out = tmp_path / "o"
+        assert main(["check", "--model", str(path), "--lambda", "1",
+                     "--n-max", "8", "--out", str(out)]) == 0
+        rows = json.loads((out / "conditions.json").read_text())
+        assert [r["theorem"] for r in rows] == ["validation", "T2.2"]
+        assert built == []
 
     def test_manifest_records_parsed_argv(self, model_c_path, tmp_path,
                                           monkeypatch):
@@ -389,18 +416,23 @@ class TestSimulate:
                      "--out", str(tmp_path / "o")])
         assert code == 1
 
-    def test_zero_replicates_fresh_estimate_usage_error(self, model_a_path,
-                                                        tmp_path):
-        code = main(["estimate", "--model", model_a_path, "--fresh", "--n", "2",
-                     "--replicates", "0", "--alpha", "2",
-                     "--out", str(tmp_path / "e")])
-        assert code == 1
-
-    def test_all_capped_exit3(self, model_a_path, tmp_path):
+    def test_all_capped_exit3(self, model_a_path, tmp_path, capsys):
         code = main(["simulate", "--model", model_a_path, "--n", "10",
                      "--replicates", "5", "--seed", "1", "--cap", "8",
                      "--out", str(tmp_path / "o")])
         assert code == 3
+        assert capsys.readouterr().err == (
+            "error: every replicate exceeded the population cap\n")
+        assert list((tmp_path / "o").iterdir()) == []
+
+
+def _simulated(tmp_path, model_path, n, replicates, seed):
+    """The directory of a simulate run of the model at depth n."""
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--model", str(model_path), "--n", str(n),
+                 "--replicates", str(replicates), "--seed", str(seed),
+                 "--out", str(sim)]) == 0
+    return str(sim)
 
 
 class TestEstimate:
@@ -438,53 +470,11 @@ class TestEstimate:
         assert code == 2
         assert "hash mismatch" in capsys.readouterr().err
 
-    def test_fresh_equals_simulate_then_batch(self, tmp_path, monkeypatch):
-        # one draw step: --fresh gives the bytes of simulate + --batch, and
-        # shards as simulate does (three chunks over two forked workers)
-        monkeypatch.setattr(engine, "usable_cores", lambda: 2)
-        processes = []
-        in_workers = engine._in_workers
-
-        def spy(fn, shards, count):
-            processes.append(count)
-            return in_workers(fn, shards, count)
-
-        monkeypatch.setattr(engine, "_in_workers", spy)
-        model = tmp_path / "model-r.json"
-        model.write_text(json.dumps(MODEL_R))
-        draw = ["--model", str(model), "--n", "5", "--seed", "5",
-                "--replicates", str(2 * engine.CHUNK + 17)]
-        flags = ["--alpha", "2", "--lambda", "1", "--laplace-fit"]
-        sim, batch, fresh = (tmp_path / k for k in ("sim", "batch", "fresh"))
-        assert main(["simulate", *draw, "--out", str(sim)]) == 0
-        assert main(["estimate", "--model", str(model), "--batch", str(sim),
-                     *flags, "--out", str(batch)]) == 0
-        assert main(["estimate", *draw, "--fresh", *flags,
-                     "--out", str(fresh)]) == 0
-        # simulate_batch and batch_to_csv of simulate, then simulate_batch of --fresh
-        assert processes == [2, 2, 2]
-        assert multiprocessing.active_children() == []
-        for name in ("estimates.json", "laplace_curve.csv",
-                     "power_fit_points.csv", "stretched_fit_points.csv"):
-            assert (batch / name).read_bytes() == (fresh / name).read_bytes()
-
-    def test_fresh_all_capped_exit3(self, model_a_path, tmp_path, capsys):
-        # the flags of TestSimulate.test_all_capped_exit3
-        draw = ["--model", model_a_path, "--n", "10", "--replicates", "5",
-                "--seed", "1", "--cap", "8"]
-        assert main(["simulate", *draw, "--out", str(tmp_path / "o")]) == 3
-        simulate_err = capsys.readouterr().err
-        out = tmp_path / "e"
-        assert main(["estimate", *draw, "--fresh", "--alpha", "2",
-                     "--laplace-fit", "--out", str(out)]) == 3
-        assert capsys.readouterr().err == simulate_err == (
-            "error: every replicate exceeded the population cap\n")
-        assert list(out.iterdir()) == []
-
     def test_fresh_with_laplace_fit(self, model_c_path, tmp_path):
+        # a freshly simulated batch, read through --batch
+        sim = _simulated(tmp_path, model_c_path, n=6, replicates=2000, seed=2)
         out = tmp_path / "est"
-        code = main(["estimate", "--model", model_c_path, "--fresh", "--n",
-                     "6", "--replicates", "2000", "--seed", "2",
+        code = main(["estimate", "--model", model_c_path, "--batch", sim,
                      "--laplace-fit", "--out", str(out)])
         assert code == 0
         doc = json.loads((out / "estimates.json").read_text())
@@ -497,10 +487,10 @@ class TestEstimate:
     def test_fit_points_are_logs_of_window_points(self, tmp_path):
         path = tmp_path / "model-r.json"
         path.write_text(json.dumps(MODEL_R))
+        sim = _simulated(tmp_path, path, n=8, replicates=2000, seed=3)
         out = tmp_path / "est"
-        assert main(["estimate", "--model", str(path), "--fresh", "--n", "8",
-                     "--replicates", "2000", "--seed", "3", "--laplace-fit",
-                     "--out", str(out)]) == 0
+        assert main(["estimate", "--model", str(path), "--batch", sim,
+                     "--laplace-fit", "--out", str(out)]) == 0
         fits = json.loads((out / "estimates.json").read_text())["laplace_fits"]
         lines = (out / "laplace_curve.csv").read_text().splitlines()
         assert lines[0] == "norm_t,phi"
@@ -526,9 +516,10 @@ class TestEstimate:
         path.write_text(json.dumps({"p": 2, "mode": "sampler", "sampler": {
             "family": "uniform",
             "params": {"n_children": 2, "low": 0.1, "high": 0.4}}}))
+        sim = _simulated(tmp_path, path, n=3, replicates=200, seed=1)
         out = tmp_path / "est"
-        assert main(["estimate", "--model", str(path), "--fresh", "--n", "3",
-                     "--replicates", "200", *flags, "--out", str(out)]) == 0
+        assert main(["estimate", "--model", str(path), "--batch", sim, *flags,
+                     "--out", str(out)]) == 0
         doc = json.loads((out / "estimates.json").read_text())
         rows = doc.get("moments", []) + doc.get("harmonic", [])
         assert len(rows) == len(flags) // 2
@@ -539,16 +530,39 @@ class TestEstimate:
         # mean is inf, with no warning and no usable spread
         path = tmp_path / "model-r.json"
         path.write_text(json.dumps(MODEL_R))
+        sim = _simulated(tmp_path, path, n=8, replicates=500, seed=1)
         out = tmp_path / "est"
-        assert main(["estimate", "--model", str(path), "--fresh", "--n", "8",
-                     "--replicates", "500", "--seed", "1", "--alpha", "1100",
-                     "--alpha", "2", "--out", str(out)]) == 0
+        assert main(["estimate", "--model", str(path), "--batch", sim,
+                     "--alpha", "1100", "--alpha", "2", "--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
         huge, two = (row["estimate"] for row in json.loads(
             (out / "estimates.json").read_text())["moments"])
         assert (huge["point"], huge["stderr"]) == (math.inf, math.inf)
         assert huge["ci95"] == [-math.inf, math.inf]
         assert math.isfinite(two["point"]) and two["stderr"] > 0
+
+    def test_manifest_names_its_batch(self, tmp_path):
+        # the manifest's batch and config reproduce estimates.json bitwise
+        path = tmp_path / "model-r.json"
+        path.write_text(json.dumps(MODEL_R))
+        sim = _simulated(tmp_path, path, n=4, replicates=300, seed=7)
+        out = tmp_path / "est"
+        assert main(["estimate", "--model", str(path), "--batch", sim,
+                     "--alpha", "2", "--lambda", "1", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["batch"] == {"n": 4, "replicates": 300, "seed": 7}
+        config = manifest["config"]
+        assert not {"fresh", "n", "replicates", "seed", "cap"} & set(config)
+        # simulate the named batch again, then rerun the recorded argv on it
+        again, redo = tmp_path / "again", tmp_path / "redo"
+        drawn = manifest["batch"]
+        assert main(["simulate", "--model", str(path), "--n", str(drawn["n"]),
+                     "--replicates", str(drawn["replicates"]),
+                     "--seed", str(drawn["seed"]), "--out", str(again)]) == 0
+        moved = {sim: str(again), str(out): str(redo)}
+        assert main([moved.get(a, a) for a in manifest["argv"]]) == 0
+        assert ((redo / "estimates.json").read_bytes()
+                == (out / "estimates.json").read_bytes())
 
     def test_missing_batch_exit2(self, model_c_path, tmp_path):
         code = main(["estimate", "--model", model_c_path, "--batch",
@@ -742,19 +756,20 @@ def _build_spec(doc, *flags):
     return argv
 
 
-def _estimate_batch(damage, *flags, alpha="2"):
-    """estimate --batch --alpha alpha, with flags, on a simulate output
-    that damage(directory) broke."""
+def _estimate_batch(damage, *flags, alpha="2", doc=MODEL_C):
+    """estimate --batch --alpha alpha (none if alpha is None), with flags,
+    on a simulate output of doc that damage(directory) broke."""
     def argv(tmp_path):
         model = tmp_path / "model.json"
-        model.write_text(json.dumps(MODEL_C))
+        model.write_text(json.dumps(doc))
         sim = tmp_path / "sim"
         assert main(["simulate", "--model", str(model), "--n", "3",
                      "--replicates", "20", "--seed", "1",
                      "--out", str(sim)]) == 0
         damage(sim)
         return ["estimate", "--model", str(model), "--batch", str(sim),
-                "--alpha", alpha, *flags, "--out", str(tmp_path / "e")]
+                *(["--alpha", alpha] if alpha else []), *flags,
+                "--out", str(tmp_path / "e")]
     return argv
 
 
@@ -764,16 +779,6 @@ def _simulate_model(doc, *flags):
         path.write_text(json.dumps(doc))
         return ["simulate", "--model", str(path), "--n", "3", "--replicates",
                 "8", "--seed", "1", *flags, "--out", str(tmp_path / "o")]
-    return argv
-
-
-def _fresh_estimate(doc, *flags):
-    def argv(tmp_path):
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps(doc))
-        return ["estimate", "--model", str(path), "--fresh", "--n", "3",
-                "--replicates", "8", "--alpha", "2", *flags,
-                "--out", str(tmp_path / "e")]
     return argv
 
 
@@ -852,7 +857,13 @@ MALFORMED_INPUTS = {
     "simulate-sampler-mean-inf": _simulate_model(
         _sampler(LOGNORMAL, mu=1.7e308, sigma=1.3e154)),
     "simulate-cap-negative": _simulate_model(MODEL_C, "--cap", "-1"),
-    "estimate-fresh-cap-negative": _fresh_estimate(MODEL_C, "--cap", "-1"),
+    # a flag that the model cannot serve is refused, not dropped
+    "check-lambda-complex": _check_model(PHASE, "--lambda", "1"),
+    "check-epsilon-complex": _check_model(PHASE, "--epsilon", "0.5"),
+    "check-beta-real": _check_model(MODEL_C, "--beta", "1.5"),
+    "estimate-laplace-fit-complex": _estimate_batch(
+        lambda d: None, "--laplace-fit", alpha=None, doc=PHASE),
+    "mbrw-build-epsilon-without-lambda": _build_spec(TT1, "--epsilon", "0.5"),
     "report-not-rows": _report([1]),
     "report-row-incomplete": _report([{"theorem": "x"}]),
 }
@@ -861,6 +872,11 @@ MALFORMED_INPUTS = {
 FLAG_NAMED = {"check-n-max-0-complex": "--n-max", "estimate-n-max-0": "--n-max",
               "mbrw-build-t-nan": "--t", "mbrw-build-t-inf": "--t",
               "check-beta-7": "--beta",
+              "check-lambda-complex": "--lambda",
+              "check-epsilon-complex": "--epsilon",
+              "check-beta-real": "--beta",
+              "estimate-laplace-fit-complex": "Laplace",
+              "mbrw-build-epsilon-without-lambda": "--epsilon",
               "simulate-sampler-text-mu": "params.mu",
               "simulate-sampler-nan-mu": "params.mu",
               "simulate-sampler-text-high": "params.high",
@@ -887,18 +903,24 @@ PINNED_ERRORS = {
     "check-alpha-inf": "error: alpha must be > 1 and finite",
     "check-alpha-nan": "error: alpha must be > 1 and finite",
     "check-beta-7": "error: --beta must lie in (1, 2], got 7.0",
+    "check-beta-real": "error: --beta does not apply to a real model",
+    "check-epsilon-complex": "error: --epsilon does not apply to a complex model",
+    "check-lambda-complex": "error: --lambda does not apply to a complex model",
     "check-epsilon-nan": "error: epsilon must be >= 0 and finite",
     "check-lambda-nan": "error: lambda must be positive and finite",
     "check-n-max-0": "error: --n-max must be >= 1",
     "check-n-max-0-complex": "error: --n-max must be >= 1",
     "estimate-alpha-nan": "error: alpha must be positive and finite",
-    "estimate-fresh-cap-negative": "error: population cap must be >= 1, got -1",
+    "estimate-laplace-fit-complex":
+        "error: Laplace estimator needs a real-mode batch",
     "estimate-lambda-nan": "error: lambda must be positive and finite",
     "estimate-n-max-0": "error: --n-max must be >= 1",
     "estimate-t-max-inf": "error: --t-min and --t-max must be positive and finite",
     "mbrw-build-alpha-1": "error: alpha must be > 1 and finite",
     "mbrw-build-alpha-nan": "error: alpha must be > 1 and finite",
     "mbrw-build-epsilon-nan": "error: epsilon must be finite",
+    "mbrw-build-epsilon-without-lambda":
+        "error: --epsilon applies only with --lambda",
     "mbrw-build-lambda-nan": "error: lambda must be positive and finite",
     "mbrw-build-lambda-negative": "error: lambda must be positive and finite",
     "mbrw-build-t-inf": "error: --t must be finite, got inf",
@@ -1053,12 +1075,45 @@ class TestWorkerFailure:
         assert multiprocessing.active_children() == []
 
 
+class TestParser:
+    def test_flag_surface(self):
+        # every subcommand's option strings: adding or removing a flag is
+        # an edit here
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        surface = {name: [s for a in p._actions for s in a.option_strings
+                          if s not in ("-h", "--help")]
+                   for name, p in sub.choices.items()}
+        assert surface == {
+            "check": ["--model", "--alpha", "--lambda", "--epsilon", "--beta",
+                      "--n-max", "--out"],
+            "simulate": ["--model", "--n", "--replicates", "--seed", "--cap",
+                         "--workers", "--out"],
+            "estimate": ["--model", "--batch", "--alpha", "--lambda", "--n-max",
+                         "--laplace-fit", "--t-min", "--t-max", "--out"],
+            "mbrw-build": ["--spec", "--t", "--alpha", "--lambda", "--epsilon",
+                           "--out-model"],
+            "report": ["--input"],
+        }
+        assert sum(map(len, surface.values())) == 30
+
+
 class TestUsage:
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 1
 
     def test_missing_required_flag(self):
         assert main(["simulate", "--n", "2"]) == 1
+
+    @pytest.mark.parametrize("flag", [["--fresh"], ["--n", "3"],
+                                      ["--replicates", "20"], ["--seed", "1"],
+                                      ["--cap", "8"]])
+    def test_estimate_takes_no_draw_flag(self, flag, model_c_path, tmp_path):
+        # estimate reads simulate's batch; it draws none of its own
+        sim = _simulated(tmp_path, model_c_path, n=3, replicates=20, seed=1)
+        assert main(["estimate", "--model", model_c_path, "--batch", sim,
+                     "--alpha", "2", *flag, "--out", str(tmp_path / "e")]) == 1
+        assert not (tmp_path / "e").exists()
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one(self, workers, model_c_path, tmp_path):

@@ -7,8 +7,8 @@ from matcascade.conditions import (check_alpha_moments, check_complex,
                                    check_harmonic, exponential_profile,
                                    positive_column_probability)
 from matcascade import conditions
-from matcascade.model import (CascadeModel, MatcascadeError, normalize_model,
-                              scale_model)
+from matcascade.model import (CascadeModel, MatcascadeError, model_from_dict,
+                              normalize_model, scale_model)
 from matcascade.spectral import n_step_moment_matrix, perron
 from conftest import make_model
 
@@ -227,6 +227,17 @@ class TestSharedMeasures:
         for rep in check_alpha_moments(m, [2, 3], n_max=4):
             assert "rho_1(alpha) unavailable: matrix is not primitive" in rep.notes
         assert built_depths == [4]
+
+    def test_no_alpha_builds_nothing(self, model7, built_depths):
+        # depth 8 would form 7^8 products, past SUPPORT_CAP, had it been built
+        assert conditions.check_alpha_moments(model7, [], n_max=8) == []
+        assert built_depths == []
+
+    def test_no_alpha_still_needs_finite_atoms(self):
+        sampler = model_from_dict({"p": 2, "mode": "sampler", "sampler": {
+            "family": "uniform", "params": {"n_children": 2}}})
+        with pytest.raises(MatcascadeError, match="finite-atom"):
+            check_alpha_moments(sampler, [], n_max=3)
 
     def test_any_alpha_out_of_range_rejected(self, model_c):
         with pytest.raises(MatcascadeError, match="alpha must be > 1"):
