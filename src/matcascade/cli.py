@@ -6,8 +6,9 @@ version) sufficient to reproduce their outputs bitwise.  simulate draws
 on the usable cores unless --workers says otherwise, and its
 batch_meta.json records where its batch came from; estimate reads only
 that batch, checks the metadata against the model and batch.bin, and
-copies the batch's n, replicates and seed into its own manifest.  A
-flag that the model cannot serve is refused, never dropped.
+copies the batch's n, replicates, seed and cap into its own manifest.
+A flag that the model cannot serve is refused, never dropped, and no
+subcommand reads a prefix of a flag as the flag.
 
 Exit codes: 0 ok, 1 usage, 2 bad input, I/O or memory, 3 all replicates
 capped.  Code 2 comes from one place, ``main``, which prints any
@@ -137,7 +138,7 @@ def cmd_simulate(args):
         "model_hash": model.source_hash,
         "model_id": model.content_hash(),
         "n": batch.n, "replicates": batch.replicates,
-        "seed": args.seed,
+        "seed": args.seed, "cap": args.cap,
         "extinct_count": batch.extinct_count,
         "capped_count": batch.capped_count,
         "field": model.field_kind,
@@ -231,7 +232,7 @@ def cmd_estimate(args):
     text = _write_json(os.path.join(args.out, "estimates.json"), out)
     _write_manifest(args.out, args, {
         "model_hash": model.source_hash,
-        "batch": {k: meta.get(k) for k in ("n", "replicates", "seed")}})
+        "batch": {k: meta.get(k) for k in ("n", "replicates", "seed", "cap")}})
     print(text)
     return EXIT_OK
 
@@ -278,7 +279,10 @@ def build_parser():
         description="Matrix cascade condition checks, simulation, estimation")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pc = sub.add_parser("check", help="validate a model and run condition checks")
+    # no prefix matching, so that one command's flag is refused by another
+    # (simulate's --n, say, is not read as check's --n-max)
+    pc = sub.add_parser("check", help="validate a model and run condition checks",
+                        allow_abbrev=False)
     pc.add_argument("--model", required=True)
     pc.add_argument("--alpha", type=float, action="append", default=[])
     pc.add_argument("--lambda", dest="lam", type=float, action="append",
@@ -289,7 +293,8 @@ def build_parser():
     pc.add_argument("--out", default="out-check")
     pc.set_defaults(func=cmd_check)
 
-    ps = sub.add_parser("simulate", help="draw a reproducible sample batch")
+    ps = sub.add_parser("simulate", help="draw a reproducible sample batch",
+                        allow_abbrev=False)
     ps.add_argument("--model", required=True)
     ps.add_argument("--n", type=int, required=True)
     ps.add_argument("--replicates", type=_count, required=True)
@@ -303,7 +308,6 @@ def build_parser():
     ps.add_argument("--out", default="out-simulate")
     ps.set_defaults(func=cmd_simulate)
 
-    # no prefix matching, so simulate's --n is refused here, not read as --n-max
     pe = sub.add_parser("estimate", help="moment/harmonic/decay estimates",
                         allow_abbrev=False)
     pe.add_argument("--model", required=True)
@@ -320,7 +324,8 @@ def build_parser():
     pe.set_defaults(func=cmd_estimate)
 
     pm = sub.add_parser("mbrw-build",
-                        help="reduce a branching-walk spec to a cascade model")
+                        help="reduce a branching-walk spec to a cascade model",
+                        allow_abbrev=False)
     pm.add_argument("--spec", required=True)
     pm.add_argument("--t", type=float, required=True)
     pm.add_argument("--alpha", type=float, action="append", default=[])
@@ -330,7 +335,8 @@ def build_parser():
     pm.add_argument("--out-model", required=True)
     pm.set_defaults(func=cmd_mbrw_build)
 
-    pr = sub.add_parser("report", help="render a JSON report as a text table")
+    pr = sub.add_parser("report", help="render a JSON report as a text table",
+                        allow_abbrev=False)
     pr.add_argument("--input", required=True)
     pr.set_defaults(func=cmd_report)
     return parser

@@ -9,16 +9,21 @@ deeper one's stream.
 
 Each replicate owns a counter-based (Philox) stream keyed by the master
 seed and the replicate index, so a draw is reproducible from that pair
-alone and independent of batch size or worker count.  Each process of a
-run builds one generator per replicate slot of its first shard, from a
-fixed seed and without reading OS entropy, and re-keys those for every
-replicate, so no later replicate pays for a new bit generator.  For
-finite-atom laws each replicate's first WINDOW uniforms are drawn in one
-call up front; a node reads its uniform there by its stream position
-(draws its replicate used before, plus its rank at its depth), and only
-the draws past the window go to the stream one call per replicate and
-generation, in the same order.  A chunk of
-replicates is simulated in two passes that follow the recursion
+alone and independent of batch size or worker count.  For finite-atom
+laws a run builds one generator, from a fixed seed and without reading
+OS entropy; each process (forked workers inherit it) re-keys it for
+every replicate in one pass over its shard and draws that replicate's
+first uniforms into a window row in one call.  The window holds as many
+uniforms as a tree of the law can use before depth n (one per node of
+depths 0..n-1, at most sum_{g<n} Nmax^g), capped at WINDOW.  A node
+reads its uniform there by its stream position (draws its replicate
+used before, plus its rank at its depth); a replicate that outruns the
+window re-keys the generator at the counter block that holds its
+position, once per generation, and draws the rest in one call, so the
+stream order never changes.  Sampler laws re-key one generator per row
+slot of a shard, built in each process for its first shard.
+
+A chunk of replicates is simulated in two passes that follow the recursion
 Y = sum_k A_k Y(k): a top-down pass grows only the tree topology (the
 atom drawn at each node and the offset of its first child, nodes kept in
 canonical (replicate, parent, child) order), and a bottom-up pass folds
@@ -52,7 +57,7 @@ from .spectral import perron
 
 DEFAULT_CAP = 10_000_000
 CHUNK = 4096
-WINDOW = 16  # uniforms drawn per replicate up front, before any spill draws
+WINDOW = 256  # most uniforms drawn per replicate up front, before any spill draws
 
 BATCH_MAGIC = b"MCSB"
 BATCH_VERSION = 1
@@ -100,13 +105,34 @@ def replicate_rng(master_seed, r, rng=None):
     generator from the fixed _BUILD_SEED and re-keys that: Philox(key=...)
     would read OS entropy that the key then overrides.
     """
-    key = (master_seed % 2**64, r % 2**64)
     if rng is None:
         rng = np.random.Generator(np.random.Philox(_BUILD_SEED))
-    rng.bit_generator.state = {
-        "bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": key},
-        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    rng.bit_generator.state = _philox_state(master_seed, r, 0)
     return rng
+
+
+def _philox_state(master_seed, r, block):
+    """Philox state of replicate r's stream when its first `block` 4-word
+    counter blocks are spent: the next 64-bit output is number 4 * block."""
+    return {"bit_generator": "Philox",
+            "state": {"counter": (block, 0, 0, 0),
+                      "key": (master_seed % 2**64, r % 2**64)},
+            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
+def _stream_draws(rng, master_seed, r, pos, count):
+    """Uniforms pos, ..., pos + count - 1 of replicate r's stream, drawn by
+    re-keying rng at the counter block that holds pos, in one call."""
+    rng.bit_generator.state = _philox_state(master_seed, r, pos // 4)
+    return rng.random(pos % 4 + count)[pos % 4:]
+
+
+def _window_width(nmax, n):
+    """Uniforms drawn up front per replicate: as many as a tree whose nodes
+    have at most nmax children can use before depth n (one per node of
+    depths 0..n-1, sum_{g<n} nmax^g), capped at WINDOW; its first WINDOW
+    terms reach WINDOW unless nmax is 0."""
+    return min(WINDOW, sum(nmax ** g for g in range(min(n, WINDOW))))
 
 
 def _sampler_draw(model, rng, count):
@@ -162,48 +188,55 @@ def _fold(levels, sizes, depth, v):
     return y
 
 
-def _run_chunk(model, n, rngs, v, cap, identity_root):
-    """Simulate one chunk of replicates; returns (Y_n, extinct, capped).
+def _run_chunk(model, n, rows, master_seed, rngs, v, cap, identity_root):
+    """Simulate the replicates `rows` (a range); returns (Y_n, extinct, capped).
 
     Each replicate consumes its own stream: one uniform per alive node per
-    generation for finite-atom laws (read from the window while it lasts),
-    one sampler draw per node otherwise.
+    generation for finite-atom laws, one sampler draw per node otherwise.
+    A finite-atom law re-keys rngs[0] for every replicate and draws its
+    window from it; a replicate that outruns the window re-keys it at its
+    stream position for each generation's spill.  A sampler law re-keys
+    rngs[i] for row slot i, building it where it is None.
     """
-    m0 = len(rngs)
+    m0 = len(rows)
     dtype = v.dtype
     finite = model.mode == "finite-atom"
     if finite:
         cum = np.cumsum([a.prob for a in model.atoms])
         cum[-1] = 1.0
         nch = np.array([a.n_children for a in model.atoms])
+        rng = rngs[0]
+        # each replicate's first `width` uniforms; later ones spill
+        width = _window_width(int(nch.max()), n)
+        window = np.empty((m0, width))
+        for row, r in zip(window, rows):
+            replicate_rng(master_seed, r, rng).random(out=row)
+        used = np.zeros(m0, dtype=np.int64)  # uniforms each replicate has used
     else:
         n_children = model.sampler["params"]["n_children"]
+        for i, r in enumerate(rows):
+            rngs[i] = replicate_rng(master_seed, r, rngs[i])
 
     rep = np.arange(m0)  # replicate of each node at the current depth
     sizes = [m0]
     levels = []  # per depth: groups of (nodes, first-child offsets, slot matrices)
     capped = np.zeros(m0, dtype=bool)  # population cap breached
 
-    if finite:
-        # each replicate's first WINDOW uniforms; later ones spill to its stream
-        window = np.empty((m0, WINDOW))
-        for row, rng in zip(window, rngs):
-            rng.random(out=row)
-        used = np.zeros(m0, dtype=np.int64)  # uniforms each replicate has used
-
     for gen in range(n):
         counts = np.bincount(rep, minlength=m0)
         if finite:
             first_node = np.cumsum(counts) - counts
             pos = used[rep] + np.arange(len(rep)) - first_node[rep]
-            used += counts
             draws = np.empty(len(rep))
-            inside = pos < WINDOW
+            inside = pos < width
             draws[inside] = window[rep[inside], pos[inside]]
             if not inside.all():
                 spill = np.bincount(rep[~inside], minlength=m0)
                 draws[~inside] = np.concatenate(
-                    [rngs[i].random(spill[i]) for i in np.flatnonzero(spill)])
+                    [_stream_draws(rng, master_seed, rows[i], max(int(used[i]), width),
+                                   int(spill[i]))
+                     for i in np.flatnonzero(spill)])
+            used += counts
             atom = np.searchsorted(cum, draws, side="left")
             k = nch[atom]
         else:
@@ -364,14 +397,17 @@ def simulate_batch(model, n, replicates, master_seed, cap=DEFAULT_CAP,
 
     processes = process_count(replicates, workers)
     shards = _shards(replicates, processes)
-    # each process builds the generators of its first shard, then re-keys them
-    rngs = [None] * max(stop - start for start, stop in shards)
+    # a finite-atom law re-keys one generator, built here and inherited by
+    # forked workers; a sampler law one per row slot, built in each process
+    # for its first shard
+    if model.mode == "finite-atom":
+        rngs = [np.random.Generator(np.random.Philox(_BUILD_SEED))]
+    else:
+        rngs = [None] * max(stop - start for start, stop in shards)
 
     def run(shard):
-        start, stop = shard
-        for i, r in enumerate(range(start, stop)):
-            rngs[i] = replicate_rng(master_seed, r, rngs[i])
-        return _run_chunk(model, n, rngs[:stop - start], v, cap, identity_root)
+        return _run_chunk(model, n, range(*shard), master_seed, rngs, v, cap,
+                          identity_root)
 
     for (start, stop), (y, e, c) in zip(shards, _in_workers(run, shards, processes)):
         values[start:stop], extinct[start:stop], capped[start:stop] = y, e, c

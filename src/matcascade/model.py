@@ -60,6 +60,8 @@ def read_json(path, what):
         raise MatcascadeError(f"cannot read {what}: {e}") from e
     except json.JSONDecodeError as e:
         raise MatcascadeError(f"parse error in {path}: {e}") from e
+    except RecursionError:
+        raise MatcascadeError(f"parse error in {path}: JSON nested too deeply") from None
 
 
 @dataclass

@@ -550,7 +550,8 @@ class TestEstimate:
         assert main(["estimate", "--model", str(path), "--batch", sim,
                      "--alpha", "2", "--lambda", "1", "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["batch"] == {"n": 4, "replicates": 300, "seed": 7}
+        assert manifest["batch"] == {"n": 4, "replicates": 300, "seed": 7,
+                                     "cap": engine.DEFAULT_CAP}
         config = manifest["config"]
         assert not {"fresh", "n", "replicates", "seed", "cap"} & set(config)
         # simulate the named batch again, then rerun the recorded argv on it
@@ -558,11 +559,33 @@ class TestEstimate:
         drawn = manifest["batch"]
         assert main(["simulate", "--model", str(path), "--n", str(drawn["n"]),
                      "--replicates", str(drawn["replicates"]),
-                     "--seed", str(drawn["seed"]), "--out", str(again)]) == 0
+                     "--seed", str(drawn["seed"]), "--cap", str(drawn["cap"]),
+                     "--out", str(again)]) == 0
         moved = {sim: str(again), str(out): str(redo)}
         assert main([moved.get(a, a) for a in manifest["argv"]]) == 0
         assert ((redo / "estimates.json").read_bytes()
                 == (out / "estimates.json").read_bytes())
+
+    def test_manifest_tells_caps_apart(self, tmp_path):
+        # one or three children: the same draw with and without a cap of 60
+        # leaves different replicates to average over
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(
+            {"p": 1, "atoms": [{"prob": 0.5, "matrices": [[[1.0]]]},
+                               {"prob": 0.5, "matrices": [[[0.4]], [[0.3]], [[0.3]]]}]}))
+        capped = {}
+        for cap in (engine.DEFAULT_CAP, 60):
+            sim, est = tmp_path / f"sim{cap}", tmp_path / f"est{cap}"
+            assert main(["simulate", "--model", str(path), "--n", "6",
+                         "--replicates", "200", "--seed", "1", "--cap", str(cap),
+                         "--out", str(sim)]) == 0
+            assert main(["estimate", "--model", str(path), "--batch", str(sim),
+                         "--alpha", "2", "--out", str(est)]) == 0
+            meta = json.loads((sim / "batch_meta.json").read_text())
+            manifest = json.loads((est / "manifest.json").read_text())
+            assert meta["cap"] == manifest["batch"]["cap"] == cap
+            capped[cap] = meta["capped_count"]
+        assert capped[60] > capped[engine.DEFAULT_CAP] == 0
 
     def test_missing_batch_exit2(self, model_c_path, tmp_path):
         code = main(["estimate", "--model", model_c_path, "--batch",
@@ -739,9 +762,13 @@ MALFORMED_SPECS = {
 
 
 def _check_model(doc, *flags):
+    return _check_text(json.dumps(doc), *flags)
+
+
+def _check_text(text, *flags):
     def argv(tmp_path):
         path = tmp_path / "model.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(text)
         return ["check", "--model", str(path), "--alpha", "2", *flags,
                 "--out", str(tmp_path / "o")]
     return argv
@@ -865,6 +892,7 @@ MALFORMED_INPUTS = {
         lambda d: None, "--laplace-fit", alpha=None, doc=PHASE),
     "mbrw-build-epsilon-without-lambda": _build_spec(TT1, "--epsilon", "0.5"),
     "report-not-rows": _report([1]),
+    "model-nested-too-deeply": _check_text("[" * 100_000 + "]" * 100_000),
     "report-row-incomplete": _report([{"theorem": "x"}]),
 }
 
@@ -930,6 +958,8 @@ PINNED_ERRORS = {
     "model-matrices-number":
         "error: malformed model: object of type 'int' has no len()",
     "model-missing-matrices": "error: malformed model: missing key 'matrices'",
+    "model-nested-too-deeply":
+        "error: parse error in {tmp}/model.json: JSON nested too deeply",
     "model-missing-prob": "error: malformed model: missing key 'prob'",
     "model-p-above-rows": "error: matrix has 1 rows, expected 1000000",
     "model-row-number": "error: malformed model: object of type 'int' has no len()",
@@ -1057,12 +1087,11 @@ class TestWorkerFailure:
                             monkeypatch):
         parent, run_chunk, fail = os.getpid(), engine._run_chunk, getattr(self, fail)
 
-        def failing(model, n, rngs, *rest):
+        def failing(model, n, rows, *rest):
             # the shard that holds the last replicate fails, in a worker
-            last = rngs[-1].bit_generator.state["state"]["key"][1]
-            if last == 49 and os.getpid() != parent:
+            if rows[-1] == 49 and os.getpid() != parent:
                 fail()
-            return run_chunk(model, n, rngs, *rest)
+            return run_chunk(model, n, rows, *rest)
 
         monkeypatch.setattr(engine, "_run_chunk", failing)
         out = tmp_path / "o"
@@ -1114,6 +1143,26 @@ class TestUsage:
         assert main(["estimate", "--model", model_c_path, "--batch", sim,
                      "--alpha", "2", *flag, "--out", str(tmp_path / "e")]) == 1
         assert not (tmp_path / "e").exists()
+
+    def test_check_n_is_not_n_max(self, model_c_path, tmp_path, capsys):
+        # simulate's depth flag typed to check, once read as --n-max 2
+        assert main(["check", "--model", model_c_path, "--n", "2", "--alpha", "2",
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "unrecognized arguments: --n 2" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--mod", "{model}", "--model", "{model}", "--alpha", "2"],
+        ["simulate", "--model", "{model}", "--n", "2", "--rep", "4", "--seed", "1"],
+        ["mbrw-build", "--spec", "{model}", "--t", "1", "--out", "{tmp}/m.json"],
+        ["report", "--in", "{model}"]])
+    def test_flag_prefix_refused(self, argv, model_c_path, tmp_path):
+        # every subcommand takes its flags only in full
+        out = tmp_path / "o"
+        argv = [a.format(model=model_c_path, tmp=tmp_path) for a in argv]
+        assert main(argv + ([] if argv[0] in ("report", "mbrw-build")
+                            else ["--out", str(out)])) == 1
+        assert not out.exists() and not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one(self, workers, model_c_path, tmp_path):

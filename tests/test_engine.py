@@ -84,10 +84,11 @@ class TestSeedMatchedOracle:
             rtol=1e-12)
 
     def test_later_chunks(self, model_rand, monkeypatch):
-        # chunks of 4: replicates 5 and 6 run on re-keyed generators of the
-        # second chunk, 9 on the third; at depth 4 the population outgrows
-        # the window, so some draws come after it
+        # chunks of 4: replicates 5 and 6 are in the second chunk, 9 in the
+        # third; a window of 5 uniforms is outgrown at depth 2, so most
+        # draws resume the stream past it
         monkeypatch.setattr(engine, "CHUNK", 4)
+        monkeypatch.setattr(engine, "WINDOW", 5)
         batch = simulate_batch(model_rand, 4, 10, 42)
         assert not batch.capped.any()
         for r in (5, 6, 9):
@@ -155,30 +156,48 @@ class TestDrawWindow:
     """The window of uniforms drawn up front is a speed setting only."""
 
     # two or three children: a replicate has used 7 to 13 draws before
-    # depth 3, and its 8 to 27 nodes there mostly straddle the default
-    # window of 16
+    # depth 3, and its 8 to 27 nodes there mostly straddle a small window
     BRANCHING = make_model(1, [(0.5, [[[0.3]], [[0.9]]]),
                                (0.5, [[[0.2]], [[0.5]], [[0.4]]])])
 
-    @pytest.mark.parametrize("case", ["straddle", "capped"])
+    CASES = {
+        "straddle": lambda: (TestDrawWindow.BRANCHING, 5, 10, 3, 10**7, False),
+        "capped": lambda: (varying_offspring_model(), 6, 40, 3, 20, False),
+        "random-p3": lambda: (random_primitive_model(
+            np.random.default_rng(11), p=3, min_atoms=3), 4, 12, 8, 10**7, False),
+        "complex": lambda: (make_model(1, [(0.5, [[[0.5j]], [[0.25 + 0.25j]]]),
+                                           (0.5, [[[0.1]], [[0.3j]], [[0.2]]])],
+                                       field_kind="complex"), 5, 10, 6, 10**7, False),
+        "identity-root": lambda: (varying_offspring_model(), 5, 20, 7, 10**7, True),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
     def test_window_size_changes_nothing(self, case, monkeypatch):
-        if case == "straddle":
-            args = (self.BRANCHING, 5, 10, 3, 10**7)
-        else:
-            args = (varying_offspring_model(), 6, 40, 3, 20)
+        # windows of 1, 2, 3 and 5 make spills resume the stream at every
+        # offset within a counter block of 4 uniforms
+        model, n, replicates, seed, cap, identity_root = self.CASES[case]()
         monkeypatch.setattr(engine, "CHUNK", 3)
-        model, n, *rest = args
         runs = []
-        for window in (1, 2, engine.WINDOW):
+        for window in (1, 2, 3, 5, engine.WINDOW):
             monkeypatch.setattr(engine, "WINDOW", window)
-            runs.append([simulate_batch(model, m, *rest) for m in range(n + 1)])
+            runs.append([simulate_batch(model, m, replicates, seed, cap=cap,
+                                        identity_root=identity_root)
+                         for m in range(n + 1)])
         if case == "capped":
-            assert 0 < runs[0][-1].capped.sum() < 40
+            assert 0 < runs[0][-1].capped.sum() < replicates
         for traj in runs[1:]:
             for batch, batch0 in zip(traj, runs[0]):
                 np.testing.assert_array_equal(batch.values, batch0.values)
                 np.testing.assert_array_equal(batch.extinct, batch0.extinct)
                 np.testing.assert_array_equal(batch.capped, batch0.capped)
+
+    @pytest.mark.parametrize("nmax, n, width", [
+        (3, 0, 0), (3, 1, 1), (0, 4, 1), (1, 6, 6), (3, 5, 121), (2, 8, 255),
+        (2, 9, 256), (3, 40, 256)])
+    def test_width_sized_from_the_law(self, nmax, n, width):
+        # sum_{g<n} nmax^g uniforms at most, capped at WINDOW
+        assert engine.WINDOW == 256
+        assert engine._window_width(nmax, n) == width
 
 
 SAMPLERS = {
@@ -620,9 +639,8 @@ class TestReplicateStreams:
         assert "replicate_rng" in called
         assert not any("urandom" in name or "getrandbits" in name for name in called)
 
-    def test_one_generator_per_chunk_slot(self, model_rand, monkeypatch):
-        # re-keying replaces a new Philox (and its OS-entropy read) per
-        # replicate
+    @staticmethod
+    def count_philox(monkeypatch):
         built = []
         philox = np.random.Philox
 
@@ -631,9 +649,42 @@ class TestReplicateStreams:
             return philox(*args, **kwargs)
 
         monkeypatch.setattr(np.random, "Philox", counting)
+        return built
+
+    def test_one_generator_per_run(self, model_rand, monkeypatch):
+        # three chunks in this process re-key one generator, so no
+        # replicate builds a bit generator or reads OS entropy
+        built = self.count_philox(monkeypatch)
         monkeypatch.setattr(engine, "CHUNK", 4)
+        assert engine.process_count(10, 1) == 1
         simulate_batch(model_rand, 3, 10, 1)
-        assert 0 < len(built) <= 4
+        assert len(built) == 1
+
+    def test_sampler_one_generator_per_chunk_slot(self, monkeypatch):
+        built = self.count_philox(monkeypatch)
+        monkeypatch.setattr(engine, "CHUNK", 4)
+        model = model_from_dict({"p": 2, "mode": "sampler",
+                                 "sampler": SAMPLERS["uniform"]})
+        simulate_batch(model, 2, 10, 1)
+        assert len(built) == 4
+
+    @pytest.mark.parametrize("window", [256, 3])
+    def test_one_keying_per_replicate(self, model_rand, window, monkeypatch):
+        # the window covers every draw (depth 3 needs at most 13), or a
+        # window of 3 makes most replicates resume their streams past it;
+        # either way replicate_rng keys each replicate once
+        calls = []
+        keyed = engine.replicate_rng
+
+        def counting(*args):
+            calls.append(args[1])
+            return keyed(*args)
+
+        monkeypatch.setattr(engine, "replicate_rng", counting)
+        monkeypatch.setattr(engine, "CHUNK", 4)
+        monkeypatch.setattr(engine, "WINDOW", window)
+        simulate_batch(model_rand, 3, 10, 1)
+        assert calls == list(range(10))
 
 
 class TestShards:
