@@ -167,11 +167,16 @@ def cmd_estimate(args):
     if model_id != model.content_hash():
         raise MatcascadeError("batch was produced from a different model "
                               "(hash mismatch); re-simulate")
+    for key in ("n", "replicates"):
+        value = meta.get(key)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise MatcascadeError(
+                f"batch metadata {key} must be an integer, got {value!r}")
     batch = batch_from_binary(os.path.join(args.batch, "batch.bin"))
-    if (batch.n, batch.replicates) != (meta.get("n"), meta.get("replicates")):
+    if (batch.n, batch.replicates) != (meta["n"], meta["replicates"]):
         raise MatcascadeError(
             f"batch.bin holds n={batch.n}, R={batch.replicates}; batch_meta.json "
-            f"says n={meta.get('n')}, R={meta.get('replicates')}")
+            f"says n={meta['n']}, R={meta['replicates']}")
     if batch.p != model.p:
         raise MatcascadeError(
             f"batch.bin holds p={batch.p}; the model has p={model.p}")

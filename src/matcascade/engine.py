@@ -9,19 +9,17 @@ deeper one's stream.
 
 Each replicate owns a counter-based (Philox) stream keyed by the master
 seed and the replicate index, so a draw is reproducible from that pair
-alone and independent of batch size or worker count.  For finite-atom
-laws a run builds one generator, from a fixed seed and without reading
-OS entropy; each process (forked workers inherit it) re-keys it for
-every replicate in one pass over its shard and draws that replicate's
-first uniforms into a window row in one call.  The window holds as many
-uniforms as a tree of the law can use before depth n (one per node of
-depths 0..n-1, at most sum_{g<n} Nmax^g), capped at WINDOW.  A node
-reads its uniform there by its stream position (draws its replicate
-used before, plus its rank at its depth); a replicate that outruns the
-window re-keys the generator at the counter block that holds its
-position, once per generation, and draws the rest in one call, so the
-stream order never changes.  Sampler laws re-key one generator per row
-slot of a shard, built in each process for its first shard.
+alone and independent of batch size or worker count.  A run builds one
+generator, from a fixed seed and without reading OS entropy, which each
+process (forked workers inherit it) re-keys for every replicate of its
+shard, drawing the replicate's first uniforms into a window row in one
+call.  A node reads c uniforms (_uniforms_per_node) from its stream
+position: the uniforms its replicate used before, plus c times its rank
+at its depth.  The window holds as many as a tree of the law can use
+before depth n (c sum_{g<n} Nmax^g), capped at WINDOW; a replicate that
+outruns it re-keys the generator at the counter block of its position,
+once per generation, and draws the rest in one call, so every law reads
+its stream in order.
 
 A chunk of replicates is simulated in two passes that follow the recursion
 Y = sum_k A_k Y(k): a top-down pass grows only the tree topology (the
@@ -128,20 +126,35 @@ def _stream_draws(rng, master_seed, r, pos, count):
 
 
 def _window_width(nmax, n):
-    """Uniforms drawn up front per replicate: as many as a tree whose nodes
-    have at most nmax children can use before depth n (one per node of
-    depths 0..n-1, sum_{g<n} nmax^g), capped at WINDOW; its first WINDOW
-    terms reach WINDOW unless nmax is 0."""
+    """The most nodes of depths 0..n-1 in a tree whose nodes have at most
+    nmax children, sum_{g<n} nmax^g, capped at WINDOW (its first WINDOW
+    terms reach WINDOW unless nmax is 0)."""
     return min(WINDOW, sum(nmax ** g for g in range(min(n, WINDOW))))
 
 
-def _sampler_draw(model, rng, count):
-    """count draws of the child-matrix stack (count, N, p, p) for sampler laws."""
+def _uniforms_per_node(model):
+    """c: 1 for a finite-atom law (the atom), N p^2 for a sampler law (the
+    entries), rounded up to even for lognormal (Box-Muller pairs)."""
+    if model.mode == "finite-atom":
+        return 1
+    c = model.sampler["params"]["n_children"] * model.p ** 2
+    return c + c % 2 if model.sampler["family"] == "lognormal" else c
+
+
+def _sampler_matrices(model, u):
+    """The (nodes, N, p, p) child matrices of a sampler law from the nodes'
+    (nodes, c) uniforms: low + (high - low) u, as numpy's Generator.uniform
+    draws, or exp(mu + sigma z), z the Box-Muller normals of (u_2i, u_2i+1)."""
     params = model.sampler["params"]
-    shape = (count, params["n_children"], model.p, model.p)
-    if model.sampler["family"] == "lognormal":
-        return rng.lognormal(params["mu"], params["sigma"], shape)
-    return rng.uniform(params["low"], params["high"], shape)
+    shape = (len(u), params["n_children"], model.p, model.p)
+    if model.sampler["family"] == "uniform":
+        return (params["low"] + (params["high"] - params["low"]) * u).reshape(shape)
+    radius = np.sqrt(-2 * np.log(1 - u[:, 0::2]))  # 1 - u > 0
+    angle = 2 * np.pi * u[:, 1::2]
+    z = np.empty_like(u)
+    z[:, 0::2], z[:, 1::2] = radius * np.cos(angle), radius * np.sin(angle)
+    normals = z[:, :shape[1] * model.p ** 2]
+    return np.exp(params["mu"] + params["sigma"] * normals).reshape(shape)
 
 
 def _apply(mats, y):
@@ -188,16 +201,9 @@ def _fold(levels, sizes, depth, v):
     return y
 
 
-def _run_chunk(model, n, rows, master_seed, rngs, v, cap, identity_root):
-    """Simulate the replicates `rows` (a range); returns (Y_n, extinct, capped).
-
-    Each replicate consumes its own stream: one uniform per alive node per
-    generation for finite-atom laws, one sampler draw per node otherwise.
-    A finite-atom law re-keys rngs[0] for every replicate and draws its
-    window from it; a replicate that outruns the window re-keys it at its
-    stream position for each generation's spill.  A sampler law re-keys
-    rngs[i] for row slot i, building it where it is None.
-    """
+def _run_chunk(model, n, rows, master_seed, rng, v, cap, identity_root):
+    """Simulate the replicates `rows` (a range) with rng, re-keyed for each
+    replicate's window and spills; returns (Y_n, extinct, capped)."""
     m0 = len(rows)
     dtype = v.dtype
     finite = model.mode == "finite-atom"
@@ -205,17 +211,15 @@ def _run_chunk(model, n, rows, master_seed, rngs, v, cap, identity_root):
         cum = np.cumsum([a.prob for a in model.atoms])
         cum[-1] = 1.0
         nch = np.array([a.n_children for a in model.atoms])
-        rng = rngs[0]
-        # each replicate's first `width` uniforms; later ones spill
-        width = _window_width(int(nch.max()), n)
-        window = np.empty((m0, width))
-        for row, r in zip(window, rows):
-            replicate_rng(master_seed, r, rng).random(out=row)
-        used = np.zeros(m0, dtype=np.int64)  # uniforms each replicate has used
     else:
-        n_children = model.sampler["params"]["n_children"]
-        for i, r in enumerate(rows):
-            rngs[i] = replicate_rng(master_seed, r, rngs[i])
+        nch = np.array([model.sampler["params"]["n_children"]])
+    c = _uniforms_per_node(model)
+    # each replicate's first `width` uniforms; later ones spill
+    width = min(WINDOW, c * _window_width(int(nch.max()), n))
+    window = np.empty((m0, width))
+    for row, r in zip(window, rows):
+        replicate_rng(master_seed, r, rng).random(out=row)
+    used = np.zeros(m0, dtype=np.int64)  # uniforms each replicate has used
 
     rep = np.arange(m0)  # replicate of each node at the current depth
     sizes = [m0]
@@ -224,27 +228,27 @@ def _run_chunk(model, n, rows, master_seed, rngs, v, cap, identity_root):
 
     for gen in range(n):
         counts = np.bincount(rep, minlength=m0)
+        first_node = np.cumsum(counts) - counts
+        # each node's c stream positions, from used + c * (rank at this depth)
+        start = used[rep] + c * (np.arange(len(rep)) - first_node[rep])
+        pos = start[:, None] + np.arange(c)
+        owner = np.broadcast_to(rep[:, None], pos.shape)
+        u = np.empty(pos.shape)
+        inside = pos < width
+        u[inside] = window[owner[inside], pos[inside]]
+        if not inside.all():
+            spill = np.bincount(owner[~inside], minlength=m0)
+            u[~inside] = np.concatenate(
+                [_stream_draws(rng, master_seed, rows[i], max(int(used[i]), width),
+                               int(spill[i]))
+                 for i in np.flatnonzero(spill)])
+        used += c * counts
         if finite:
-            first_node = np.cumsum(counts) - counts
-            pos = used[rep] + np.arange(len(rep)) - first_node[rep]
-            draws = np.empty(len(rep))
-            inside = pos < width
-            draws[inside] = window[rep[inside], pos[inside]]
-            if not inside.all():
-                spill = np.bincount(rep[~inside], minlength=m0)
-                draws[~inside] = np.concatenate(
-                    [_stream_draws(rng, master_seed, rows[i], max(int(used[i]), width),
-                                   int(spill[i]))
-                     for i in np.flatnonzero(spill)])
-            used += counts
-            atom = np.searchsorted(cum, draws, side="left")
+            atom = np.searchsorted(cum, u[:, 0], side="left")
             k = nch[atom]
         else:
-            mats = [_sampler_draw(model, rngs[i], counts[i])
-                    for i in np.flatnonzero(counts)]
-            if mats:
-                mats = np.concatenate(mats).astype(dtype, copy=False)
-            k = np.full(len(rep), n_children)
+            mats = _sampler_matrices(model, u).astype(dtype, copy=False)
+            k = np.full(len(rep), nch[0])
 
         child_rep = np.repeat(rep, k)
         breach = np.bincount(child_rep, minlength=m0) > cap
@@ -397,16 +401,11 @@ def simulate_batch(model, n, replicates, master_seed, cap=DEFAULT_CAP,
 
     processes = process_count(replicates, workers)
     shards = _shards(replicates, processes)
-    # a finite-atom law re-keys one generator, built here and inherited by
-    # forked workers; a sampler law one per row slot, built in each process
-    # for its first shard
-    if model.mode == "finite-atom":
-        rngs = [np.random.Generator(np.random.Philox(_BUILD_SEED))]
-    else:
-        rngs = [None] * max(stop - start for start, stop in shards)
+    # one generator, re-keyed for every replicate; forked workers inherit it
+    rng = np.random.Generator(np.random.Philox(_BUILD_SEED))
 
     def run(shard):
-        return _run_chunk(model, n, range(*shard), master_seed, rngs, v, cap,
+        return _run_chunk(model, n, range(*shard), master_seed, rng, v, cap,
                           identity_root)
 
     for (start, stop), (y, e, c) in zip(shards, _in_workers(run, shards, processes)):
@@ -473,7 +472,9 @@ def batch_to_binary(batch, path):
 
 def batch_from_binary(path):
     """Read a batch written by batch_to_binary; MatcascadeError unless the
-    file is one, of exactly the length its header implies."""
+    file is one, of exactly the length its header implies, whose rows
+    set no flag bit above bit 1, are not both extinct and capped, and
+    hold finite values unless capped."""
     with open(path, "rb") as f:
         blob = f.read()
     off = BATCH_HEADER.size
@@ -487,8 +488,15 @@ def batch_from_binary(path):
     if len(blob) != expected:
         raise MatcascadeError(
             f"batch file has {len(blob)} bytes, its header implies {expected}")
-    flags = np.frombuffer(blob[off:off + r], dtype=np.uint8)
-    payload = np.frombuffer(blob[off + r:], dtype="<f8").reshape(r, width)
+    # views into blob, which a slice would copy
+    flags = np.frombuffer(blob, dtype=np.uint8, count=r, offset=off)
+    payload = np.frombuffer(blob, dtype="<f8", offset=off + r).reshape(r, width)
+    capped = (flags & 2).astype(bool)
+    for bad, what in ((flags > 3, "sets a flag bit above bit 1"),
+                      (flags == 3, "is flagged both extinct and capped"),
+                      (~capped & ~np.isfinite(payload).all(axis=1),
+                       "holds a non-finite value but is not capped")):
+        if bad.any():
+            raise MatcascadeError(f"batch file row {np.argmax(bad)} {what}")
     return SampleBatch(n=n, values=(payload.view(complex) if cx else payload).copy(),
-                       extinct=(flags & 1).astype(bool),
-                       capped=((flags >> 1) & 1).astype(bool))
+                       extinct=(flags & 1).astype(bool), capped=capped)

@@ -17,7 +17,8 @@ import numpy as np
 
 from .conditions import ConditionReport, _power, offspring_law_assumptions
 from .model import (PROB_SUM_TOL, Atom, CascadeModel, MatcascadeError,
-                    offspring_law, parse_dimension, parses, read_json)
+                    offspring_law, parse_dimension, parse_number, parses,
+                    read_json)
 from .spectral import perron
 
 BUILD_TOL = 1e-12
@@ -65,16 +66,16 @@ def spec_from_dict(doc):
         configs = []
         total = 0.0
         for raw in entry["offspring"]:
-            prob = float(raw["prob"])
+            prob = parse_number(raw["prob"], "config prob")
             if not 0.0 < prob <= 1.0:
                 raise MatcascadeError(f"config probability {prob} outside (0, 1]")
             children = []
             for ch in raw["children"]:
-                j = float(ch["type"])
+                j = parse_number(ch["type"], "child type")
                 if not (j.is_integer() and 1 <= j <= p):
                     raise MatcascadeError(
                         f"child type {ch['type']!r} is not an integer in 1..{p}")
-                children.append((int(j), float(ch["disp"])))
+                children.append((int(j), parse_number(ch["disp"], "child disp")))
             configs.append(OffspringConfig(prob=prob, children=children))
             total += prob
         if abs(total - 1.0) > PROB_SUM_TOL:

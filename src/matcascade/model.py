@@ -165,11 +165,21 @@ class ConditionReport:
                 "assumptions": self.assumptions_checked, "notes": self.notes}
 
 
+def parse_number(value, what):
+    """float(value) for the document field `what`, which must hold a number:
+    a string, a boolean or null is refused (TypeError), not converted.
+    float() reads the value first, so text it cannot read keeps its message."""
+    number = float(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{what} must be a number, got {value!r}")
+    return number
+
+
 def parse_dimension(value):
     """int(value) for the dimension p of a document; a fractional number
-    is refused, not truncated."""
+    is refused, not truncated, and so is anything but a number."""
     p = int(value)
-    if isinstance(value, float) and p != value:
+    if parse_number(value, "dimension p") != p:
         raise MatcascadeError(f"dimension p must be an integer, got {value!r}")
     return p
 
@@ -180,8 +190,9 @@ def _parse_entry(x, complex_mode):
             raise MatcascadeError("two-element entry in real mode")
         if len(x) != 2:
             raise MatcascadeError("complex entry must be [re, im]")
-        return complex(float(x[0]), float(x[1]))
-    v = float(x)
+        return complex(parse_number(x[0], "matrix entry"),
+                       parse_number(x[1], "matrix entry"))
+    v = parse_number(x, "matrix entry")
     return complex(v, 0.0) if complex_mode else v
 
 
@@ -224,7 +235,7 @@ def _parse_sampler(sampler):
     params = {}
     for name in ("n_children", *SAMPLER_DEFAULTS[family]):
         try:
-            params[name] = float(given[name])
+            params[name] = parse_number(given[name], f"params.{name}")
         except (TypeError, ValueError, OverflowError):
             params[name] = math.nan
         if not math.isfinite(params[name]):
@@ -264,7 +275,7 @@ def model_from_dict(doc, source_hash=None):
     atoms = []
     total = 0.0
     for raw in doc.get("atoms", []):
-        prob = float(raw["prob"])
+        prob = parse_number(raw["prob"], "atom prob")
         if not 0.0 < prob <= 1.0:
             raise MatcascadeError(f"atom probability {prob} outside (0, 1]")
         atoms.append(Atom(prob=prob, matrices=_parse_stack(raw["matrices"], p,

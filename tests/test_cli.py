@@ -8,6 +8,7 @@ import os
 import pathlib
 import random
 import signal
+import struct
 import subprocess
 import sys
 
@@ -743,6 +744,19 @@ MALFORMED_MODELS = {
     "sampler-p-unallocatable": {
         "p": 10**10, "mode": "sampler",
         "sampler": {"family": "uniform", "params": {"n_children": 2}}},
+    # a string, a boolean or null where a number is meant is refused, not
+    # converted
+    "string-p": dict(MODEL_C, p="2"),
+    "bool-p": dict(MODEL_A, p=True),
+    "string-prob": _model(prob="1"),
+    "null-prob": dict(MODEL_A, atoms=[dict(MODEL_A["atoms"][0], prob=None)]),
+    "string-entry": _model(matrices=[[["0.5"]], [[0.5]]]),
+    "bool-entry": _model(matrices=[[[True]], [[0.5]]]),
+    "complex-string-entry": {"p": 1, "field": "complex",
+                             "atoms": [{"prob": 1.0, "matrices": [[[[0.5, "0"]]]]}]},
+    "sampler-bool-n-children": {
+        "p": 1, "mode": "sampler",
+        "sampler": {"family": "uniform", "params": {"n_children": True}}},
 }
 
 MALFORMED_SPECS = {
@@ -758,6 +772,10 @@ MALFORMED_SPECS = {
     "fractional-type": _spec(lambda d: _first_child(d).update(type=1.5)),
     "tilted-weight-overflow": _spec(lambda d: _first_child(d).update(disp=-1000)),
     "fractional-p": _spec(lambda d: d.update(p=2.5)),
+    "string-p": _spec(lambda d: d.update(p="2")),
+    "string-prob": _spec(lambda d: d["types"][0]["offspring"][0].update(prob="1")),
+    "bool-type": _spec(lambda d: _first_child(d).update(type=True)),
+    "string-disp": _spec(lambda d: _first_child(d).update(disp="0")),
 }
 
 
@@ -827,6 +845,24 @@ def _foreign_bin(doc, n, replicates):
     return damage
 
 
+def _patch_bin(offset, data):
+    """Damage for _estimate_batch: the bytes of batch.bin from offset on
+    replaced by data."""
+    def damage(sim):
+        blob = bytearray((sim / "batch.bin").read_bytes())
+        blob[offset:offset + len(data)] = data
+        (sim / "batch.bin").write_bytes(bytes(blob))
+    return damage
+
+
+def _edit_meta(**fields):
+    """Damage for _estimate_batch: fields of batch_meta.json replaced."""
+    def damage(sim):
+        path = sim / "batch_meta.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), **fields}))
+    return damage
+
+
 def _report(doc):
     def argv(tmp_path):
         path = tmp_path / "report.json"
@@ -871,10 +907,19 @@ MALFORMED_INPUTS = {
     "batch-bin-other-n-r": _estimate_batch(_foreign_bin(MODEL_C, 5, 7)),
     # the metadata names the p=2 model; batch.bin holds a p=1 batch
     "batch-bin-other-p": _estimate_batch(_foreign_bin(MODEL_A, 3, 20)),
+    # MODEL_C's batch.bin: 20 flag bytes from byte 28, then 20 rows of
+    # two values from byte 48
+    "batch-flag-bit-2": _estimate_batch(_patch_bin(28 + 3, b"\x04")),
+    "batch-flags-both": _estimate_batch(_patch_bin(28 + 5, b"\x03")),
+    "batch-nan-uncapped": _estimate_batch(
+        _patch_bin(48 + 16 * 7 + 8, struct.pack("<d", math.nan))),
+    "batch-meta-string-n": _estimate_batch(_edit_meta(n="3")),
+    "batch-meta-bool-replicates": _estimate_batch(_edit_meta(replicates=True)),
     "simulate-cap-0": _simulate_model(MODEL_C, "--cap", "0"),
     "simulate-sampler-text-mu": _simulate_model(_sampler(LOGNORMAL, mu="abc")),
     "simulate-sampler-nan-mu": _simulate_model(_sampler(LOGNORMAL, mu="nan")),
     "simulate-sampler-text-high": _simulate_model(_sampler(UNIFORM, high="x")),
+    "simulate-sampler-string-low": _simulate_model(_sampler(UNIFORM, low="0.1")),
     "simulate-sampler-inf-high": _simulate_model(_sampler(UNIFORM, high="inf")),
     "simulate-sampler-low-above-high": _simulate_model(
         _sampler(UNIFORM, low=0.5, high=0.1)),
@@ -908,6 +953,7 @@ FLAG_NAMED = {"check-n-max-0-complex": "--n-max", "estimate-n-max-0": "--n-max",
               "simulate-sampler-text-mu": "params.mu",
               "simulate-sampler-nan-mu": "params.mu",
               "simulate-sampler-text-high": "params.high",
+              "simulate-sampler-string-low": "params.low",
               "simulate-sampler-inf-high": "params.high",
               "simulate-sampler-low-above-high": "params.high",
               "simulate-sampler-fractional-n-children": "params.n_children",
@@ -922,11 +968,18 @@ PINNED_ERRORS = {
     "batch-bin-other-p": "error: batch.bin holds p=1; the model has p=2",
     "batch-bin-missing":
         "error: [Errno 2] No such file or directory: '{tmp}/sim/batch.bin'",
+    "batch-flag-bit-2": "error: batch file row 3 sets a flag bit above bit 1",
+    "batch-flags-both": "error: batch file row 5 is flagged both extinct and capped",
+    "batch-meta-bool-replicates":
+        "error: batch metadata replicates must be an integer, got True",
     "batch-meta-model-id-null": "error: batch metadata has no model_id",
     "batch-meta-no-model-id": "error: batch metadata has no model_id",
     "batch-meta-not-json":
         "error: parse error in {tmp}/sim/batch_meta.json: Expecting property "
         "name enclosed in double quotes: line 1 column 2 (char 1)",
+    "batch-meta-string-n": "error: batch metadata n must be an integer, got '3'",
+    "batch-nan-uncapped":
+        "error: batch file row 7 holds a non-finite value but is not capped",
     "batch-truncated": "error: batch file has 363 bytes, its header implies 368",
     "check-alpha-inf": "error: alpha must be > 1 and finite",
     "check-alpha-nan": "error: alpha must be > 1 and finite",
@@ -954,6 +1007,11 @@ PINNED_ERRORS = {
     "mbrw-build-t-inf": "error: --t must be finite, got inf",
     "mbrw-build-t-nan": "error: --t must be finite, got nan",
     "model-atoms-number": "error: malformed model: 'int' object is not iterable",
+    "model-bool-entry":
+        "error: malformed model: matrix entry must be a number, got True",
+    "model-bool-p": "error: malformed model: dimension p must be a number, got True",
+    "model-complex-string-entry":
+        "error: malformed model: matrix entry must be a number, got '0'",
     "model-fractional-p": "error: dimension p must be an integer, got 2.5",
     "model-matrices-number":
         "error: malformed model: object of type 'int' has no len()",
@@ -961,8 +1019,13 @@ PINNED_ERRORS = {
     "model-nested-too-deeply":
         "error: parse error in {tmp}/model.json: JSON nested too deeply",
     "model-missing-prob": "error: malformed model: missing key 'prob'",
+    "model-null-prob":
+        "error: malformed model: float() argument must be a string or a real "
+        "number, not 'NoneType'",
     "model-p-above-rows": "error: matrix has 1 rows, expected 1000000",
     "model-row-number": "error: malformed model: object of type 'int' has no len()",
+    "model-sampler-bool-n-children":
+        "error: sampler params.n_children must be a finite number, got True",
     "model-sampler-mean-overflow":
         "error: lognormal sampler mean params.n_children * E[entry] overflows "
         "the float range",
@@ -970,6 +1033,10 @@ PINNED_ERRORS = {
         "error: the 10000000000 x 10000000000 mean matrix cannot be allocated",
     "model-sampler-text-n-children":
         "error: sampler params.n_children must be a finite number, got 'x'",
+    "model-string-entry":
+        "error: malformed model: matrix entry must be a number, got '0.5'",
+    "model-string-p": "error: malformed model: dimension p must be a number, got '2'",
+    "model-string-prob": "error: malformed model: atom prob must be a number, got '1'",
     "model-text-entry":
         "error: malformed model: could not convert string to float: 'abc'",
     "model-text-p":
@@ -991,10 +1058,13 @@ PINNED_ERRORS = {
         "the float range",
     "simulate-sampler-nan-mu":
         "error: sampler params.mu must be a finite number, got 'nan'",
+    "simulate-sampler-string-low":
+        "error: sampler params.low must be a finite number, got '0.1'",
     "simulate-sampler-text-high":
         "error: sampler params.high must be a finite number, got 'x'",
     "simulate-sampler-text-mu":
         "error: sampler params.mu must be a finite number, got 'abc'",
+    "spec-bool-type": "error: malformed spec: child type must be a number, got True",
     "spec-fractional-p": "error: dimension p must be an integer, got 2.5",
     "spec-fractional-type": "error: child type 1.5 is not an integer in 1..2",
     "spec-missing-children": "error: malformed spec: missing key 'children'",
@@ -1004,6 +1074,9 @@ PINNED_ERRORS = {
     "spec-missing-prob": "error: malformed spec: missing key 'prob'",
     "spec-missing-type": "error: malformed spec: missing key 'type'",
     "spec-missing-types": "error: malformed spec: missing key 'types'",
+    "spec-string-disp": "error: malformed spec: child disp must be a number, got '0'",
+    "spec-string-p": "error: malformed spec: dimension p must be a number, got '2'",
+    "spec-string-prob": "error: malformed spec: config prob must be a number, got '1'",
     "spec-text-type": "error: malformed spec: could not convert string to float: 'a'",
     "spec-tilted-weight-overflow":
         "error: tilted displacement weight exp(1000.0) overflows the float range",

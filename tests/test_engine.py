@@ -1,14 +1,17 @@
 import cProfile
+import hashlib
+import math
 import multiprocessing
 import os
 import pstats
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from matcascade import engine
 from matcascade.engine import (batch_from_binary, batch_to_binary, batch_to_csv,
-                               replicate_rng, simulate_batch, _sampler_draw)
+                               replicate_rng, simulate_batch)
 from matcascade.model import (MatcascadeError, model_from_dict, normalize_model,
                               tilt_model)
 from matcascade.spectral import moment_matrix, perron
@@ -102,18 +105,41 @@ class TestSeedMatchedOracle:
             np.testing.assert_allclose(y, self.oracle(model_d1, 4, seed),
                                        rtol=1e-12)
 
+    @staticmethod
+    def node_matrices(model, rng):
+        """One node's (N, p, p) child matrices, drawn from the next outputs
+        of rng: uniform entries by numpy's Generator.uniform, lognormal ones
+        by Box-Muller on N p^2 uniforms (one more if that is odd), a scalar
+        at a time."""
+        params = model.sampler["params"]
+        shape = (params["n_children"], model.p, model.p)
+        if model.sampler["family"] == "uniform":
+            return rng.uniform(params["low"], params["high"], shape)
+        size = math.prod(shape)
+        u = rng.random(size + size % 2)
+        z = []
+        for u1, u2 in zip(u[0::2], u[1::2]):
+            radius = math.sqrt(-2 * math.log(1 - u1))
+            z += [radius * math.cos(2 * math.pi * u2),
+                  radius * math.sin(2 * math.pi * u2)]
+        return np.reshape([math.exp(params["mu"] + params["sigma"] * x)
+                           for x in z[:size]], shape)
+
     def sampler_oracle(self, model, n, seed, r, identity_root=False):
-        """Per-node expansion of replicate r drawing each node's matrices
-        from the same sampler stream; identity_root replaces the root's
-        drawn matrices by I."""
+        """Per-node expansion of replicate r, each node drawing its matrices
+        from the next uniforms of the replicate's stream; identity_root
+        replaces the root's drawn matrices by I."""
         v = perron(model.mean_matrix()).v
         rng = replicate_rng(seed, r)
         prods = [np.eye(model.p)]
         for gen in range(n):
-            draws = _sampler_draw(model, rng, len(prods))
-            if identity_root and gen == 0:
-                draws = np.broadcast_to(np.eye(model.p), draws.shape)
-            prods = [x @ mat for x, mats in zip(prods, draws) for mat in mats]
+            nxt = []
+            for x in prods:
+                mats = self.node_matrices(model, rng)
+                if identity_root and gen == 0:
+                    mats = np.broadcast_to(np.eye(model.p), mats.shape)
+                nxt += [x @ mat for mat in mats]
+            prods = nxt
         return sum((x @ v for x in prods), start=np.zeros(model.p))
 
     @pytest.mark.parametrize("seed", [5, 77])
@@ -126,6 +152,20 @@ class TestSeedMatchedOracle:
         for r in range(3):
             np.testing.assert_allclose(batch.values[r],
                                        self.sampler_oracle(model, 4, seed, r),
+                                       rtol=1e-12)
+
+    @pytest.mark.parametrize("seed", [5, 77])
+    def test_lognormal_sampler_model(self, seed):
+        # p = 3 and three children: 27 entries, so 28 uniforms per node, and
+        # the 13 nodes above depth 3 outrun the window of 256
+        model = model_from_dict({"p": 3, "mode": "sampler",
+                                 "sampler": SAMPLERS["lognormal"]})
+        assert engine._uniforms_per_node(model) == 28
+        batch = simulate_batch(model, 3, 3, seed)
+        assert not batch.capped.any()
+        for r in range(3):
+            np.testing.assert_allclose(batch.values[r],
+                                       self.sampler_oracle(model, 3, seed, r),
                                        rtol=1e-12)
 
     @pytest.mark.parametrize("seed", [5, 77])
@@ -169,6 +209,10 @@ class TestDrawWindow:
                                            (0.5, [[[0.1]], [[0.3j]], [[0.2]]])],
                                        field_kind="complex"), 5, 10, 6, 10**7, False),
         "identity-root": lambda: (varying_offspring_model(), 5, 20, 7, 10**7, True),
+        # 28 uniforms per node, so nodes straddle every window edge
+        "lognormal-sampler": lambda: (model_from_dict(
+            {"p": 3, "mode": "sampler", "sampler": SAMPLERS["lognormal"]}),
+            3, 6, 5, 10**7, False),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -190,6 +234,21 @@ class TestDrawWindow:
                 np.testing.assert_array_equal(batch.values, batch0.values)
                 np.testing.assert_array_equal(batch.extinct, batch0.extinct)
                 np.testing.assert_array_equal(batch.capped, batch0.capped)
+
+    # sha256 of simulate_batch(uniform sampler, 5, 300, 11).values: the bits
+    # numpy's Generator.uniform draws node by node from each replicate's
+    # stream, whatever the window and chunk sizes
+    UNIFORM_PIN = "06e184f864510969441d28e46ceaa73c75068541c2ca0d6ce7198db611002f28"
+
+    @pytest.mark.parametrize("chunk", [4096, 37])
+    @pytest.mark.parametrize("window", [256, 5, 1])
+    def test_uniform_sampler_pinned(self, window, chunk, monkeypatch):
+        monkeypatch.setattr(engine, "WINDOW", window)
+        monkeypatch.setattr(engine, "CHUNK", chunk)
+        model = model_from_dict({"p": 2, "mode": "sampler",
+                                 "sampler": SAMPLERS["uniform"]})
+        values = simulate_batch(model, 5, 300, 11).values
+        assert hashlib.sha256(values.tobytes()).hexdigest() == self.UNIFORM_PIN
 
     @pytest.mark.parametrize("nmax, n, width", [
         (3, 0, 0), (3, 1, 1), (0, 4, 1), (1, 6, 6), (3, 5, 121), (2, 8, 255),
@@ -213,9 +272,31 @@ class TestSamplerMeanMatrix:
     def test_closed_form_matches_draws(self, family):
         model = model_from_dict({"p": 2, "mode": "sampler",
                                  "sampler": SAMPLERS[family]})
-        sums = _sampler_draw(model, np.random.default_rng(3), 10**5).sum(axis=1)
+        u = np.random.default_rng(3).random((10**5, engine._uniforms_per_node(model)))
+        sums = engine._sampler_matrices(model, u).sum(axis=1)
         se = sums.std(axis=0) / np.sqrt(len(sums))
         assert np.all(np.abs(sums.mean(axis=0) - model.mean_matrix()) <= 5 * se)
+
+    def test_lognormal_entries_ks(self, monkeypatch):
+        # the root's child matrices of 2 000 replicates, 24 000 entries:
+        # those made from Box-Muller cosines and those from sines are each
+        # lognormal(mu, sigma)
+        params = SAMPLERS["lognormal"]["params"]
+        model = model_from_dict({"p": 2, "mode": "sampler",
+                                 "sampler": SAMPLERS["lognormal"]})
+        roots = []
+        fold = engine._fold
+
+        def recording(levels, sizes, depth, v):
+            roots.append(levels[0][0][2])  # (N, replicates, p, p)
+            return fold(levels, sizes, depth, v)
+
+        monkeypatch.setattr(engine, "_fold", recording)
+        simulate_batch(model, 1, 2000, 9)
+        entries = np.concatenate(roots, axis=1).swapaxes(0, 1).reshape(2000, -1)
+        law = stats.lognorm(s=params["sigma"], scale=math.exp(params["mu"]))
+        for half in (entries[:, 0::2], entries[:, 1::2]):
+            assert stats.kstest(half.ravel(), law.cdf).pvalue > 0.01
 
     @pytest.mark.parametrize("family", sorted(SAMPLERS))
     def test_v_does_not_depend_on_seed(self, family):
@@ -653,20 +734,16 @@ class TestReplicateStreams:
 
     def test_one_generator_per_run(self, model_rand, monkeypatch):
         # three chunks in this process re-key one generator, so no
-        # replicate builds a bit generator or reads OS entropy
-        built = self.count_philox(monkeypatch)
+        # replicate builds a bit generator or reads OS entropy, whatever
+        # the law
         monkeypatch.setattr(engine, "CHUNK", 4)
         assert engine.process_count(10, 1) == 1
-        simulate_batch(model_rand, 3, 10, 1)
-        assert len(built) == 1
-
-    def test_sampler_one_generator_per_chunk_slot(self, monkeypatch):
+        sampler = model_from_dict({"p": 2, "mode": "sampler",
+                                   "sampler": SAMPLERS["uniform"]})
         built = self.count_philox(monkeypatch)
-        monkeypatch.setattr(engine, "CHUNK", 4)
-        model = model_from_dict({"p": 2, "mode": "sampler",
-                                 "sampler": SAMPLERS["uniform"]})
-        simulate_batch(model, 2, 10, 1)
-        assert len(built) == 4
+        simulate_batch(model_rand, 3, 10, 1)
+        simulate_batch(sampler, 3, 10, 1)
+        assert len(built) == 2
 
     @pytest.mark.parametrize("window", [256, 3])
     def test_one_keying_per_replicate(self, model_rand, window, monkeypatch):
@@ -725,6 +802,8 @@ class TestWorkers:
         "complex": lambda: (complex_model([0.5j, 0.25 + 0.25j, 0.1]), 3, 10**7),
         "uniform-sampler": lambda: (model_from_dict(
             {"p": 2, "mode": "sampler", "sampler": SAMPLERS["uniform"]}), 3, 10**7),
+        "lognormal-sampler": lambda: (model_from_dict(
+            {"p": 2, "mode": "sampler", "sampler": SAMPLERS["lognormal"]}), 3, 10**7),
         "extinct": lambda: (make_model(1, [(0.5, []), (0.5, [[[0.5]], [[0.5]]])]),
                             6, 10**7),
         "capped": lambda: (varying_offspring_model(), 6, 20),

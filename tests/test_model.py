@@ -104,7 +104,7 @@ class TestLoad:
         # numbers with the defaults filled in; a parameter the family does
         # not read is not checked
         doc = {"p": 1, "mode": "sampler", "sampler": {"family": "lognormal",
-               "params": {"n_children": "3", "mu": -1, "low": "x"}}}
+               "params": {"n_children": 3.0, "mu": -1, "low": "x"}}}
         sampler = model_from_dict(doc).sampler
         assert sampler == {"family": "lognormal",
                            "params": {"n_children": 3, "mu": -1.0, "sigma": 1.0}}
