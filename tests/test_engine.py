@@ -734,16 +734,23 @@ class TestReplicateStreams:
 
     def test_one_generator_per_run(self, model_rand, monkeypatch):
         # three chunks in this process re-key one generator, so no
-        # replicate builds a bit generator or reads OS entropy, whatever
-        # the law
+        # replicate builds a bit generator or reads OS entropy
+        built = self.count_philox(monkeypatch)
         monkeypatch.setattr(engine, "CHUNK", 4)
         assert engine.process_count(10, 1) == 1
-        sampler = model_from_dict({"p": 2, "mode": "sampler",
-                                   "sampler": SAMPLERS["uniform"]})
-        built = self.count_philox(monkeypatch)
         simulate_batch(model_rand, 3, 10, 1)
-        simulate_batch(sampler, 3, 10, 1)
-        assert len(built) == 2
+        assert len(built) == 1
+
+    def test_sampler_one_generator_per_chunk_slot(self, monkeypatch):
+        # a sampler law reads its entries from the same stream window, so
+        # its three chunk slots share the run's one generator as well
+        built = self.count_philox(monkeypatch)
+        monkeypatch.setattr(engine, "CHUNK", 4)
+        assert engine.process_count(10, 1) == 1
+        model = model_from_dict({"p": 2, "mode": "sampler",
+                                 "sampler": SAMPLERS["uniform"]})
+        simulate_batch(model, 2, 10, 1)
+        assert len(built) == 1
 
     @pytest.mark.parametrize("window", [256, 3])
     def test_one_keying_per_replicate(self, model_rand, window, monkeypatch):
