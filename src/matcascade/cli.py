@@ -167,11 +167,13 @@ def cmd_estimate(args):
     if model_id != model.content_hash():
         raise MatcascadeError("batch was produced from a different model "
                               "(hash mismatch); re-simulate")
-    for key in ("n", "replicates"):
+    for key in ("n", "replicates", "seed", "cap"):
         value = meta.get(key)
         if isinstance(value, bool) or not isinstance(value, int):
             raise MatcascadeError(
                 f"batch metadata {key} must be an integer, got {value!r}")
+    if meta["cap"] < 1:
+        raise MatcascadeError(f"batch metadata cap must be >= 1, got {meta['cap']}")
     batch = batch_from_binary(os.path.join(args.batch, "batch.bin"))
     if (batch.n, batch.replicates) != (meta["n"], meta["replicates"]):
         raise MatcascadeError(

@@ -372,7 +372,9 @@ def simulate_batch(model, n, replicates, master_seed, cap=DEFAULT_CAP,
     the depth-n nodes as leaves.  Extinction yields the zero vector, and a
     tree that dies out before depth n sets the extinct flag.  A replicate
     whose population at some depth up to n would exceed cap (at least 1)
-    stops growing there: its value is NaN and its capped flag is set.
+    stops growing there: its value is NaN and its capped flag is set.  Any
+    other replicate whose value is not finite (its products overflow the
+    float range) makes the run fail with MatcascadeError.
 
     A depth-m run (m <= n) draws a prefix of each stream of the depth-n
     run, so it grows the same trees to depth m, and its values are their
@@ -405,11 +407,17 @@ def simulate_batch(model, n, replicates, master_seed, cap=DEFAULT_CAP,
     rng = np.random.Generator(np.random.Philox(_BUILD_SEED))
 
     def run(shard):
-        return _run_chunk(model, n, range(*shard), master_seed, rng, v, cap,
-                          identity_root)
+        # a product past the float range is refused below, without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _run_chunk(model, n, range(*shard), master_seed, rng, v, cap,
+                              identity_root)
 
     for (start, stop), (y, e, c) in zip(shards, _in_workers(run, shards, processes)):
         values[start:stop], extinct[start:stop], capped[start:stop] = y, e, c
+    overflowed = np.flatnonzero(~capped & ~np.isfinite(values).all(axis=1))
+    if len(overflowed):
+        raise MatcascadeError(f"replicate {overflowed[0]} overflowed: its depth-{n} "
+                              "value is not finite")
     return SampleBatch(n=n, values=values, extinct=extinct, capped=capped)
 
 

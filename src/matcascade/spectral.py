@@ -8,6 +8,12 @@ below and links down to depth 1, the child stack itself.  The support is
 merged bitwise, in order of first occurrence, by array operations, and
 every mean or moment matrix is one weighted power sum over a stack of
 matrices, added in stack order.
+
+Both run as long array passes.  A level's products are formed per depth-1
+child by p^2 multiply-add passes over column copies of the level below,
+summed over q in order from zero, as np.einsum sums them, so the bits are
+einsum's.  A power sum scales the powers in place and adds them row after
+row, with no cumulative copy.
 """
 
 from __future__ import annotations
@@ -160,10 +166,19 @@ def _child_stack(model):
 
 def _power_sum(weights, mats, t):
     """sum_i weights[i] * mats[i]^t, entrywise powers, added in index order
-    onto a zero matrix (a sum over axis 0 would add pairwise when p = 1)."""
-    terms = np.zeros((len(weights) + 1,) + mats.shape[1:])
-    np.multiply(weights[:, None, None], _entry_power(mats, t), out=terms[1:])
-    return np.add.accumulate(terms, axis=0)[-1]
+    onto a zero matrix.
+
+    The powers are formed once, as (N, p^2) rows, and scaled in place.  A
+    sum over axis 0 adds them row after row when a row holds two or more
+    entries; for p = 1 it would add pairwise, so the scalars are
+    accumulated in order instead.
+    """
+    n, p = mats.shape[:2]
+    terms = _entry_power(mats, t).reshape(n, p * p)
+    terms *= weights[:, None]
+    if p == 1:
+        return np.add.accumulate(np.append(0.0, terms))[-1:].reshape(1, 1)
+    return np.add.reduce(terms, axis=0, initial=0.0).reshape(p, p)
 
 
 def moment_matrix(model, t):
@@ -198,6 +213,37 @@ def _merge(weights, mats):
     return merged, mats[first[order]]
 
 
+def _left_products(base, mats):
+    """base[a] @ mats[i] for every a and i, a-major, as a C-contiguous
+    (len(base) * len(mats), p, p) stack: the bits of
+    np.einsum("apq,mqr->ampr", base, mats).
+
+    Each entry is a sum over q, in order, onto zero, of base[a, i, q] times
+    the column copy of mats[:, q, r], one long array pass per (i, q); a
+    complex term is re = ar br - ai bi, im = ar bi + ai br, as einsum
+    forms it.
+    """
+    count, p = base.shape[:2]
+    m = len(mats)
+    parts = (mats.real, mats.imag) if np.iscomplexobj(mats) else (mats,)
+    cols = np.array([x.transpose(1, 2, 0) for x in parts])  # (part, q, r, m)
+    out = np.empty((count, m, p, p), mats.dtype)
+    out_parts = out.view(np.float64).reshape(count, m, p, p, len(parts))
+    block = np.empty((len(parts), p, p, m))
+    for a in range(count):
+        block.fill(0.0)
+        for i in range(p):
+            for q in range(p):
+                x = base[a, i, q]
+                if len(parts) == 1:
+                    block[0, i] += x * cols[0, q]
+                else:
+                    block[0, i] += x.real * cols[0, q] - x.imag * cols[1, q]
+                    block[1, i] += x.real * cols[1, q] + x.imag * cols[0, q]
+        out_parts[a] = block.transpose(3, 1, 2, 0)
+    return out.reshape(count * m, p, p)
+
+
 def intensity_measure(model, n):
     """Exact weighted support of the depth-n path products, each shallower
     depth linked below it.
@@ -221,8 +267,7 @@ def intensity_measure(model, n):
                 f"exceeding cap {SUPPORT_CAP}; use a smaller depth")
         # left-multiply each depth-1 matrix onto the accumulated products
         new_w = np.multiply.outer(base_w, weights).reshape(-1)
-        new_m = np.einsum("apq,mqr->ampr", base_m, mats).reshape(-1, model.p, model.p)
-        weights, mats = _merge(new_w, new_m)
+        weights, mats = _merge(new_w, _left_products(base_m, mats))
         nu = IntensityMeasure(depth=depth, weights=weights, matrices=mats, below=nu)
     return nu
 

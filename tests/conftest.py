@@ -129,7 +129,8 @@ def reference_intensity_measure(model, n):
     """(weights, matrices) of the depth-n intensity measure, with bitwise
     equal products merged through a dict keyed on their bytes: the support
     in order of first occurrence, each weight summed in input order.  The
-    products are formed as the library forms them."""
+    products come from np.einsum, which the library no longer uses: an
+    independent oracle of the bits its own passes form."""
     dtype = complex if model.is_complex else float
     base_w = np.array([a.prob for a in model.atoms for _ in a.matrices])
     base_m = np.stack([np.asarray(m, dtype=dtype)

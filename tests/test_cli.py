@@ -66,6 +66,9 @@ UNIFORM = {"p": 2, "mode": "sampler", "sampler": {
     "family": "uniform", "params": {"n_children": 2, "low": 0.1, "high": 0.4}}}
 LOGNORMAL = {"p": 2, "mode": "sampler", "sampler": {
     "family": "lognormal", "params": {"n_children": 2, "mu": -1.5, "sigma": 0.4}}}
+# its mean, 2 e^690.5, is finite; its depth-3 products are not
+OVERFLOWING = {"p": 1, "mode": "sampler", "sampler": {
+    "family": "lognormal", "params": {"n_children": 2, "mu": 690, "sigma": 1}}}
 TT1 = {"p": 2, "types": [
     {"offspring": [{"prob": 1.0,
                     "children": [{"type": 1, "disp": 0.0},
@@ -425,6 +428,23 @@ class TestSimulate:
         assert capsys.readouterr().err == (
             "error: every replicate exceeded the population cap\n")
         assert list((tmp_path / "o").iterdir()) == []
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_overflow_exit2_no_batch(self, workers, tmp_path, capfd, monkeypatch):
+        # depth-3 products near e^2070 overflow in every replicate; with two
+        # workers, over three shards of 7 or 6 replicates
+        monkeypatch.setattr(engine, "CHUNK", 7)
+        monkeypatch.setattr(engine, "usable_cores", lambda: 2)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(OVERFLOWING))
+        out = tmp_path / "o"
+        assert main(["simulate", "--model", str(path), "--n", "3",
+                     "--replicates", "20", "--seed", "1", "--workers", workers,
+                     "--out", str(out)]) == 2
+        # read at the file descriptor, so a worker's warning would show too
+        assert capfd.readouterr().err == (
+            "error: replicate 0 overflowed: its depth-3 value is not finite\n")
+        assert list(out.iterdir()) == []
 
 
 def _simulated(tmp_path, model_path, n, replicates, seed):
@@ -915,8 +935,15 @@ MALFORMED_INPUTS = {
         _patch_bin(48 + 16 * 7 + 8, struct.pack("<d", math.nan))),
     "batch-meta-string-n": _estimate_batch(_edit_meta(n="3")),
     "batch-meta-bool-replicates": _estimate_batch(_edit_meta(replicates=True)),
+    "batch-meta-string-seed": _estimate_batch(_edit_meta(seed="x")),
+    "batch-meta-float-seed": _estimate_batch(_edit_meta(seed=1.0)),
+    "batch-meta-list-cap": _estimate_batch(_edit_meta(cap=[1])),
+    "batch-meta-bool-cap": _estimate_batch(_edit_meta(cap=True)),
+    "batch-meta-cap-0": _estimate_batch(_edit_meta(cap=0)),
     "simulate-cap-0": _simulate_model(MODEL_C, "--cap", "0"),
     "simulate-sampler-text-mu": _simulate_model(_sampler(LOGNORMAL, mu="abc")),
+    "simulate-sampler-overflow":
+        "error: replicate 0 overflowed: its depth-3 value is not finite",
     "simulate-sampler-nan-mu": _simulate_model(_sampler(LOGNORMAL, mu="nan")),
     "simulate-sampler-text-high": _simulate_model(_sampler(UNIFORM, high="x")),
     "simulate-sampler-string-low": _simulate_model(_sampler(UNIFORM, low="0.1")),
@@ -929,6 +956,7 @@ MALFORMED_INPUTS = {
     "simulate-sampler-mean-inf": _simulate_model(
         _sampler(LOGNORMAL, mu=1.7e308, sigma=1.3e154)),
     "simulate-cap-negative": _simulate_model(MODEL_C, "--cap", "-1"),
+    "simulate-sampler-overflow": _simulate_model(OVERFLOWING),
     # a flag that the model cannot serve is refused, not dropped
     "check-lambda-complex": _check_model(PHASE, "--lambda", "1"),
     "check-epsilon-complex": _check_model(PHASE, "--epsilon", "0.5"),
@@ -951,7 +979,9 @@ FLAG_NAMED = {"check-n-max-0-complex": "--n-max", "estimate-n-max-0": "--n-max",
               "estimate-laplace-fit-complex": "Laplace",
               "mbrw-build-epsilon-without-lambda": "--epsilon",
               "simulate-sampler-text-mu": "params.mu",
-              "simulate-sampler-nan-mu": "params.mu",
+              "simulate-sampler-overflow":
+        "error: replicate 0 overflowed: its depth-3 value is not finite",
+    "simulate-sampler-nan-mu": "params.mu",
               "simulate-sampler-text-high": "params.high",
               "simulate-sampler-string-low": "params.low",
               "simulate-sampler-inf-high": "params.high",
@@ -978,6 +1008,12 @@ PINNED_ERRORS = {
         "error: parse error in {tmp}/sim/batch_meta.json: Expecting property "
         "name enclosed in double quotes: line 1 column 2 (char 1)",
     "batch-meta-string-n": "error: batch metadata n must be an integer, got '3'",
+    "batch-meta-string-seed":
+        "error: batch metadata seed must be an integer, got 'x'",
+    "batch-meta-float-seed": "error: batch metadata seed must be an integer, got 1.0",
+    "batch-meta-list-cap": "error: batch metadata cap must be an integer, got [1]",
+    "batch-meta-bool-cap": "error: batch metadata cap must be an integer, got True",
+    "batch-meta-cap-0": "error: batch metadata cap must be >= 1, got 0",
     "batch-nan-uncapped":
         "error: batch file row 7 holds a non-finite value but is not capped",
     "batch-truncated": "error: batch file has 363 bytes, its header implies 368",
@@ -1056,6 +1092,8 @@ PINNED_ERRORS = {
     "simulate-sampler-mean-inf":
         "error: lognormal sampler mean params.n_children * E[entry] overflows "
         "the float range",
+    "simulate-sampler-overflow":
+        "error: replicate 0 overflowed: its depth-3 value is not finite",
     "simulate-sampler-nan-mu":
         "error: sampler params.mu must be a finite number, got 'nan'",
     "simulate-sampler-string-low":

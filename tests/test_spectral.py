@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -244,8 +246,8 @@ class TestAgainstReference:
         nu = intensity_measure(model, n)
         assert nu.weights.dtype == want_w.dtype
         assert nu.matrices.dtype == want_m.dtype
-        np.testing.assert_array_equal(nu.weights, want_w)
-        np.testing.assert_array_equal(nu.matrices, want_m)
+        assert nu.weights.tobytes() == want_w.tobytes()
+        assert nu.matrices.tobytes() == want_m.tobytes()
 
     @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
     def test_levels_bitwise(self, case):
@@ -256,15 +258,17 @@ class TestAgainstReference:
         while nu.below is not None:
             depths.append(nu.depth)
             want_w, want_m = reference_intensity_measure(model, nu.depth)
-            np.testing.assert_array_equal(nu.weights, want_w)
-            np.testing.assert_array_equal(nu.matrices, want_m)
+            assert nu.weights.dtype == want_w.dtype
+            assert nu.matrices.dtype == want_m.dtype
+            assert nu.weights.tobytes() == want_w.tobytes()
+            assert nu.matrices.tobytes() == want_m.tobytes()
             nu = nu.below
         assert depths + [nu.depth] == list(range(n, 0, -1))
         # depth 1 is the child stack: bitwise-equal children stay apart
-        np.testing.assert_array_equal(
-            nu.weights, [a.prob for a in model.atoms for _ in a.matrices])
-        np.testing.assert_array_equal(
-            nu.matrices, np.concatenate([a.matrices for a in model.atoms]))
+        assert nu.weights.tobytes() == np.array(
+            [a.prob for a in model.atoms for _ in a.matrices]).tobytes()
+        assert nu.matrices.tobytes() == np.concatenate(
+            [a.matrices for a in model.atoms]).tobytes()
 
     @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
     def test_power_sums_bitwise(self, case):
@@ -274,12 +278,13 @@ class TestAgainstReference:
         probs = np.array([a.prob for a in model.atoms for _ in a.matrices])
         children = np.stack([m for a in model.atoms for m in a.matrices])
         for t in (1, 1.5, 2, 3):
-            np.testing.assert_array_equal(n_step_moment_matrix(model, t, n),
-                                          reference_power_sum(*measure, t))
-            np.testing.assert_array_equal(moment_matrix(model, t),
-                                          reference_power_sum(probs, children, t))
-            np.testing.assert_array_equal(n_step_moment_matrix(model, t, 1),
-                                          moment_matrix(model, t))
+            for got, want in (
+                    (n_step_moment_matrix(model, t, n),
+                     reference_power_sum(*measure, t)),
+                    (moment_matrix(model, t), reference_power_sum(probs, children, t)),
+                    (n_step_moment_matrix(model, t, 1), moment_matrix(model, t))):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
 
 # p = 3, seven children in three atoms, as the exact_moments benchmark
@@ -296,8 +301,10 @@ NO_MERGE_MODEL = [
 
 
 def _products(model, n):
-    """The unmerged depth-n products and weights, formed as the library
-    forms them from the depth-(n-1) level."""
+    """The unmerged depth-n products and weights, from the library's
+    depth-(n-1) level.  The products come from np.einsum, which the
+    library no longer uses, so they are an independent oracle of its
+    product bits."""
     w, m = spectral._child_stack(model)
     below = intensity_measure(model, n - 1)
     return (np.multiply.outer(w, below.weights).reshape(-1),
@@ -364,6 +371,45 @@ class TestMergePrecheck:
         want_w, want_m = reference_intensity_measure(model, 4)
         assert full_w.tobytes() == want_w.tobytes()
         assert full_m.tobytes() == want_m.tobytes()
+
+
+class TestLeftProducts:
+    """_left_products against np.einsum("apq,mqr->ampr"): the same bytes
+    and dtype, C-contiguous, since _merge reads each row as uint64 words."""
+
+    @pytest.mark.parametrize("field_kind", ["real", "complex"])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_bytes_equal_einsum(self, p, field_kind):
+        rng = np.random.default_rng(100 * p + len(field_kind))
+        for _ in range(25):
+            base = rng.uniform(-1.0, 1.0, (int(rng.integers(1, 8)), p, p))
+            mats = rng.uniform(-1.0, 1.0, (int(rng.integers(1, 300)), p, p))
+            if field_kind == "complex":
+                base = base + 1j * rng.uniform(-1.0, 1.0, base.shape)
+                mats = mats + 1j * rng.uniform(-1.0, 1.0, mats.shape)
+            for x in (base, mats):  # signed zeros, in real and imaginary parts
+                parts = x.view(np.float64)
+                parts[rng.random(parts.shape) < 0.3] = 0.0
+                parts[rng.random(parts.shape) < 0.2] = -0.0
+            got = spectral._left_products(base, mats)
+            want = np.einsum("apq,mqr->ampr", base, mats).reshape(-1, p, p)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+
+
+class TestPowerSumMemory:
+    def test_peak_below_one_and_a_quarter_stacks(self):
+        # the powers are the one (N, p, p) array the sum allocates
+        nu = intensity_measure(make_model(3, NO_MERGE_MODEL), 6)
+        assert nu.matrices.shape == (7 ** 6, 3, 3)
+        tracemalloc.start()
+        try:
+            spectral._power_sum(nu.weights, nu.matrices, 2.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * nu.matrices.nbytes
 
 
 class TestNStepMomentMatrix:
