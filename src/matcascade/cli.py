@@ -124,6 +124,8 @@ def cmd_check(args):
 
 
 def cmd_simulate(args):
+    if not 0 <= args.seed < 2**64:  # one seed per 64-bit Philox key word
+        raise MatcascadeError(f"--seed must lie in [0, 2^64), got {args.seed}")
     model = load_model(args.model)
     os.makedirs(args.out, exist_ok=True)
     batch = simulate_batch(model, args.n, args.replicates, args.seed,

@@ -392,7 +392,8 @@ def tilt_model(model, t):
     from .spectral import _entry_power
 
     model._require_finite_atom()
-    atoms = [Atom(prob=a.prob, matrices=_entry_power(a.matrices, t))
+    atoms = [Atom(prob=a.prob,
+                  matrices=_entry_power(a.matrices, t, np.empty(a.matrices.shape)))
              for a in model.atoms]
     return normalize_model(CascadeModel(p=model.p, mode=model.mode,
                                         field_kind="real", atoms=atoms))

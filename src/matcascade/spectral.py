@@ -9,11 +9,12 @@ merged bitwise, in order of first occurrence, by array operations, and
 every mean or moment matrix is one weighted power sum over a stack of
 matrices, added in stack order.
 
-Both run as long array passes.  A level's products are formed per depth-1
-child by p^2 multiply-add passes over column copies of the level below,
-summed over q in order from zero, as np.einsum sums them, so the bits are
-einsum's.  A power sum scales the powers in place and adds them row after
-row, with no cumulative copy.
+A level's products are formed per depth-1 child by p^2 multiply-add
+passes over column copies of the level below, summed over q in order from
+zero, as np.einsum sums them, so the bits are einsum's.  A power sum
+streams the stack through one buffer of SUM_BLOCK rows: each block is
+raised, scaled by its weights and accumulated in order onto the running
+sum, so no second array of the stack's size is made.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ POWER_MAXITER = 5_000  # plain steps before the squarings of the shifted matrix
 POWER_SQUARINGS = 64
 RESIDUAL_TOL = 1e-10
 SUPPORT_CAP = 1_000_000  # most products one intensity-measure depth may form
+SUM_BLOCK = 4096  # matrices a power sum raises and adds per pass
 # odd, so its powers, the per-word multipliers of _merge's hash, are invertible
 # modulo 2^64: two rows that differ in one word hash differently
 HASH_BASE = 0x9E3779B97F4A7C15
@@ -141,18 +143,19 @@ def perron(mat):
                         iterations=max(it_v, it_u))
 
 
-def _entry_power(mat, t):
-    """Entrywise t-th power with the 0^t conventions.
+def _entry_power(mat, t, out):
+    """Entrywise t-th power of mat (of its moduli when complex), written
+    into out, a float array of mat's shape, and returned.
 
     0^t = 0 for t > 0; t <= 0 with a zero entry is an error (0^0 is
     ambiguous and 0^t diverges for t < 0).  A power that overflows is
     inf, which perron then refuses.
     """
-    a = np.abs(mat) if np.iscomplexobj(mat) else np.asarray(mat, dtype=float)
+    a = np.abs(mat, out=out) if np.iscomplexobj(mat) else mat
     if t <= 0 and np.any(a == 0):
         raise MatcascadeError(f"zero entry raised to power t={t}")
     with np.errstate(over="ignore"):
-        return np.power(a, t)
+        return np.power(a, t, out=out)
 
 
 def _child_stack(model):
@@ -168,17 +171,22 @@ def _power_sum(weights, mats, t):
     """sum_i weights[i] * mats[i]^t, entrywise powers, added in index order
     onto a zero matrix.
 
-    The powers are formed once, as (N, p^2) rows, and scaled in place.  A
-    sum over axis 0 adds them row after row when a row holds two or more
-    entries; for p = 1 it would add pairwise, so the scalars are
-    accumulated in order instead.
+    The running sum is row 0 of a (SUM_BLOCK + 1, p^2) buffer.  Each block
+    of SUM_BLOCK matrices is raised into the rows after it and scaled in
+    place, and an accumulation down the buffer adds the rows in order, for
+    every p (a sum over axis 0 would add one column pairwise); its last row
+    is carried to row 0 for the next block.
     """
     n, p = mats.shape[:2]
-    terms = _entry_power(mats, t).reshape(n, p * p)
-    terms *= weights[:, None]
-    if p == 1:
-        return np.add.accumulate(np.append(0.0, terms))[-1:].reshape(1, 1)
-    return np.add.reduce(terms, axis=0, initial=0.0).reshape(p, p)
+    buf = np.zeros((min(n, SUM_BLOCK) + 1, p * p))
+    for i in range(0, n, SUM_BLOCK):
+        block = mats[i:i + SUM_BLOCK]
+        rows = buf[:len(block) + 1]
+        _entry_power(block, t, rows[1:].reshape(block.shape))
+        rows[1:] *= weights[i:i + SUM_BLOCK, None]
+        np.add.accumulate(rows, axis=0, out=rows)
+        buf[0] = rows[-1]
+    return buf[0].reshape(p, p).copy()
 
 
 def moment_matrix(model, t):

@@ -335,6 +335,21 @@ class TestSimulate:
         assert (outs[0] / "batch.csv").read_bytes() == (outs[1] / "batch.csv").read_bytes()
         assert (outs[0] / "batch.bin").read_bytes() == (outs[1] / "batch.bin").read_bytes()
 
+    def test_seed_range_ends_accepted_and_distinct(self, tmp_path):
+        # 0 and 2^64 - 1 are the ends of [0, 2^64); outside it, see
+        # MALFORMED_INPUTS
+        model = tmp_path / "model-r.json"
+        model.write_text(json.dumps(MODEL_R))
+        bins = []
+        for seed in (0, 2**64 - 1):
+            out = tmp_path / f"s{seed}"
+            assert main(["simulate", "--model", str(model), "--n", "4",
+                         "--replicates", "20", "--seed", str(seed),
+                         "--out", str(out)]) == 0
+            assert json.loads((out / "batch_meta.json").read_text())["seed"] == seed
+            bins.append((out / "batch.bin").read_bytes())
+        assert bins[0] != bins[1]
+
     def test_workers_flag_does_not_change_bytes(self, model_c_path, tmp_path):
         o1, o2 = tmp_path / "w1", tmp_path / "w2"
         main(["simulate", "--model", model_c_path, "--n", "4", "--replicates",
@@ -956,6 +971,9 @@ MALFORMED_INPUTS = {
     "simulate-sampler-mean-inf": _simulate_model(
         _sampler(LOGNORMAL, mu=1.7e308, sigma=1.3e154)),
     "simulate-cap-negative": _simulate_model(MODEL_C, "--cap", "-1"),
+    # the Philox key word holds [0, 2^64): -1 would draw the batch of 2^64 - 1
+    "simulate-seed-negative": _simulate_model(MODEL_C, "--seed", "-1"),
+    "simulate-seed-2-64": _simulate_model(MODEL_C, "--seed", str(2**64)),
     "simulate-sampler-overflow": _simulate_model(OVERFLOWING),
     # a flag that the model cannot serve is refused, not dropped
     "check-lambda-complex": _check_model(PHASE, "--lambda", "1"),
@@ -978,6 +996,8 @@ FLAG_NAMED = {"check-n-max-0-complex": "--n-max", "estimate-n-max-0": "--n-max",
               "check-beta-real": "--beta",
               "estimate-laplace-fit-complex": "Laplace",
               "mbrw-build-epsilon-without-lambda": "--epsilon",
+              "simulate-seed-negative": "--seed",
+              "simulate-seed-2-64": "--seed",
               "simulate-sampler-text-mu": "params.mu",
               "simulate-sampler-overflow":
         "error: replicate 0 overflowed: its depth-3 value is not finite",
@@ -1082,6 +1102,9 @@ PINNED_ERRORS = {
     "report-row-incomplete": "error: malformed report: missing key 'verdict'",
     "simulate-cap-0": "error: population cap must be >= 1, got 0",
     "simulate-cap-negative": "error: population cap must be >= 1, got -1",
+    "simulate-seed-negative": "error: --seed must lie in [0, 2^64), got -1",
+    "simulate-seed-2-64":
+        "error: --seed must lie in [0, 2^64), got 18446744073709551616",
     "simulate-sampler-fractional-n-children":
         "error: sampler params.n_children must be an integer >= 1, got 2.7",
     "simulate-sampler-inf-high":

@@ -1,10 +1,12 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from matcascade import spectral
+from matcascade.conditions import check_alpha_moments
 from matcascade.model import MatcascadeError, offspring_law
 from matcascade.spectral import (IntensityMeasure, intensity_measure, matrix_norm,
                                  moment_matrix, n_step_moment_matrix, perron)
@@ -410,6 +412,128 @@ class TestPowerSumMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * nu.matrices.nbytes
+
+
+def _one_pass_power_sum(weights, mats, t):
+    """The power sum as one pass over the whole stack: the (N, p^2) powers
+    formed at once, scaled in place and summed over axis 0 from zero, the
+    scalars of p = 1 accumulated in order."""
+    n, p = mats.shape[:2]
+    a = np.abs(mats) if np.iscomplexobj(mats) else np.asarray(mats, dtype=float)
+    with np.errstate(over="ignore"):
+        terms = np.power(a, t).reshape(n, p * p)
+    terms *= weights[:, None]
+    if p == 1:
+        return np.add.accumulate(np.append(0.0, terms))[-1:].reshape(1, 1)
+    return np.add.reduce(terms, axis=0, initial=0.0).reshape(p, p)
+
+
+def _signed_zero_stack(rng, n, p, field_kind):
+    """n random p x p matrices, real nonnegative or complex, about a third
+    of whose entries (real and imaginary parts apart) are 0.0 or -0.0."""
+    mats = rng.uniform(0.0, 1.0, (n, p, p))
+    if field_kind == "complex":
+        mats = mats + 1j * rng.uniform(-1.0, 1.0, mats.shape)
+    parts = mats.view(np.float64)
+    parts[rng.random(parts.shape) < 0.2] = 0.0
+    parts[rng.random(parts.shape) < 0.15] = -0.0
+    return mats
+
+
+class TestBlockedPowerSum:
+    """_power_sum streams the stack through SUM_BLOCK rows at a time; at
+    every block size, including one row and blocks that end exactly at,
+    before or past the stack's end, it gives the bits of the one-pass sum
+    and of the one-term-at-a-time reference."""
+
+    N = 23
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, N - 1, N, N + 1])
+    @pytest.mark.parametrize("field_kind", ["real", "complex"])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_bytes_equal_one_pass(self, p, field_kind, block, monkeypatch):
+        monkeypatch.setattr(spectral, "SUM_BLOCK", block)
+        rng = np.random.default_rng(10 * p + len(field_kind) + block)
+        mats = _signed_zero_stack(rng, self.N, p, field_kind)
+        weights = rng.uniform(0.0, 1.0, self.N)
+        for t in (1, 1.5, 2, 2.5, 3):
+            got = spectral._power_sum(weights, mats, t)
+            for want in (_one_pass_power_sum(weights, mats, t),
+                         reference_power_sum(weights, mats, t)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, N - 1, N, N + 1])
+    @pytest.mark.parametrize("field_kind", ["real", "complex"])
+    def test_zero_entry_refused_at_nonpositive_t(self, field_kind, block,
+                                                 monkeypatch):
+        monkeypatch.setattr(spectral, "SUM_BLOCK", block)
+        rng = np.random.default_rng(block)
+        mats = _signed_zero_stack(rng, self.N, 2, field_kind)
+        mats.view(np.float64)[:] = np.abs(mats.view(np.float64)) + 0.5
+        mats[-1, 1, 0] = 0.0  # in the last block, whatever its size
+        for t in (0, -1.5):
+            with pytest.raises(MatcascadeError, match="zero entry"):
+                spectral._power_sum(np.ones(self.N), mats, t)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, N - 1, N, N + 1])
+    @pytest.mark.parametrize("field_kind", ["real", "complex"])
+    def test_overflow_is_inf_without_warning(self, field_kind, block,
+                                             monkeypatch):
+        monkeypatch.setattr(spectral, "SUM_BLOCK", block)
+        mats = np.full((self.N, 2, 2), 0.5, dtype=complex if field_kind ==
+                       "complex" else float)
+        mats[self.N // 2, 0, 1] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = spectral._power_sum(np.full(self.N, 0.25), mats, 2)
+        assert got[0, 1] == np.inf
+        assert np.isfinite(got[[0, 1, 1], [0, 0, 1]]).all()
+
+
+class TestBlockedPowerSumMemory:
+    """No power sum holds a second array of its stack's size."""
+
+    @staticmethod
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_check_alpha_moments_peak_below_1_4_levels(self):
+        # the build of the deepest level sets the peak; the one-pass power
+        # sums added a copy of it, 1.78 times the levels' bytes
+        model = make_model(3, NO_MERGE_MODEL)
+        nu = intensity_measure(model, 6)
+        levels = 0
+        while nu is not None:
+            levels += nu.weights.nbytes + nu.matrices.nbytes
+            nu = nu.below
+        peak = self.peak(lambda: check_alpha_moments(model, [1.5, 2, 3], 6))
+        assert peak <= 1.4 * levels
+
+    def test_power_sum_peak_set_by_the_block(self):
+        # depths 5 and 6 hold 7^5 and 7^6 matrices, both past one block
+        nu = intensity_measure(make_model(3, NO_MERGE_MODEL), 6)
+        buffer = (spectral.SUM_BLOCK + 1) * 9 * np.float64().itemsize
+        for level in (nu, nu.below):
+            assert len(level.weights) > spectral.SUM_BLOCK
+            peak = self.peak(lambda: spectral._power_sum(level.weights,
+                                                         level.matrices, 2.5))
+            assert peak <= 1.5 * buffer
+
+    def test_complex_entry_power_peak_one_float_array(self):
+        # the moduli are raised in place, in the array they are written to
+        rng = np.random.default_rng(7)
+        mats = rng.random((100_000, 3, 3)) * np.exp(
+            2j * np.pi * rng.random((100_000, 3, 3)))
+        floats = mats.real.nbytes
+        peak = self.peak(lambda: spectral._entry_power(mats, 2.5,
+                                                      np.empty(mats.shape)))
+        assert peak <= 1.25 * floats
 
 
 class TestNStepMomentMatrix:
