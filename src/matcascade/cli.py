@@ -2,11 +2,14 @@
 
 Commands: check, simulate, estimate, mbrw-build, report.  check,
 simulate and estimate write a manifest (command line, hashes, seed,
-version) sufficient to reproduce their outputs bitwise.  simulate draws
-on the usable cores unless --workers says otherwise, and its
-batch_meta.json records where its batch came from; estimate reads only
-that batch, checks the metadata against the model and batch.bin, and
-copies the batch's n, replicates, seed and cap into its own manifest.
+version) sufficient to reproduce their outputs bitwise.  simulate runs
+on the usable cores (`taskset` limits them), at most one process per
+CHUNK replicates, and in one process without fork or beside another
+Python thread (engine.process_count, recorded as the manifest's
+processes); its batch_meta.json records where its batch came from;
+estimate reads only that batch, checks the metadata against the model
+and batch.bin, and copies the batch's n, replicates, seed and cap into
+its own manifest.
 A flag that the model cannot serve is refused, never dropped, and no
 subcommand reads a prefix of a flag as the flag.
 
@@ -34,7 +37,7 @@ from .model import (MatcascadeError, load_model, parses, read_json, save_model,
 from .conditions import (check_alpha_moments, check_complex, check_harmonic,
                          exponential_profile)
 from .engine import (batch_from_binary, batch_to_binary, batch_to_csv,
-                     process_count, simulate_batch, CHUNK, DEFAULT_CAP)
+                     process_count, simulate_batch, DEFAULT_CAP)
 from .estimate import (estimate_harmonic, estimate_laplace, estimate_moment,
                        fit_power_decay, fit_stretched_exponential)
 from .mbrw import build_cascade_from_mbrw, load_mbrw_spec, mbrw_condition_report
@@ -129,12 +132,12 @@ def cmd_simulate(args):
     model = load_model(args.model)
     os.makedirs(args.out, exist_ok=True)
     batch = simulate_batch(model, args.n, args.replicates, args.seed,
-                           cap=args.cap, workers=args.workers)
+                           cap=args.cap)
     if batch.capped_count == batch.replicates:
         print("error: every replicate exceeded the population cap",
               file=sys.stderr)
         return EXIT_ALL_FAILED
-    batch_to_csv(batch, os.path.join(args.out, "batch.csv"), workers=args.workers)
+    batch_to_csv(batch, os.path.join(args.out, "batch.csv"))
     batch_to_binary(batch, os.path.join(args.out, "batch.bin"))
     meta = {
         "model_hash": model.source_hash,
@@ -148,7 +151,7 @@ def cmd_simulate(args):
     _write_json(os.path.join(args.out, "batch_meta.json"), meta)
     _write_manifest(args.out, args, {
         "model_hash": meta["model_hash"],
-        "processes": process_count(batch.replicates, args.workers)})
+        "processes": process_count(batch.replicates)})
     print(f"wrote {batch.replicates} replicates "
           f"({batch.extinct_count} extinct, {batch.capped_count} capped)")
     return EXIT_OK
@@ -274,8 +277,7 @@ def cmd_report(args):
 
 
 def _count(text):
-    """argparse type of --replicates and --workers: a count below 1 is a
-    usage error."""
+    """argparse type of --replicates: a count below 1 is a usage error."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
@@ -309,11 +311,6 @@ def build_parser():
     ps.add_argument("--replicates", type=_count, required=True)
     ps.add_argument("--seed", type=int, required=True)
     ps.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    ps.add_argument("--workers", type=_count, default=None,
-                    help="processes that simulate and format the rows, at "
-                         f"most one per usable core and per {CHUNK} "
-                         "replicates (default: the usable cores); output "
-                         "bytes never depend on it")
     ps.add_argument("--out", default="out-simulate")
     ps.set_defaults(func=cmd_simulate)
 

@@ -9,7 +9,7 @@ deeper one's stream.
 
 Each replicate owns a counter-based (Philox) stream keyed by the master
 seed and the replicate index, so a draw is reproducible from that pair
-alone and independent of batch size or worker count.  A run builds one
+alone and independent of batch size or process count.  A run builds one
 generator, from a fixed seed and without reading OS entropy, which each
 process (forked workers inherit it) re-keys for every replicate of its
 shard, drawing the replicate's first uniforms into a window row in one
@@ -33,19 +33,21 @@ holds the draw alone (n, values and the extinct and capped flags); its
 provenance is the caller's to record.
 
 simulate_batch and batch_to_csv split a run into shards of at most CHUNK
-rows, as many per process and as equal as whole rows allow.  Given
-workers > 1, they hand the shards to forked worker processes, at most
-one per usable core and per CHUNK rows (process_count), and gather the
-results in shard order; a run of at most one CHUNK, or a platform
-without fork, stays in-process.  Every replicate is keyed and formatted
-as in one process, so the values and the bytes written never depend on
-the worker count or the shard sizes.
+rows, as many per process and as equal as whole rows allow.  They hand
+the shards to forked worker processes, at most one per usable core
+(`taskset` limits them) and per CHUNK rows (process_count), and gather
+the results in shard order; a run of at most one CHUNK stays in this
+process, as does one without fork or beside another Python thread.
+Every replicate is keyed and formatted as in one process, so the values
+and the bytes written never depend on the process count or the shard
+sizes.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -291,16 +293,14 @@ def usable_cores():
         return os.cpu_count() or 1
 
 
-def process_count(replicates, workers=1):
-    """Processes that a run over `replicates` rows uses when `workers`
-    are asked for (None: the usable cores): at most one per usable core
-    and per CHUNK of rows, at least one, and one where the platform
-    cannot fork."""
-    if not hasattr(os, "fork"):
+def process_count(replicates):
+    """Processes that a run over `replicates` rows uses: at most one per
+    usable core and per CHUNK of rows, at least one, and one where the
+    platform cannot fork or another Python thread runs (a forked child
+    would copy the locks that thread holds, but not the thread)."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
-    cores = usable_cores()
-    return max(1, min(cores if workers is None else workers, cores,
-                      -(-replicates // CHUNK)))
+    return max(1, min(usable_cores(), -(-replicates // CHUNK)))
 
 
 def _shards(replicates, processes):
@@ -340,7 +340,8 @@ def _in_workers(fn, shards, processes):
 
     # fork, not spawn: a worker inherits fn with its model and arrays
     # instead of importing numpy again, and calls no BLAS routine, whose
-    # threads are the only ones the parent may hold (the pool forks its
+    # threads are the only ones the parent may hold (process_count keeps
+    # a run beside a Python thread in one process, and the pool forks its
     # workers before it starts its own thread)
     global _task
     _task = fn
@@ -362,7 +363,7 @@ def _in_workers(fn, shards, processes):
 
 
 def simulate_batch(model, n, replicates, master_seed, cap=DEFAULT_CAP,
-                   identity_root=False, workers=1):
+                   identity_root=False):
     """R independent draws of the depth-n martingale value Y_n.
 
     Replicate r draws from its own stream, keyed by (master_seed, r).
@@ -385,9 +386,6 @@ def simulate_batch(model, n, replicates, master_seed, cap=DEFAULT_CAP,
     the identity, whatever law drew them, with the same offspring law and
     the same draws (the seeded corruption of the fixed-point check).  The
     tilted martingale is this recursion run on model.tilt_model(model, t).
-
-    workers (None: the usable cores) caps the processes that simulate
-    the shards (process_count); the batch does not depend on it.
     """
     if n < 0:
         raise MatcascadeError("n must be >= 0")
@@ -401,7 +399,7 @@ def simulate_batch(model, n, replicates, master_seed, cap=DEFAULT_CAP,
     extinct = np.zeros(replicates, dtype=bool)
     capped = np.zeros(replicates, dtype=bool)
 
-    processes = process_count(replicates, workers)
+    processes = process_count(replicates)
     shards = _shards(replicates, processes)
     # one generator, re-keyed for every replicate; forked workers inherit it
     rng = np.random.Generator(np.random.Philox(_BUILD_SEED))
@@ -429,13 +427,12 @@ def _float_columns(values):
     return np.ascontiguousarray(values).view(np.float64)
 
 
-def batch_to_csv(batch, path, workers=1):
+def batch_to_csv(batch, path):
     """CSV: replicate, extinct_flag, capped_flag, then Y columns.
 
     Complex batches write re/im column pairs.  Floats use repr so a
-    rerun with identical flags reproduces the file bytes.  workers (None:
-    the usable cores) caps the processes that format the rows
-    (process_count); the bytes do not depend on it.
+    rerun with identical flags reproduces the file bytes, whatever the
+    number of processes (process_count) that format the rows.
     """
     p = batch.p
     if np.iscomplexobj(batch.values):
@@ -455,7 +452,7 @@ def batch_to_csv(batch, path, workers=1):
         f.write("replicate,extinct,capped," + ",".join(cols) + "\n")
         # rows become Python floats and text one shard at a time, to bound
         # memory, and each shard goes to the file in one write, in order
-        processes = process_count(batch.replicates, workers)
+        processes = process_count(batch.replicates)
         for chunk in _in_workers(text, _shards(batch.replicates, processes),
                                  processes):
             f.write(chunk)

@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from matcascade import engine
 from matcascade.cli import main as cli_main
 from matcascade.conditions import check_complex
 from matcascade.engine import simulate_batch
@@ -256,19 +257,24 @@ class TestAcceptance:
                 f"{exact_ok}; complex batch mean {mean:.4f} vs V=1 "
                 f"(4*SE = {4 * max(se_re, se_im):.1e})")
 
-    def test_11_reproducibility(self, verdict, tmp_path):
+    def test_11_reproducibility(self, verdict, tmp_path, monkeypatch):
         model_doc = {"p": 2, "atoms": [{"prob": 1.0, "matrices": [
             [[0.3, 0.2], [0.1, 0.4]], [[0.2, 0.3], [0.4, 0.1]]]}]}
         model_path = tmp_path / "model.json"
         model_path.write_text(json.dumps(model_doc))
+        # four chunks, so that r3 shards them over four forked workers
+        monkeypatch.setattr(engine, "CHUNK", 64)
         runs = []
-        for name, workers in (("r1", "1"), ("r2", "1"), ("r3", "8")):
+        for name, cores in (("r1", 1), ("r2", 1), ("r3", 8)):
+            monkeypatch.setattr(engine, "usable_cores", lambda: cores)
             out = tmp_path / name
             code = cli_main(["simulate", "--model", str(model_path), "--n",
                              "5", "--replicates", "200", "--seed", "11",
-                             "--workers", workers, "--out", str(out)])
+                             "--out", str(out)])
             assert code == 0
             runs.append(out)
+        assert [json.loads((out / "manifest.json").read_text())["processes"]
+                for out in runs] == [1, 1, 4]
         sim_ok = all(
             (runs[0] / f).read_bytes() == (other / f).read_bytes()
             for other in runs[1:] for f in ("batch.csv", "batch.bin"))
@@ -287,4 +293,4 @@ class TestAcceptance:
             ests.append((out / "estimates.json").read_bytes())
         verdict(11, sim_ok and checks[0] == checks[1] and ests[0] == ests[1],
                 "reruns with identical flags and seed are bitwise identical, "
-                "independent of --workers")
+                "independent of the process count")

@@ -350,35 +350,27 @@ class TestSimulate:
             bins.append((out / "batch.bin").read_bytes())
         assert bins[0] != bins[1]
 
-    def test_workers_flag_does_not_change_bytes(self, model_c_path, tmp_path):
-        o1, o2 = tmp_path / "w1", tmp_path / "w2"
-        main(["simulate", "--model", model_c_path, "--n", "4", "--replicates",
-              "50", "--seed", "3", "--workers", "1", "--out", str(o1)])
-        main(["simulate", "--model", model_c_path, "--n", "4", "--replicates",
-              "50", "--seed", "3", "--workers", "8", "--out", str(o2)])
-        assert (o1 / "batch.bin").read_bytes() == (o2 / "batch.bin").read_bytes()
-
     def test_default_workers_bytes_equal_one_worker(self, tmp_path, monkeypatch):
-        # three chunks over two forked workers by default, whatever the machine
-        monkeypatch.setattr(engine, "usable_cores", lambda: 2)
+        # three chunks on one core, and over two forked workers on two
         model = tmp_path / "model-r.json"
         model.write_text(json.dumps(MODEL_R))
         runs = {}
-        for name, flags in (("one", ["--workers", "1"]), ("default", [])):
-            out = tmp_path / name
+        for cores in (1, 2):
+            monkeypatch.setattr(engine, "usable_cores", lambda: cores)
+            out = tmp_path / str(cores)
             assert main(["simulate", "--model", str(model), "--n", "5",
                          "--replicates", str(2 * engine.CHUNK + 17), "--seed", "3",
-                         *flags, "--out", str(out)]) == 0
-            runs[name] = out
+                         "--out", str(out)]) == 0
+            runs[cores] = out
         assert multiprocessing.active_children() == []
         for name in ("batch.csv", "batch.bin"):
-            assert (runs["one"] / name).read_bytes() == (runs["default"] / name).read_bytes()
-        one, default = (json.loads((runs[k] / "manifest.json").read_text())
-                        for k in ("one", "default"))
-        assert (one["processes"], one["config"]["workers"]) == (1, 1)
-        # the default is recorded as null, so its config hash is the same
-        # on every machine; the processes used sit outside the config
-        assert (default["processes"], default["config"]["workers"]) == (2, None)
+            assert (runs[1] / name).read_bytes() == (runs[2] / name).read_bytes()
+        one, two = (json.loads((runs[k] / "manifest.json").read_text())
+                    for k in (1, 2))
+        # the processes used sit outside the config, which is the same on
+        # every machine
+        assert (one["processes"], two["processes"]) == (1, 2)
+        assert {**one["config"], "out": None} == {**two["config"], "out": None}
 
     # sha256 of batch.csv and batch.bin at R = 2 CHUNK + 17, seed 3, on one
     # process and on two: the stream contract, recorded before the shards
@@ -390,10 +382,10 @@ class TestSimulate:
                  "1a5d3ac126e508902d52c05501653577115db194f7bd89152c6003c515e98752"),
     }
 
-    @pytest.mark.parametrize("workers", [["--workers", "1"], []], ids=["one", "default"])
+    @pytest.mark.parametrize("cores", [1, 2], ids=["one", "default"])
     @pytest.mark.parametrize("case", sorted(PINNED_BATCHES))
-    def test_batch_pinned(self, case, workers, tmp_path, monkeypatch):
-        monkeypatch.setattr(engine, "usable_cores", lambda: 2)
+    def test_batch_pinned(self, case, cores, tmp_path, monkeypatch):
+        monkeypatch.setattr(engine, "usable_cores", lambda: cores)
         model = tmp_path / "model.json"
         if case == "walk":
             spec = tmp_path / "spec.json"
@@ -407,9 +399,9 @@ class TestSimulate:
         out = tmp_path / "sim"
         assert main(["simulate", "--model", str(model), "--n", str(n),
                      "--replicates", str(2 * engine.CHUNK + 17), "--seed", "3",
-                     *workers, "--out", str(out)]) == 0
+                     "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["processes"] == (2 if not workers else 1)
+        assert manifest["processes"] == cores
         digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
                         for name in ("batch.csv", "batch.bin"))
         assert digests == self.PINNED_BATCHES[case]
@@ -444,18 +436,17 @@ class TestSimulate:
             "error: every replicate exceeded the population cap\n")
         assert list((tmp_path / "o").iterdir()) == []
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_overflow_exit2_no_batch(self, workers, tmp_path, capfd, monkeypatch):
-        # depth-3 products near e^2070 overflow in every replicate; with two
-        # workers, over three shards of 7 or 6 replicates
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_overflow_exit2_no_batch(self, cores, tmp_path, capfd, monkeypatch):
+        # depth-3 products near e^2070 overflow in every replicate; on two
+        # cores, over two workers and four shards of 5 replicates
         monkeypatch.setattr(engine, "CHUNK", 7)
-        monkeypatch.setattr(engine, "usable_cores", lambda: 2)
+        monkeypatch.setattr(engine, "usable_cores", lambda: cores)
         path = tmp_path / "model.json"
         path.write_text(json.dumps(OVERFLOWING))
         out = tmp_path / "o"
         assert main(["simulate", "--model", str(path), "--n", "3",
-                     "--replicates", "20", "--seed", "1", "--workers", workers,
-                     "--out", str(out)]) == 2
+                     "--replicates", "20", "--seed", "1", "--out", str(out)]) == 2
         # read at the file descriptor, so a worker's warning would show too
         assert capfd.readouterr().err == (
             "error: replicate 0 overflowed: its depth-3 value is not finite\n")
@@ -957,8 +948,6 @@ MALFORMED_INPUTS = {
     "batch-meta-cap-0": _estimate_batch(_edit_meta(cap=0)),
     "simulate-cap-0": _simulate_model(MODEL_C, "--cap", "0"),
     "simulate-sampler-text-mu": _simulate_model(_sampler(LOGNORMAL, mu="abc")),
-    "simulate-sampler-overflow":
-        "error: replicate 0 overflowed: its depth-3 value is not finite",
     "simulate-sampler-nan-mu": _simulate_model(_sampler(LOGNORMAL, mu="nan")),
     "simulate-sampler-text-high": _simulate_model(_sampler(UNIFORM, high="x")),
     "simulate-sampler-string-low": _simulate_model(_sampler(UNIFORM, low="0.1")),
@@ -999,9 +988,7 @@ FLAG_NAMED = {"check-n-max-0-complex": "--n-max", "estimate-n-max-0": "--n-max",
               "simulate-seed-negative": "--seed",
               "simulate-seed-2-64": "--seed",
               "simulate-sampler-text-mu": "params.mu",
-              "simulate-sampler-overflow":
-        "error: replicate 0 overflowed: its depth-3 value is not finite",
-    "simulate-sampler-nan-mu": "params.mu",
+              "simulate-sampler-nan-mu": "params.mu",
               "simulate-sampler-text-high": "params.high",
               "simulate-sampler-string-low": "params.low",
               "simulate-sampler-inf-high": "params.high",
@@ -1251,14 +1238,14 @@ class TestParser:
             "check": ["--model", "--alpha", "--lambda", "--epsilon", "--beta",
                       "--n-max", "--out"],
             "simulate": ["--model", "--n", "--replicates", "--seed", "--cap",
-                         "--workers", "--out"],
+                         "--out"],
             "estimate": ["--model", "--batch", "--alpha", "--lambda", "--n-max",
                          "--laplace-fit", "--t-min", "--t-max", "--out"],
             "mbrw-build": ["--spec", "--t", "--alpha", "--lambda", "--epsilon",
                            "--out-model"],
             "report": ["--input"],
         }
-        assert sum(map(len, surface.values())) == 30
+        assert sum(map(len, surface.values())) == 29
 
 
 class TestUsage:
@@ -1297,13 +1284,6 @@ class TestUsage:
         assert main(argv + ([] if argv[0] in ("report", "mbrw-build")
                             else ["--out", str(out)])) == 1
         assert not out.exists() and not (tmp_path / "m.json").exists()
-
-    @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_workers_below_one(self, workers, model_c_path, tmp_path):
-        assert main(["simulate", "--model", model_c_path, "--n", "2",
-                     "--replicates", "4", "--seed", "1", "--workers", workers,
-                     "--out", str(tmp_path / "o")]) == 1
-        assert not (tmp_path / "o").exists()
 
 
 def test_cli_import_loads_no_scipy():

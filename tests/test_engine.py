@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import os
 import pstats
+import threading
 
 import numpy as np
 import pytest
@@ -737,7 +738,8 @@ class TestReplicateStreams:
         # replicate builds a bit generator or reads OS entropy
         built = self.count_philox(monkeypatch)
         monkeypatch.setattr(engine, "CHUNK", 4)
-        assert engine.process_count(10, 1) == 1
+        monkeypatch.setattr(engine, "usable_cores", lambda: 1)
+        assert engine.process_count(10) == 1
         simulate_batch(model_rand, 3, 10, 1)
         assert len(built) == 1
 
@@ -746,7 +748,8 @@ class TestReplicateStreams:
         # its three chunk slots share the run's one generator as well
         built = self.count_philox(monkeypatch)
         monkeypatch.setattr(engine, "CHUNK", 4)
-        assert engine.process_count(10, 1) == 1
+        monkeypatch.setattr(engine, "usable_cores", lambda: 1)
+        assert engine.process_count(10) == 1
         model = model_from_dict({"p": 2, "mode": "sampler",
                                  "sampler": SAMPLERS["uniform"]})
         simulate_batch(model, 2, 10, 1)
@@ -764,8 +767,10 @@ class TestReplicateStreams:
             calls.append(args[1])
             return keyed(*args)
 
+        # three chunks in this process, which alone sees the calls
         monkeypatch.setattr(engine, "replicate_rng", counting)
         monkeypatch.setattr(engine, "CHUNK", 4)
+        monkeypatch.setattr(engine, "usable_cores", lambda: 1)
         monkeypatch.setattr(engine, "WINDOW", window)
         simulate_batch(model_rand, 3, 10, 1)
         assert calls == list(range(10))
@@ -801,7 +806,8 @@ class TestShards:
 
 class TestWorkers:
     """Chunks sharded over forked workers give the one-process batch and
-    file bytes, bit for bit."""
+    file bytes, bit for bit; the process count follows from the usable
+    cores, the rows and the threads the caller runs."""
 
     CASES = {
         "finite-atom": lambda: (random_primitive_model(
@@ -817,21 +823,22 @@ class TestWorkers:
     }
 
     @pytest.fixture(autouse=True)
-    def three_cores(self, monkeypatch):
-        # eight chunks of 7 replicates, and three cores whatever the machine
+    def chunks_of_seven(self, monkeypatch):
+        # eight chunks of 7 replicates
         monkeypatch.setattr(engine, "CHUNK", 7)
-        monkeypatch.setattr(engine, "usable_cores", lambda: 3)
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_bitwise_equal_to_one_process(self, case, tmp_path):
+    def test_bitwise_equal_to_one_process(self, case, tmp_path, monkeypatch):
         model, n, cap = self.CASES[case]()
         files = {}
-        for workers in (1, 2, 3):
-            batch = simulate_batch(model, n, 50, 4, cap=cap, workers=workers)
-            csv, binary = tmp_path / f"{workers}.csv", tmp_path / f"{workers}.bin"
-            batch_to_csv(batch, str(csv), workers=workers)
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(engine, "usable_cores", lambda: cores)
+            assert engine.process_count(50) == cores
+            batch = simulate_batch(model, n, 50, 4, cap=cap)
+            csv, binary = tmp_path / f"{cores}.csv", tmp_path / f"{cores}.bin"
+            batch_to_csv(batch, str(csv))
             batch_to_binary(batch, str(binary))
-            files[workers] = (batch, csv.read_bytes(), binary.read_bytes())
+            files[cores] = (batch, csv.read_bytes(), binary.read_bytes())
         one, csv1, bin1 = files[1]
         if case == "extinct":
             assert 0 < one.extinct_count < 50
@@ -843,26 +850,54 @@ class TestWorkers:
             np.testing.assert_array_equal(batch.capped, one.capped)
             assert csv == csv1 and binary == bin1
 
-    @pytest.mark.parametrize("replicates, workers, forked", [
-        (50, 3, 3), (50, None, 3), (15, 8, 3), (14, 8, 2), (7, 8, 0), (50, 1, 0)])
-    def test_process_count(self, replicates, workers, forked, monkeypatch, tmp_path):
-        # every chunk, in this process or a worker, logs its process id
-        log, run_chunk = tmp_path / "pids", engine._run_chunk
+    @staticmethod
+    def logged_pids(monkeypatch, log, replicates):
+        """Run a batch whose every chunk, in this process or a worker, logs
+        its process id to the file log; return the batch and those ids."""
+        run_chunk = engine._run_chunk
 
         def logging_pid(*args):
             with open(log, "a") as f:
                 f.write(f"{os.getpid()}\n")
             return run_chunk(*args)
 
-        monkeypatch.setattr(engine, "_run_chunk", logging_pid)
-        assert engine.process_count(replicates, workers) == max(forked, 1)
-        simulate_batch(random_primitive_model(np.random.default_rng(1), p=2),
-                       2, replicates, 1, workers=workers)
-        pids = set(map(int, log.read_text().split()))
+        with monkeypatch.context() as m:
+            m.setattr(engine, "_run_chunk", logging_pid)
+            batch = simulate_batch(
+                random_primitive_model(np.random.default_rng(1), p=2), 2, replicates, 1)
+        return batch, set(map(int, log.read_text().split()))
+
+    @pytest.mark.parametrize("replicates, cores, forked", [
+        (50, 3, 3), (50, 2, 2), (15, 8, 3), (14, 8, 2), (7, 8, 0), (50, 1, 0)])
+    def test_process_count(self, replicates, cores, forked, monkeypatch, tmp_path):
+        monkeypatch.setattr(engine, "usable_cores", lambda: cores)
+        assert engine.process_count(replicates) == max(forked, 1)
+        _, pids = self.logged_pids(monkeypatch, tmp_path / "pids", replicates)
         # a run of at most one chunk, or on one worker, stays in this process;
         # otherwise only workers simulate, and a worker may take more chunks
         if forked == 0:
             assert pids == {os.getpid()}
         else:
             assert os.getpid() not in pids and len(pids) <= forked
+        assert multiprocessing.active_children() == []
+
+    def test_threaded_caller_stays_in_process(self, monkeypatch, tmp_path):
+        # a child forked beside another thread would copy the locks that
+        # thread holds but not the thread, so such a caller never forks
+        monkeypatch.setattr(engine, "usable_cores", lambda: 2)
+        alone, forked = self.logged_pids(monkeypatch, tmp_path / "alone", 50)
+        assert os.getpid() not in forked
+        release = threading.Event()
+        waiting = threading.Thread(target=release.wait)
+        waiting.start()
+        try:
+            assert engine.process_count(50) == 1
+            beside, pids = self.logged_pids(monkeypatch, tmp_path / "beside", 50)
+        finally:
+            release.set()
+            waiting.join()
+        assert pids == {os.getpid()}
+        assert beside.values.tobytes() == alone.values.tobytes()
+        np.testing.assert_array_equal(beside.extinct, alone.extinct)
+        np.testing.assert_array_equal(beside.capped, alone.capped)
         assert multiprocessing.active_children() == []
