@@ -9,7 +9,10 @@ Python thread (engine.process_count, recorded as the manifest's
 processes); its batch_meta.json records where its batch came from;
 estimate reads only that batch, checks the metadata against the model
 and batch.bin, and copies the batch's n, replicates, seed and cap into
-its own manifest.
+its own manifest.  mbrw-build prints a walk's alpha criterion as T2.1a
+of the model it writes, one row per --alpha (the row that check
+--n-max 1 prints for that file), and C2.4b on the walk itself, one row
+per --lambda and --epsilon.
 A flag that the model cannot serve is refused, never dropped, and no
 subcommand reads a prefix of a flag as the flag.
 
@@ -256,10 +259,9 @@ def cmd_mbrw_build(args):
         raise MatcascadeError("--epsilon applies only with --lambda")
     spec = load_mbrw_spec(args.spec)
     model = build_cascade_from_mbrw(spec, args.t)
-    reports = [r for alpha in args.alpha
-               for r in mbrw_condition_report(spec, args.t, alpha=alpha)]
-    reports += [r for lam in args.lam for eps in args.epsilon or [0.0]
-                for r in mbrw_condition_report(spec, args.t, lam=lam, epsilon=eps)]
+    reports = check_alpha_moments(model, args.alpha, n_max=1)
+    reports += [mbrw_condition_report(spec, args.t, lam, eps)
+                for lam in args.lam for eps in args.epsilon or [0.0]]
     rows = [r.to_dict() for r in reports]
     os.makedirs(os.path.dirname(os.path.abspath(args.out_model)), exist_ok=True)
     save_model(model, args.out_model)

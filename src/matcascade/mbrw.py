@@ -6,6 +6,11 @@ displacements and dividing by the maximal eigenvalue turns the walk into
 a cascade model whose weight matrices carry the child types as indicator
 columns; matrix products then vanish on type-inconsistent paths, so the
 simulation engine enforces type bookkeeping for free.
+
+The walk's alpha criterion (C2.4a) is Theorem 2.1 applied to that
+cascade: it is T2.1a of the built model (conditions.check_alpha_moments).
+Only the negative-order criterion, C2.4b, is computed on the walk itself
+(mbrw_condition_report).
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditions import ConditionReport, _power, offspring_law_assumptions
+from .conditions import ConditionReport, offspring_law_assumptions
 from .model import (PROB_SUM_TOL, Atom, CascadeModel, MatcascadeError,
                     offspring_law, parse_dimension, parse_number, parses,
                     read_json)
@@ -189,73 +194,49 @@ def build_cascade_from_mbrw(spec, t):
     return model
 
 
-def mbrw_condition_report(spec, t, alpha=None, lam=None, epsilon=0.0):
-    """Moment criteria evaluated directly on the walk's tilted spectra.
+def mbrw_condition_report(spec, t, lam, epsilon):
+    """The C2.4b row of the walk: its negative-order criterion.
 
-    Positive-order part: p^(alpha-1) rho~(alpha t) / rho~(t)^alpha < 1; a
-    power past the float range is inf, as in conditions, and inf/inf undecided.
-    Negative-order part: both printed readings of the single-child
-    expectation (with and without t in the exponent) are computed and
-    labeled; no intent is guessed between them.
+    Both printed readings of the single-child expectation (with and
+    without t in the exponent) are computed and labeled; no intent is
+    guessed between them.
     """
-    reports = []
-    p = spec.p
-    if alpha is not None:
-        if not 1 < alpha < math.inf:
-            raise MatcascadeError("alpha must be > 1 and finite")
-        sp = mbrw_spectral(spec, t)
-        sp_a = mbrw_spectral(spec, alpha * t)
-        den = _power(sp.rho_tilde, alpha)  # 0 where it underflows
-        crit = _power(p, alpha - 1) * sp_a.rho_tilde / den if den else math.inf
-        quantities = {
-            "alpha": alpha, "t": t,
-            "rho_tilde(t)": sp.rho_tilde,
-            "rho_tilde(alpha*t)": sp_a.rho_tilde,
-            "p^(alpha-1)*rho_tilde(alpha*t)/rho_tilde(t)^alpha": crit,
-        }
-        verdict = "holds" if crit < 1 else "undecided"
-        notes = ["first-generation alpha-moments are finite sums here"]
-        reports.append(ConditionReport(theorem="C2.4a", verdict=verdict,
-                                       quantities=quantities, notes=notes))
-    if lam is not None:
-        if not 0 < lam < math.inf:
-            raise MatcascadeError("lambda must be positive and finite")
-        if not math.isfinite(epsilon):
-            raise MatcascadeError("epsilon must be finite")
-        p_n0, p_n1, assumptions = offspring_law_assumptions(spec.offspring[0])
-        quantities = {"lambda": lam, "epsilon": epsilon, "t": t,
-                      "P(N=0)": p_n0, "P(N=1)": p_n1}
+    if not 0 < lam < math.inf:
+        raise MatcascadeError("lambda must be positive and finite")
+    if not math.isfinite(epsilon):
+        raise MatcascadeError("epsilon must be finite")
+    p_n0, p_n1, assumptions = offspring_law_assumptions(spec.offspring[0])
+    quantities = {"lambda": lam, "epsilon": epsilon, "t": t,
+                  "P(N=0)": p_n0, "P(N=1)": p_n1}
 
-        def first_child(config, scale):
-            """exp(-(lam+eps) * scale * S_1), S_1 the first child's disp."""
-            return _tilted_weight(-(lam + epsilon) * scale * config.children[0][1])
+    def first_child(config, scale):
+        """exp(-(lam+eps) * scale * S_1), S_1 the first child's disp."""
+        return _tilted_weight(-(lam + epsilon) * scale * config.children[0][1])
 
-        # max_i E exp(-(lam+eps) t S_1^i): first-child displacement per type
-        quantities["max_i E exp(-(lam+eps)*t*S_1^i)"] = max(
-            sum(c.prob * first_child(c, t) for c in configs if c.n_children >= 1)
-            for configs in spec.offspring)
-        # E max_i ... 1{N=1}: joint over types via the child-count coupling,
-        # as printed (scale 1) and with t in the exponent
-        single = [(w, picked) for w, n_children, picked in _coupled_atoms(spec)
-                  if n_children == 1]
-        readings = []
-        for scale, key in ((1.0, "E max_i exp(-(lam+eps)*S_1^i);N=1 (as printed)"),
-                           (t, "E max_i exp(-(lam+eps)*t*S_1^i);N=1 (t-reading)")):
-            em = 0.0
-            for w, picked in single:
-                em += w * max(first_child(c, scale) for c in picked)
-            quantities[key] = em
-            readings.append(em)
-        em_plain, em_tilted = readings
-        ok = (p_n0 == 0 and p_n1 < 1 and em_plain < 1)
-        notes = [
-            "both exponent readings reported; verdict follows the printed one",
-            f"t-reading verdict would be {'holds' if em_tilted < 1 else 'fails'}",
-        ]
-        verdict = "holds" if ok else ("not-applicable"
-                                      if (p_n0 > 0 or p_n1 >= 1) else "fails")
-        reports.append(ConditionReport(theorem="C2.4b", verdict=verdict,
-                                       quantities=quantities,
-                                       assumptions_checked=assumptions,
-                                       notes=notes))
-    return reports
+    # max_i E exp(-(lam+eps) t S_1^i): first-child displacement per type
+    quantities["max_i E exp(-(lam+eps)*t*S_1^i)"] = max(
+        sum(c.prob * first_child(c, t) for c in configs if c.n_children >= 1)
+        for configs in spec.offspring)
+    # E max_i ... 1{N=1}: joint over types via the child-count coupling,
+    # as printed (scale 1) and with t in the exponent
+    single = [(w, picked) for w, n_children, picked in _coupled_atoms(spec)
+              if n_children == 1]
+    readings = []
+    for scale, key in ((1.0, "E max_i exp(-(lam+eps)*S_1^i);N=1 (as printed)"),
+                       (t, "E max_i exp(-(lam+eps)*t*S_1^i);N=1 (t-reading)")):
+        em = 0.0
+        for w, picked in single:
+            em += w * max(first_child(c, scale) for c in picked)
+        quantities[key] = em
+        readings.append(em)
+    em_plain, em_tilted = readings
+    ok = (p_n0 == 0 and p_n1 < 1 and em_plain < 1)
+    notes = [
+        "both exponent readings reported; verdict follows the printed one",
+        f"t-reading verdict would be {'holds' if em_tilted < 1 else 'fails'}",
+    ]
+    verdict = "holds" if ok else ("not-applicable"
+                                  if (p_n0 > 0 or p_n1 >= 1) else "fails")
+    return ConditionReport(theorem="C2.4b", verdict=verdict,
+                           quantities=quantities,
+                           assumptions_checked=assumptions, notes=notes)

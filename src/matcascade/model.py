@@ -152,7 +152,8 @@ NORM_CONVENTION = "matrix norm: entrywise absolute sum; vector norm: L1"
 
 @dataclass
 class ConditionReport:
-    theorem: str  # validation | T2.1a | T2.2 | T2.3a | T2.3b | T6.1 | C2.4a | C2.4b
+    # a walk's alpha criterion (C2.4a) is T2.1a of the cascade it builds
+    theorem: str  # validation | T2.1a | T2.2 | T2.3a | T2.3b | T6.1 | C2.4b
     verdict: str  # holds | fails | undecided | not-applicable
     quantities: dict = field(default_factory=dict)
     assumptions_checked: list = field(default_factory=list)  # (name, status)

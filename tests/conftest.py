@@ -1,5 +1,7 @@
 """Shared fixtures: reference models and independent oracles."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,16 @@ def model_d2():
                           (0.1875, [[[a]], [[b]]]),
                           (0.1875, [[[b]], [[a]]]),
                           (0.5625, [[[b]], [[b]]])])
+
+
+@pytest.fixture
+def wide_walk_doc(monkeypatch):
+    """The seed-1 spec document of the wide_walk benchmark workload, from
+    perfbench/inputs.py."""
+    monkeypatch.syspath_prepend(
+        str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
+    import inputs
+    return inputs.generate("wide_walk", 1)
 
 
 @pytest.fixture

@@ -631,7 +631,42 @@ class TestMbrwBuild:
         model = load_model(str(out_model))
         m = model.mean_matrix()
         assert abs(m[0, 0] - 2 / 3) < 1e-12 and abs(m[0, 1] - 1 / 3) < 1e-12
-        assert "C2.4a" in capsys.readouterr().out
+        assert "[T2.1a]" in capsys.readouterr().out
+
+    def test_walk_alpha_rows_past_critical_order(self, wide_walk_doc, tmp_path,
+                                                 capsys):
+        # the seed-1 walk's critical order is 9.0018 (rho_1(alpha) = 1):
+        # above it the necessary side fails at depth 1
+        spec = tmp_path / "walk.json"
+        spec.write_text(json.dumps(wide_walk_doc))
+        code = main(["mbrw-build", "--spec", str(spec), "--t", "1",
+                     "--alpha", "2", "--alpha", "9.1", "--alpha", "9.5",
+                     "--out-model", str(tmp_path / "m.json")])
+        assert code == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        verdicts = [row for row in rows if row and row[0].startswith("[")]
+        assert verdicts == [["[T2.1a]", "verdict:", v]
+                            for v in ("undecided", "fails", "fails")]
+
+    @pytest.mark.parametrize("spec_doc", [TT1, "wide_walk"])
+    def test_alpha_rows_equal_check_rows(self, spec_doc, tmp_path, capsys,
+                                         request):
+        # mbrw-build prints the T2.1a blocks that check --n-max 1 writes
+        # for the model file it wrote
+        if spec_doc == "wide_walk":
+            spec_doc = request.getfixturevalue("wide_walk_doc")
+        spec, built = tmp_path / "spec.json", tmp_path / "m.json"
+        spec.write_text(json.dumps(spec_doc))
+        alphas = ["--alpha", "1.5", "--alpha", "2", "--alpha", "9.5"]
+        assert main(["mbrw-build", "--spec", str(spec), "--t", "1", *alphas,
+                     "--lambda", "1", "--out-model", str(built)]) == 0
+        printed = capsys.readouterr().out.strip().split("\n\n")
+        assert main(["check", "--model", str(built), *alphas, "--n-max", "1",
+                     "--out", str(tmp_path / "check")]) == 0
+        written = (tmp_path / "check" / "conditions.txt").read_text().strip().split(
+            "\n\n")
+        assert [b for b in written if b.startswith("[T2.1a]")] == printed[:3]
+        assert printed[3].startswith("[C2.4b]")
 
     def test_epsilon_reaches_report(self, tmp_path, capsys):
         spec = tmp_path / "tt1.json"
@@ -652,7 +687,7 @@ class TestMbrwBuild:
         assert code == 0
         rows = [line.split() for line in capsys.readouterr().out.splitlines()]
         theorems = [row[0] for row in rows if row and row[0].startswith("[")]
-        assert theorems == ["[C2.4a]"] * 2 + ["[C2.4b]"] * 4
+        assert theorems == ["[T2.1a]"] * 2 + ["[C2.4b]"] * 4
         orders = [row for row in rows if row and row[0] in ("alpha", "lambda", "epsilon")]
         assert orders == [["alpha", "2"], ["alpha", "3"],
                           ["lambda", "1"], ["epsilon", "0"],
@@ -678,15 +713,17 @@ class TestMbrwBuild:
                 f"{0.5 * math.exp(8.0) + 0.5:.12g}"] in rows
         assert sum(row[-1] == "0.5" for row in rows if row[:2] == ["E", "max_i"]) == 2
 
-    @pytest.mark.parametrize("offspring,t,verdict,criterion", [
-        # PM1 at t = 0: rho~(0)^1100 = 2^1100 overflows, the criterion is 0
-        ([[(1.0, [(1, 1.0), (1, -1.0)])]], "0", "holds", "0"),
-        # rho~ = 2 at every t: p^1099 and rho~(t)^1100 both overflow
-        ([[(1.0, [(1, 0.0), (2, 0.0)])]] * 2, "1", "undecided", "nan"),
-        # one child, at disp 0 or 5: rho~(1)^1100 underflows to 0
-        ([[(0.5, [(1, 0.0)]), (0.5, [(1, 5.0)])]], "1", "undecided", "inf"),
+    @pytest.mark.parametrize("offspring,t,reason", [
+        # PM1 at t = 0: both weights are 1/2, and M(1100) = 2 * 2^-1100
+        # underflows to 0
+        ([[(1.0, [(1, 1.0), (1, -1.0)])]], "0", "matrix is not primitive"),
+        # rho~ = 2 at every t: every weight is 1/2, and M(1100) is 0
+        ([[(1.0, [(1, 0.0), (2, 0.0)])]] * 2, "1", "matrix is not primitive"),
+        # one child, at disp 0 or 5: rho~(1)^1100 underflows to 0, so the
+        # weight 1 / rho~(1) = 1.99 gives an M(1100) past the float range
+        ([[(0.5, [(1, 0.0)]), (0.5, [(1, 5.0)])]], "1", "non-finite entries"),
     ], ids=["pm1", "two-type", "underflow"])
-    def test_alpha_criterion_out_of_range(self, offspring, t, verdict, criterion,
+    def test_alpha_criterion_out_of_range(self, offspring, t, reason,
                                           tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"p": len(offspring), "types": [
@@ -699,8 +736,8 @@ class TestMbrwBuild:
         captured = capsys.readouterr()
         assert captured.err == ""
         rows = [line.split() for line in captured.out.splitlines()]
-        assert ["[C2.4a]", "verdict:", verdict] in rows
-        assert ["p^(alpha-1)*rho_tilde(alpha*t)/rho_tilde(t)^alpha", criterion] in rows
+        assert ["[T2.1a]", "verdict:", "undecided"] in rows
+        assert f"note: rho_1(alpha) unavailable: {reason}\n" in captured.out
 
     def test_bad_spec_exit2(self, tmp_path):
         spec = tmp_path / "bad.json"

@@ -7,6 +7,7 @@ from matcascade.conditions import (check_alpha_moments, check_complex,
                                    check_harmonic, exponential_profile,
                                    positive_column_probability)
 from matcascade import conditions
+from matcascade.mbrw import build_cascade_from_mbrw, spec_from_dict
 from matcascade.model import (CascadeModel, MatcascadeError, model_from_dict,
                               normalize_model, scale_model)
 from matcascade.spectral import n_step_moment_matrix, perron
@@ -84,6 +85,42 @@ class TestAlphaMoment:
                                   "params": {"n_children": 2}})
         with pytest.raises(MatcascadeError, match="requires a finite-atom model"):
             check_alpha_moments(m, [2])[0]
+
+
+class TestCriticalOrder:
+    """T2.1a verdicts against the critical moment order: holds below it,
+    fails above it, and undecided only in the gap between the sufficient
+    and the necessary criterion."""
+
+    # p = 1, two children that share a weight W: 1.2 w.p. 1/4, 4/15 w.p. 3/4
+    KP = make_model(1, [(0.25, [[[1.2]], [[1.2]]]),
+                        (0.75, [[[4 / 15]], [[4 / 15]]])])
+    # root of E sum_k W_k^alpha = 2 (0.25 1.2^alpha + 0.75 (4/15)^alpha) = 1:
+    # Kahane and Peyriere (1976), E Y^alpha < inf iff alpha lies below it
+    ROOT = 3.74304129236901
+
+    @pytest.mark.parametrize("n_max", [1, 4])
+    def test_kahane_peyriere_threshold(self, n_max):
+        assert 2 * (0.25 * 1.2 ** self.ROOT + 0.75 * (4 / 15) ** self.ROOT) == (
+            pytest.approx(1.0, abs=1e-14))
+        below, above = check_alpha_moments(
+            self.KP, [self.ROOT - 1e-6, self.ROOT + 1e-6], n_max=n_max)
+        assert (below.verdict, above.verdict) == ("holds", "fails")
+
+    @pytest.mark.parametrize("case,seen", [
+        ("kahane-peyriere", ["holds", "fails"]),
+        # the walk's bracket at n_max = 4 is [4.233, 9.0018]
+        ("wide-walk", ["holds", "undecided", "fails"])], ids=["kp", "walk"])
+    def test_verdicts_monotone_in_alpha(self, case, seen, request):
+        model = self.KP
+        if case == "wide-walk":
+            model = build_cascade_from_mbrw(
+                spec_from_dict(request.getfixturevalue("wide_walk_doc")), 1.0)
+        grid = np.linspace(1.05, 12.0, 23).tolist()
+        verdicts = [r.verdict for r in check_alpha_moments(model, grid, n_max=4)]
+        rank = {"holds": 0, "undecided": 1, "fails": 2}
+        assert sorted(verdicts, key=rank.get) == verdicts
+        assert sorted(set(verdicts), key=rank.get) == seen
 
 
 class TestSumOrder:

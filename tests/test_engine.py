@@ -19,6 +19,13 @@ from matcascade.spectral import moment_matrix, perron
 from conftest import make_model, random_primitive_model, reference_fold
 
 
+@pytest.fixture
+def one_process(monkeypatch):
+    """Keep every simulate_batch call in this process, so that a test that
+    shrinks CHUNK forks no pool per call (TestWorkers covers the pool)."""
+    monkeypatch.setattr(engine, "usable_cores", lambda: 1)
+
+
 def complex_model(entries):
     """p=1 complex model, one atom, children given as complex scalars."""
     return make_model(1, [(1.0, [[[e]] for e in entries])],
@@ -87,6 +94,7 @@ class TestSeedMatchedOracle:
             batch.values[0], self.oracle(model_rand, 3, seed, identity_root=True),
             rtol=1e-12)
 
+    @pytest.mark.usefixtures("one_process")
     def test_later_chunks(self, model_rand, monkeypatch):
         # chunks of 4: replicates 5 and 6 are in the second chunk, 9 in the
         # third; a window of 5 uniforms is outgrown at depth 2, so most
@@ -216,6 +224,7 @@ class TestDrawWindow:
             3, 6, 5, 10**7, False),
     }
 
+    @pytest.mark.usefixtures("one_process")
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_window_size_changes_nothing(self, case, monkeypatch):
         # windows of 1, 2, 3 and 5 make spills resume the stream at every
@@ -241,6 +250,7 @@ class TestDrawWindow:
     # stream, whatever the window and chunk sizes
     UNIFORM_PIN = "06e184f864510969441d28e46ceaa73c75068541c2ca0d6ce7198db611002f28"
 
+    @pytest.mark.usefixtures("one_process")
     @pytest.mark.parametrize("chunk", [4096, 37])
     @pytest.mark.parametrize("window", [256, 5, 1])
     def test_uniform_sampler_pinned(self, window, chunk, monkeypatch):
@@ -335,6 +345,7 @@ class TestFoldReference:
             "n0": (rand, 0, 5, 10**7, False),
         }
 
+    @pytest.mark.usefixtures("one_process")
     @pytest.mark.parametrize("want_traj", [False, True])
     @pytest.mark.parametrize("case", ["real", "complex-extinct", "tilted",
                                       "identity-root", "cap-last-generation",
@@ -426,6 +437,7 @@ class TestDeterminism:
         b2 = simulate_batch(model_rand, 4, 50, 11)
         np.testing.assert_array_equal(b1.values, b2.values)
 
+    @pytest.mark.usefixtures("one_process")
     def test_chunk_independence(self, model_rand, monkeypatch):
         args = (model_rand, 4, 10, 7, 10**7)
         monkeypatch.setattr(engine, "CHUNK", 3)
@@ -475,6 +487,7 @@ class TestExtinctionAndCap:
         assert np.isnan(batch.values).all()
         assert batch.ok_values().shape == (0, 1)
 
+    @pytest.mark.usefixtures("one_process")
     def test_partial_cap_breach(self, monkeypatch):
         # random child counts (including none), so capped replicates leave
         # gaps in the node offsets of the replicates that keep growing

@@ -1,13 +1,12 @@
 import json
 import math
-import pathlib
 
 import numpy as np
 import pytest
 
 from matcascade import mbrw
 from matcascade.cli import main
-from matcascade.conditions import check_harmonic
+from matcascade.conditions import check_alpha_moments, check_harmonic
 from matcascade.engine import simulate_batch
 from matcascade.model import MatcascadeError, validate_model
 from matcascade.spectral import moment_matrix, perron
@@ -141,15 +140,22 @@ class TestBuild:
         np.testing.assert_allclose(v, sp.v_tilde, atol=1e-10)
 
     @pytest.mark.parametrize("alpha", [1.25, 1.5, 2.0, 3.0])
-    @pytest.mark.parametrize("spec_doc,t", [(TT1, 1.0), (TT1, 0.5), (PM1, 1.0)])
-    def test_tilted_eigenvalue_identity(self, spec_doc, t, alpha):
-        # rho(alpha) of the built cascade equals rho~(alpha t) / rho~(t)^alpha
+    @pytest.mark.parametrize("spec_doc,t", [(TT1, 1.0), (TT1, 0.5), (PM1, 1.0),
+                                            (PM1, 0.0), ("wide_walk", 1.0)])
+    def test_tilted_eigenvalue_identity(self, spec_doc, t, alpha, request):
+        # rho(alpha) of the built cascade equals rho~(alpha t) / rho~(t)^alpha,
+        # so the walk-spectra formula is the oracle of its T2.1a criterion
+        if spec_doc == "wide_walk":
+            spec_doc = request.getfixturevalue("wide_walk_doc")
         spec = spec_from_dict(spec_doc)
         model = build_cascade_from_mbrw(spec, t)
         lhs = perron(moment_matrix(model, alpha)).rho
         rhs = (mbrw_spectral(spec, alpha * t).rho_tilde
                / mbrw_spectral(spec, t).rho_tilde ** alpha)
         assert lhs == pytest.approx(rhs, abs=1e-12, rel=1e-12)
+        (rep,) = check_alpha_moments(model, [alpha], n_max=1)
+        assert rep.quantities["p^(alpha-1)*rho_1(alpha)"] == pytest.approx(
+            spec.p ** (alpha - 1) * rhs, rel=1e-12, abs=0)
 
     def test_martingale_mean(self, tt1):
         model = build_cascade_from_mbrw(tt1, 1.0)
@@ -162,24 +168,26 @@ class TestBuild:
 
 
 class TestConditionReport:
+    # a walk's alpha criterion (C2.4a) is T2.1a of the cascade it builds
+
     def test_tt1_alpha2_undecided(self, tt1):
-        reports = mbrw_condition_report(tt1, 1.0, alpha=2.0)
-        (rep,) = reports
-        assert rep.theorem == "C2.4a"
-        key = "p^(alpha-1)*rho_tilde(alpha*t)/rho_tilde(t)^alpha"
-        assert rep.quantities[key] == pytest.approx(10 / 9, rel=1e-12)
+        (rep,) = check_alpha_moments(build_cascade_from_mbrw(tt1, 1.0), [2.0],
+                                     n_max=1)
+        assert rep.theorem == "T2.1a"
+        # 2 rho~(2) / rho~(1)^2 = 2 * 1.25 / 1.5^2
+        assert rep.quantities["p^(alpha-1)*rho_1(alpha)"] == pytest.approx(
+            10 / 9, rel=1e-12)
         assert rep.verdict == "undecided"
 
     def test_pm1_alpha2_holds(self, pm1):
-        (rep,) = mbrw_condition_report(pm1, 0.0, alpha=2.0)
-        assert rep.quantities[
-            "p^(alpha-1)*rho_tilde(alpha*t)/rho_tilde(t)^alpha"
-        ] == pytest.approx(0.5, rel=1e-12)
+        (rep,) = check_alpha_moments(build_cascade_from_mbrw(pm1, 0.0), [2.0],
+                                     n_max=1)
+        assert rep.quantities["p^(alpha-1)*rho_1(alpha)"] == pytest.approx(
+            0.5, rel=1e-12)
         assert rep.verdict == "holds"
 
     def test_negative_order_no_single_child(self, tt1):
-        reports = mbrw_condition_report(tt1, 1.0, lam=1.0)
-        (rep,) = reports
+        rep = mbrw_condition_report(tt1, 1.0, 1.0, 0.0)
         assert rep.theorem == "C2.4b"
         # P(N=1) = 0, so the single-child expectation vanishes
         assert rep.quantities[
@@ -200,7 +208,7 @@ class TestConditionReport:
                 {"prob": 0.6, "children": [{"type": 1, "disp": -1.0},
                                            {"type": 2, "disp": 0.2}]}]}]})
         t, lam, eps = 2.0, 1.0, 0.5
-        (rep,) = mbrw_condition_report(spec, t, lam=lam, epsilon=eps)
+        rep = mbrw_condition_report(spec, t, lam, eps)
         q = rep.quantities
         r = lam + eps
 
@@ -225,7 +233,7 @@ class TestConditionReport:
         assert "t-reading verdict would be fails" in rep.notes
 
     def test_both_exponent_readings_reported(self, tt1):
-        (rep,) = mbrw_condition_report(tt1, 2.0, lam=1.0, epsilon=0.1)
+        rep = mbrw_condition_report(tt1, 2.0, 1.0, 0.1)
         keys = rep.quantities.keys()
         assert any("as printed" in k for k in keys)
         assert any("t-reading" in k for k in keys)
@@ -233,7 +241,8 @@ class TestConditionReport:
 
 class TestSharedCriteria:
     def test_perron_solves(self, tmp_path, monkeypatch):
-        # only C2.4a reads the tilted spectra; the build needs two solves
+        # only the build solves the walk's tilted matrix: two solves, and
+        # the alpha rows read the built model
         calls = []
 
         def counting(mat):
@@ -251,20 +260,17 @@ class TestSharedCriteria:
         assert len(calls) == 2
         calls.clear()
         assert main(argv + ["--alpha", "2"]) == 0
-        assert len(calls) == 4
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("spec_doc,status", [
         (TT1, "ok"), ("wide_walk", "fails: P(N=0)=0.1")])
-    def test_law_rows_match_built_model(self, spec_doc, status, monkeypatch):
+    def test_law_rows_match_built_model(self, spec_doc, status, request):
         # T2.2 on the built model and C2.4b on the walk state the same
         # offspring-law hypotheses in the same words
         if spec_doc == "wide_walk":
-            monkeypatch.syspath_prepend(
-                str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
-            import inputs
-            spec_doc = inputs.generate("wide_walk", 1)
+            spec_doc = request.getfixturevalue("wide_walk_doc")
         spec = spec_from_dict(spec_doc)
-        (walk,) = mbrw_condition_report(spec, 1.0, lam=1.0)
+        walk = mbrw_condition_report(spec, 1.0, 1.0, 0.0)
         cascade = check_harmonic(build_cascade_from_mbrw(spec, 1.0), 1.0)
         assert walk.assumptions_checked == cascade.assumptions_checked[1:]
         assert walk.assumptions_checked[0][1] == status
