@@ -115,8 +115,12 @@ def check_alpha_moments(model, alphas, n_max=3, validation=None):
         necessary_violated_at = None
         for nu in levels:
             n = nu.depth
-            rho_n = _solved_rho(_power_sum(nu.weights, nu.matrices, alpha),
-                                f"rho_{n}(alpha)", notes)
+            m_n = _power_sum(nu.weights, nu.matrices, alpha)
+            if not m_n.any() and nu.matrices.any():  # zero only in floats
+                notes.append(f"rho_{n}(alpha) unavailable: M_{n}(alpha) "
+                             "underflows to the zero matrix")
+                break
+            rho_n = _solved_rho(m_n, f"rho_{n}(alpha)", notes)
             if rho_n is None:
                 break
             crit = _power(p, alpha - 1) * rho_n

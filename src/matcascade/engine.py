@@ -25,10 +25,14 @@ A chunk of replicates is simulated in two passes that follow the recursion
 Y = sum_k A_k Y(k): a top-down pass grows only the tree topology (the
 atom drawn at each node and the offset of its first child, nodes kept in
 canonical (replicate, parent, child) order), and a bottom-up pass folds
-the p-vectors back to the roots.  Every depth-n node carries V, so the
-depth-(n-1) nodes fold their child matrices against V itself and no
-depth-n leaf is ever built.  A node's arithmetic depends only on its
-own subtree, so results do not depend on the chunking.  A SampleBatch
+the p-vectors back to the roots.  The fold keeps each depth's values as
+a (p, nodes) array, so every multiply-add runs over a contiguous node
+vector: coordinate i of A y is a_i0 y_0 + a_i1 y_1 + ..., with a_iq one
+number for a finite-atom group and a node vector for a sampler group,
+and the roots are transposed to (R, p) once.  Every depth-n node carries
+V, so the depth-(n-1) nodes fold their child matrices against V itself
+and no depth-n leaf is ever built.  A node's arithmetic depends only on
+its own subtree, so results do not depend on the chunking.  A SampleBatch
 holds the draw alone (n, values and the extinct and capped flags); its
 provenance is the caller's to record.
 
@@ -160,17 +164,19 @@ def _sampler_matrices(model, u):
 
 
 def _apply(mats, y):
-    """Row-wise products A y for the rows y of an (m, p) array.
+    """Products A y for the columns y of a (p, m) array, as a (p, m) array.
 
-    mats is one (p, p) matrix shared by every row or an (m, p, p) stack.
-    Each entry is summed over q in a fixed order by elementwise ufuncs, so
-    a row's bits do not depend on how many rows are folded together; a
-    BLAS matmul rounds a row differently with its position and the batch
-    size, which would make the output depend on the chunking.
+    mats is a (p, p, 1) matrix shared by every column or a (p, p, m)
+    stack, one matrix per column.  Output coordinate i is
+    a_i0 y_0 + a_i1 y_1 + ..., summed over q in that order by elementwise
+    ufuncs over node vectors, so a column's bits do not depend on how many
+    columns are folded together; a BLAS matmul rounds a column differently
+    with its position and the batch size, which would make the output
+    depend on the chunking.
     """
-    out = mats[..., :, 0] * y[:, :1]
-    for q in range(1, y.shape[1]):
-        out += mats[..., :, q] * y[:, q:q + 1]
+    out = mats[:, 0] * y[0]
+    for q in range(1, len(y)):
+        out += mats[:, q] * y[q]
     return out
 
 
@@ -181,26 +187,29 @@ def _select(mask):
 
 
 def _fold(levels, sizes, depth, v):
-    """Root values when the depth-`depth` nodes are leaves carrying V.
+    """Root values, as an (R, p) array, when the depth-`depth` nodes are
+    leaves carrying V.
 
     Folds Y(node) = sum_k A_{node,k} Y(child_k) from depth - 1 up to the
-    roots; a node without children (extinct, or halted by the cap)
-    folds to zero.  Every leaf carries the same V, so a depth - 1 node
-    folds its slot matrices against V directly: no leaf array is built
-    or gathered, and a group sharing one stack computes its row once.
+    roots, each depth's values a (p, nodes) array; a node without children
+    (extinct, or halted by the cap) folds to zero.  Every leaf carries the
+    same V, so a depth - 1 node folds its slot matrices against V directly:
+    no leaf array is built or gathered, and a group sharing one stack
+    computes its column once.
     """
     if depth == 0:
         return np.broadcast_to(v, (sizes[0], v.size))
+    leaf = v[:, None]
     y = None  # values of the depth d + 1 nodes, once they are not leaves
     for d in range(depth - 1, -1, -1):
-        parent = np.zeros((sizes[d], v.size), dtype=v.dtype)
+        parent = np.zeros((v.size, sizes[d]), dtype=v.dtype)
         for sel, first, mats in levels[d]:
-            acc = _apply(mats[0], v[None] if y is None else y[first])
+            acc = _apply(mats[0], leaf if y is None else y.take(first, axis=1))
             for k in range(1, len(mats)):
-                acc += _apply(mats[k], v[None] if y is None else y[first + k])
-            parent[sel] = acc
+                acc += _apply(mats[k], leaf if y is None else y.take(first + k, axis=1))
+            parent[:, sel] = acc
         y = parent
-    return y
+    return y.T
 
 
 def _run_chunk(model, n, rows, master_seed, rng, v, cap, identity_root):
@@ -213,6 +222,8 @@ def _run_chunk(model, n, rows, master_seed, rng, v, cap, identity_root):
         cum = np.cumsum([a.prob for a in model.atoms])
         cum[-1] = 1.0
         nch = np.array([a.n_children for a in model.atoms])
+        # (N, p, p, 1): each child matrix shared by every node of its group
+        stacks = [a.matrices[..., None] for a in model.atoms]
     else:
         nch = np.array([model.sampler["params"]["n_children"]])
     c = _uniforms_per_node(model)
@@ -224,21 +235,21 @@ def _run_chunk(model, n, rows, master_seed, rng, v, cap, identity_root):
     used = np.zeros(m0, dtype=np.int64)  # uniforms each replicate has used
 
     rep = np.arange(m0)  # replicate of each node at the current depth
+    counts = np.ones(m0, dtype=np.int64)  # nodes of each replicate at that depth
     sizes = [m0]
     levels = []  # per depth: groups of (nodes, first-child offsets, slot matrices)
     capped = np.zeros(m0, dtype=bool)  # population cap breached
 
     for gen in range(n):
-        counts = np.bincount(rep, minlength=m0)
         first_node = np.cumsum(counts) - counts
         # each node's c stream positions, from used + c * (rank at this depth)
-        start = used[rep] + c * (np.arange(len(rep)) - first_node[rep])
+        start = (used - c * first_node)[rep] + c * np.arange(len(rep))
         pos = start[:, None] + np.arange(c)
-        owner = np.broadcast_to(rep[:, None], pos.shape)
-        u = np.empty(pos.shape)
+        # one flat read of the window; the positions past it are drawn below
+        u = window.take(pos + width * rep[:, None], mode="clip")
         inside = pos < width
-        u[inside] = window[owner[inside], pos[inside]]
         if not inside.all():
+            owner = np.broadcast_to(rep[:, None], pos.shape)
             spill = np.bincount(owner[~inside], minlength=m0)
             u[~inside] = np.concatenate(
                 [_stream_draws(rng, master_seed, rows[i], max(int(used[i]), width),
@@ -253,9 +264,11 @@ def _run_chunk(model, n, rows, master_seed, rng, v, cap, identity_root):
             k = np.full(len(rep), nch[0])
 
         child_rep = np.repeat(rep, k)
-        breach = np.bincount(child_rep, minlength=m0) > cap
+        counts = np.bincount(child_rep, minlength=m0)
+        breach = counts > cap
         if breach.any():
             capped |= breach
+            counts[breach] = 0
             k[breach[rep]] = 0
             child_rep = np.repeat(rep, k)
         first = np.cumsum(k) - k
@@ -263,23 +276,24 @@ def _run_chunk(model, n, rows, master_seed, rng, v, cap, identity_root):
 
         groups = []
         if finite:
-            for a, law_atom in enumerate(model.atoms):
+            for a, stack in enumerate(stacks):
                 mask = grow & (atom == a)
                 if mask.any():
                     sel = _select(mask)
-                    groups.append((sel, first[sel], law_atom.matrices))
+                    groups.append((sel, first[sel], stack))
         elif grow.any():
             sel = _select(grow)
-            groups.append((sel, first[sel], mats[sel].swapaxes(0, 1)))
+            # (N, p, p, nodes): each entry a node vector
+            groups.append((sel, first[sel], np.moveaxis(mats[sel], 0, -1)))
         if identity_root and gen == 0:
-            eye = np.eye(model.p, dtype=dtype)
+            eye = np.eye(model.p, dtype=dtype)[..., None]
             groups = [(sel, f, np.broadcast_to(eye, m.shape))
                       for sel, f, m in groups]
         levels.append(groups)
         rep = child_rep
         sizes.append(len(rep))
 
-    extinct = (np.bincount(rep, minlength=m0) == 0) & ~capped
+    extinct = (counts == 0) & ~capped
     y = np.array(_fold(levels, sizes, n, v))
     y[capped] = np.nan
     return y, extinct, capped
@@ -427,6 +441,9 @@ def _float_columns(values):
     return np.ascontiguousarray(values).view(np.float64)
 
 
+_FLAG_TEXT = ("0,0", "1,0", "0,1", "1,1")  # extinct + 2 capped -> CSV flag columns
+
+
 def batch_to_csv(batch, path):
     """CSV: replicate, extinct_flag, capped_flag, then Y columns.
 
@@ -440,13 +457,14 @@ def batch_to_csv(batch, path):
     else:
         cols = [f"Y{j+1}" for j in range(p)]
     columns = _float_columns(batch.values)
-    row = "%d,%d,%d" + ",%r" * columns.shape[1] + "\n"
 
     def text(shard):
+        # formatted column by column: repr of each float, then one join per row
         block = slice(*shard)
-        rows = zip(range(*shard), batch.extinct[block].tolist(),
-                   batch.capped[block].tolist(), *columns[block].T.tolist())
-        return "".join(row % r for r in rows)
+        flags = map(_FLAG_TEXT.__getitem__,
+                    (batch.extinct[block] + 2 * batch.capped[block]).tolist())
+        cols = (map(float.__repr__, col) for col in columns[block].T.tolist())
+        return "\n".join(map(",".join, zip(map(str, range(*shard)), flags, *cols))) + "\n"
 
     with open(path, "w", encoding="utf-8") as f:
         f.write("replicate,extinct,capped," + ",".join(cols) + "\n")

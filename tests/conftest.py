@@ -177,18 +177,31 @@ def reference_power_sum(weights, mats, t):
     return out
 
 
+def _row_apply(mats, y):
+    """Row-wise products A y for the rows y of an (m, p) array, mats one
+    (p, p) matrix (or a (1, p, p) stack) shared by every row or an
+    (m, p, p) stack: the arithmetic the engine folded with in the
+    row-major layout, kept here apart from engine._apply."""
+    out = mats[..., :, 0] * y[:, :1]
+    for q in range(1, y.shape[1]):
+        out += mats[..., :, q] * y[:, q:q + 1]
+    return out
+
+
 def reference_fold(levels, sizes, depth, v):
     """Root values as engine._fold computes them, with every depth-`depth`
-    leaf built as a row of V and gathered per child slot."""
-    from matcascade.engine import _apply
-
+    leaf built as a row of V and gathered per child slot, each depth's
+    values a row-major (nodes, p) array.  The engine records a group's
+    slot matrices as (N, p, p, 1) or (N, p, p, nodes); here they become
+    (N, 1 or nodes, p, p) stacks of rows."""
     y = np.broadcast_to(v, (sizes[depth], v.size))
     for d in range(depth - 1, -1, -1):
         parent = np.zeros((sizes[d], v.size), dtype=v.dtype)
         for sel, first, mats in levels[d]:
-            acc = _apply(mats[0], y[first])
-            for k in range(1, len(mats)):
-                acc += _apply(mats[k], y[first + k])
+            rows = np.moveaxis(mats, -1, 1)
+            acc = _row_apply(rows[0], y[first])
+            for k in range(1, len(rows)):
+                acc += _row_apply(rows[k], y[first + k])
             parent[sel] = acc
         y = parent
     return y

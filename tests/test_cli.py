@@ -219,6 +219,23 @@ class TestCheck:
         assert t61[1]["notes"] == [
             "rho_hat(alpha) unavailable: matrix is not primitive"]
 
+    def test_underflow_noted(self, tmp_path, capsys):
+        # M_1(1100) = 2 * 0.5^1100 underflows to the zero matrix: the note
+        # names the underflow, not primitivity, and the verdict is undecided
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(MODEL_A))
+        out = tmp_path / "check"
+        assert main(["check", "--model", str(path), "--alpha", "1100",
+                     "--n-max", "2", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        t21 = [r for r in json.loads((out / "conditions.json").read_text())
+               if r["theorem"] == "T2.1a"]
+        assert [r["verdict"] for r in t21] == ["undecided"]
+        assert t21[0]["notes"][0] == (
+            "rho_1(alpha) unavailable: M_1(alpha) underflows to the zero matrix")
+        assert ("note: rho_1(alpha) unavailable: M_1(alpha) underflows to the "
+                "zero matrix\n") in (out / "conditions.txt").read_text()
+
     def test_profile_rows_below_two_children(self, tmp_path, capsys):
         path = tmp_path / "model.json"
         path.write_text(json.dumps(
@@ -716,9 +733,11 @@ class TestMbrwBuild:
     @pytest.mark.parametrize("offspring,t,reason", [
         # PM1 at t = 0: both weights are 1/2, and M(1100) = 2 * 2^-1100
         # underflows to 0
-        ([[(1.0, [(1, 1.0), (1, -1.0)])]], "0", "matrix is not primitive"),
+        ([[(1.0, [(1, 1.0), (1, -1.0)])]], "0",
+         "M_1(alpha) underflows to the zero matrix"),
         # rho~ = 2 at every t: every weight is 1/2, and M(1100) is 0
-        ([[(1.0, [(1, 0.0), (2, 0.0)])]] * 2, "1", "matrix is not primitive"),
+        ([[(1.0, [(1, 0.0), (2, 0.0)])]] * 2, "1",
+         "M_1(alpha) underflows to the zero matrix"),
         # one child, at disp 0 or 5: rho~(1)^1100 underflows to 0, so the
         # weight 1 / rho~(1) = 1.99 gives an M(1100) past the float range
         ([[(0.5, [(1, 0.0)]), (0.5, [(1, 5.0)])]], "1", "non-finite entries"),

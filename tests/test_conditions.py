@@ -173,7 +173,8 @@ class TestOverflow:
         rep = check_alpha_moments(model_c, [1100], n_max=2)[0]
         assert rep.quantities["E||sum_k A_k||^alpha"] == math.inf
         # every entry of M(1100) underflows to 0
-        assert rep.notes[0] == "rho_1(alpha) unavailable: matrix is not primitive"
+        assert rep.notes[0] == ("rho_1(alpha) unavailable: M_1(alpha) underflows "
+                                "to the zero matrix")
         assert rep.verdict == "undecided"
 
     def test_dimension_factor_and_moment_matrix(self):

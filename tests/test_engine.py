@@ -299,12 +299,12 @@ class TestSamplerMeanMatrix:
         fold = engine._fold
 
         def recording(levels, sizes, depth, v):
-            roots.append(levels[0][0][2])  # (N, replicates, p, p)
+            roots.append(levels[0][0][2])  # (N, p, p, replicates)
             return fold(levels, sizes, depth, v)
 
         monkeypatch.setattr(engine, "_fold", recording)
         simulate_batch(model, 1, 2000, 9)
-        entries = np.concatenate(roots, axis=1).swapaxes(0, 1).reshape(2000, -1)
+        entries = np.moveaxis(np.concatenate(roots, axis=-1), -1, 0).reshape(2000, -1)
         law = stats.lognorm(s=params["sigma"], scale=math.exp(params["mu"]))
         for half in (entries[:, 0::2], entries[:, 1::2]):
             assert stats.kstest(half.ravel(), law.cdf).pvalue > 0.01
@@ -319,8 +319,9 @@ class TestSamplerMeanMatrix:
 
 
 class TestFoldReference:
-    """The fold that starts from V at depth n - 1 gives the bits of the
-    one that gathers a row of V per depth-n leaf (conftest.reference_fold)."""
+    """The (p, nodes) fold that starts from V at depth n - 1 gives the bits
+    of the row-major one that gathers a row of V per depth-n leaf
+    (conftest.reference_fold)."""
 
     @staticmethod
     def cases():
@@ -334,8 +335,15 @@ class TestFoldReference:
                         field_kind="complex")
         sampler = model_from_dict({"p": 3, "mode": "sampler", "sampler": {
             "family": "uniform", "params": {"n_children": 3, "low": 0.1, "high": 0.4}}})
-        # (model, n, replicates, cap, identity_root)
+        lognormal = model_from_dict({"p": 2, "mode": "sampler",
+                                     "sampler": SAMPLERS["lognormal"]})
+        # (model, n, replicates, cap, identity_root); the fold loops over
+        # the p coordinates, so p = 1 and p = 2 (the walk workload's) too
         return {
+            "p1": (random_primitive_model(np.random.default_rng(7), p=1, min_atoms=2),
+                   6, 40, 10**7, False),
+            "p2-extinct": (varying_offspring_model(), 6, 60, 10**7, False),
+            "p2-sampler": (lognormal, 4, 20, 10**7, False),
             "real": (rand, 5, 40, 10**7, False),
             "complex-extinct": (cx, 6, 40, 10**7, False),
             "tilted": (tilt_model(rand, 2.0), 4, 30, 10**7, False),
@@ -349,7 +357,8 @@ class TestFoldReference:
     @pytest.mark.parametrize("want_traj", [False, True])
     @pytest.mark.parametrize("case", ["real", "complex-extinct", "tilted",
                                       "identity-root", "cap-last-generation",
-                                      "sampler", "n0"])
+                                      "sampler", "n0", "p1", "p2-extinct",
+                                      "p2-sampler"])
     def test_bitwise_equal_to_leaf_gathering_fold(self, case, want_traj,
                                                   monkeypatch):
         # want_traj compares the runs at every depth m <= n, not only at n
@@ -365,7 +374,7 @@ class TestFoldReference:
             # some replicates first breach the cap in the last generation
             before = simulate_batch(model, n - 1, reps, 1, cap).capped
             assert (new[-1].capped & ~before).any() and before.any()
-        if case == "complex-extinct":
+        if case in ("complex-extinct", "p2-extinct"):
             assert 0 < new[-1].extinct.sum() < reps
         for b_new, b_old in zip(new, old):
             np.testing.assert_array_equal(b_new.values, b_old.values)
@@ -480,6 +489,28 @@ class TestExtinctionAndCap:
         assert 0 < batch.extinct_count < 500
         np.testing.assert_array_equal(batch.values[batch.extinct],
                                       np.zeros((batch.extinct_count, 1)))
+
+    def test_extinct_count_matches_offspring_law(self):
+        # a two-type model whose types share the wide_walk walk's offspring
+        # law P(N = 0, 1, 2) = (0.1, 0.2, 0.7): P(extinct by depth n) is
+        # f^n(0), f(s) = 0.1 + 0.2 s + 0.7 s^2, whatever the matrices (row:
+        # the parent's type, column: the child's)
+        model = make_model(2, [
+            (0.1, []),
+            (0.2, [[[0.0, 0.9], [0.8, 0.0]]]),
+            (0.35, [[[0.5, 0.0], [0.0, 0.3]], [[0.0, 0.4], [0.6, 0.0]]]),
+            (0.35, [[[0.45, 0.0], [0.35, 0.0]], [[0.0, 0.55], [0.0, 0.25]]])])
+        n, reps = 4, 100_000
+        q = 0.0
+        for _ in range(n):
+            q = 0.1 + 0.2 * q + 0.7 * q * q
+        assert q == pytest.approx(0.140417026679863, rel=1e-14)
+        batch = simulate_batch(model, n, reps, 1)
+        assert batch.capped_count == 0
+        # binomial z of the extinct count; 4 leaves a false alarm at 6e-5
+        z = (batch.extinct_count - reps * q) / math.sqrt(reps * q * (1 - q))
+        assert abs(z) < 4
+        np.testing.assert_array_equal(batch.values[batch.extinct], 0.0)
 
     def test_cap_breach(self, model_a):
         batch = simulate_batch(model_a, 8, 4, 1, cap=10)
