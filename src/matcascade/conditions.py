@@ -3,19 +3,20 @@
 Every quantity here is a finite sum or an eigenvalue of an exactly
 computed matrix, so reports are deterministic and reproducible.  The
 alpha-moment criteria of several orders are checked in one call, which
-builds one intensity measure, to depth n_max, and reads rho_n(alpha) for
-every order and depth off its levels.
+builds one intensity measure, to depth n_max - 1, reads rho_n(alpha) for
+every order off its levels, and streams depth n_max once for all orders.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
 from .model import (NORM_CONVENTION, RHO_TOL, ConditionReport,
                     MatcascadeError, offspring_law, validate_model)
-from .spectral import (_power_sum, intensity_measure, matrix_norm,
+from .spectral import (_deepest_power_sums, _power_sum, matrix_norm,
                        moment_matrix, perron)
 
 
@@ -65,8 +66,14 @@ def _norm_moment(model, alpha):
         for a in model.atoms)
 
 
-def _solved_rho(mat, name, notes):
-    """perron(mat).rho, or None with a note naming the failed solve."""
+def _solved_rho(mat, name, mat_name, nonzero, notes):
+    """perron(mat).rho, or None with a note naming why not: mat (named
+    mat_name) is the zero matrix only in floats, since nonzero says some
+    product it sums is nonzero, or its Perron solve failed."""
+    if nonzero and not mat.any():
+        notes.append(f"{name} unavailable: {mat_name} underflows to the "
+                     "zero matrix")
+        return None
     try:
         return perron(mat).rho
     except MatcascadeError as e:
@@ -83,9 +90,11 @@ def check_alpha_moments(model, alphas, n_max=3, validation=None):
     has positive probability.  Verdict "undecided" covers the gap.
 
     Returns one report per alpha, in the given order.  The intensity
-    measure is built once, to depth n_max, and every alpha reads all its
-    levels; with no alpha, nothing is built.  An alpha whose Perron
-    solve fails at depth n stops there.
+    measure is built once, to depth n_max - 1, and every alpha reads all
+    its levels; depth n_max is formed once and raised to every alpha as it
+    is formed, and stored only when products merge.  With no alpha,
+    nothing is built.  An alpha whose Perron solve fails at depth n stops
+    there.
     validation, the model's validate_model row if the caller has
     one, saves validating the model again.
     """
@@ -99,12 +108,15 @@ def check_alpha_moments(model, alphas, n_max=3, validation=None):
     h_status = _assumption_h_status(model, validation)
     pcp = positive_column_probability(model)
     p = model.p
-    levels = [intensity_measure(model, n_max)]  # depth 1 first
-    while levels[0].below is not None:
-        levels.insert(0, levels[0].below)
+    below, deepest, deepest_nonzero = _deepest_power_sums(model, alphas, n_max)
+    levels = []  # depths 1 to n_max - 1
+    while below is not None:
+        levels.insert(0, below)
+        below = below.below
+    nonzero = [nu.matrices.any() for nu in levels] + [deepest_nonzero]
 
     reports = []
-    for alpha in alphas:
+    for alpha, m_deepest in zip(alphas, deepest):
         quantities = {
             "E||sum_k A_k||^alpha": _norm_moment(model, alpha),
             "positive_column_probability": pcp,
@@ -113,14 +125,12 @@ def check_alpha_moments(model, alphas, n_max=3, validation=None):
         notes = []
         sufficient_at = None
         necessary_violated_at = None
-        for nu in levels:
-            n = nu.depth
-            m_n = _power_sum(nu.weights, nu.matrices, alpha)
-            if not m_n.any() and nu.matrices.any():  # zero only in floats
-                notes.append(f"rho_{n}(alpha) unavailable: M_{n}(alpha) "
-                             "underflows to the zero matrix")
-                break
-            rho_n = _solved_rho(m_n, f"rho_{n}(alpha)", notes)
+        sums = itertools.chain(
+            (_power_sum(nu.weights, nu.matrices, alpha) for nu in levels),
+            [m_deepest])
+        for n, (m_n, nonzero_n) in enumerate(zip(sums, nonzero), start=1):
+            rho_n = _solved_rho(m_n, f"rho_{n}(alpha)", f"M_{n}(alpha)",
+                                nonzero_n, notes)
             if rho_n is None:
                 break
             crit = _power(p, alpha - 1) * rho_n
@@ -298,8 +308,9 @@ def check_complex(model, alpha, beta_grid=None, validation=None):
     For alpha in (1,2] the test is p^(alpha-1) rho_hat(alpha) < 1; for
     alpha > 2 a beta in (1,2] must control the second-order term.  The
     two printed readings of the second-order quantity are both computed.
-    A failed Perron solve is noted on the row: of M(alpha), it leaves the
-    row undecided; of M(beta), it drops that beta.
+    A failed Perron solve, or a moment matrix that underflows to zero, is
+    noted on the row: of M(alpha), it leaves the row undecided; of
+    M(beta), it drops that beta.
     validation is as for check_alpha_moments.
     """
     if not 1 < alpha < math.inf:
@@ -326,8 +337,9 @@ def check_complex(model, alpha, beta_grid=None, validation=None):
                                quantities=quantities,
                                assumptions_checked=assumptions, notes=notes)
 
+    nonzero = any(a.matrices.any() for a in model.atoms)
     rho_hat_alpha = _solved_rho(moment_matrix(model, alpha), "rho_hat(alpha)",
-                                notes)
+                                "M(alpha)", nonzero, notes)
     if rho_hat_alpha is None:
         return report("undecided")
     first = _power(p, alpha - 1) * rho_hat_alpha
@@ -339,7 +351,8 @@ def check_complex(model, alpha, beta_grid=None, validation=None):
     best = None
     for beta in beta_grid:
         rho_hat_beta = _solved_rho(moment_matrix(model, beta),
-                                   f"rho_hat({beta})", notes)
+                                   f"rho_hat({beta})", f"M({beta})", nonzero,
+                                   notes)
         if rho_hat_beta is None:
             continue
         printed = _power(p, alpha / beta) * rho_hat_beta

@@ -15,6 +15,13 @@ zero, as np.einsum sums them, so the bits are einsum's.  A power sum
 streams the stack through one buffer of SUM_BLOCK rows: each block is
 raised, scaled by its weights and accumulated in order onto the running
 sum, so no second array of the stack's size is made.
+
+The deepest level a caller asks for feeds only power sums, so it is not
+stored when its products cannot merge: _deepest_power_sums forms it in
+blocks of SUM_BLOCK products, in the order the build forms them, and
+raises each block to every order as it forms it.  When a level below
+merged, or two of the deepest products hash equal, that level is formed
+whole and merged instead, so the sums keep the bits of the stored level's.
 """
 
 from __future__ import annotations
@@ -167,9 +174,9 @@ def _child_stack(model):
             np.concatenate([a.matrices for a in atoms]))
 
 
-def _power_sum(weights, mats, t):
+def _power_sum(weights, mats, t, start=None):
     """sum_i weights[i] * mats[i]^t, entrywise powers, added in index order
-    onto a zero matrix.
+    onto start (a (p, p) running sum), or onto a zero matrix.
 
     The running sum is row 0 of a (SUM_BLOCK + 1, p^2) buffer.  Each block
     of SUM_BLOCK matrices is raised into the rows after it and scaled in
@@ -179,6 +186,8 @@ def _power_sum(weights, mats, t):
     """
     n, p = mats.shape[:2]
     buf = np.zeros((min(n, SUM_BLOCK) + 1, p * p))
+    if start is not None:
+        buf[0] = start.reshape(p * p)
     for i in range(0, n, SUM_BLOCK):
         block = mats[i:i + SUM_BLOCK]
         rows = buf[:len(block) + 1]
@@ -197,6 +206,22 @@ def moment_matrix(model, t):
     return _power_sum(*_child_stack(model), t)
 
 
+def _equal_hashes(hashes):
+    """Whether two of the hashes are equal; sorts them in place."""
+    hashes.sort()
+    return bool((hashes[1:] == hashes[:-1]).any())
+
+
+def _hashes(mats):
+    """One uint64 per matrix: its 64-bit words weighted by the powers of
+    HASH_BASE and added modulo 2^64, so bitwise-equal matrices hash equal."""
+    flat = mats.reshape(len(mats), mats.shape[1] * mats.shape[2])
+    words = flat.view(np.uint64)
+    multipliers = np.uint64(HASH_BASE) ** np.arange(1, words.shape[1] + 1,
+                                                    dtype=np.uint64)
+    return words @ multipliers  # wraps modulo 2^64
+
+
 def _merge(weights, mats):
     """Sum the weights of bitwise-equal matrices.
 
@@ -206,13 +231,9 @@ def _merge(weights, mats):
     the merge would give the same arrays, sorting 72-byte keys (p = 3) to
     find that out.
     """
-    flat = mats.reshape(len(mats), mats.shape[1] * mats.shape[2])
-    words = flat.view(np.uint64)
-    multipliers = np.uint64(HASH_BASE) ** np.arange(1, words.shape[1] + 1,
-                                                    dtype=np.uint64)
-    hashes = np.sort(words @ multipliers)  # wraps modulo 2^64
-    if not (hashes[1:] == hashes[:-1]).any():
+    if not _equal_hashes(_hashes(mats)):
         return weights, mats
+    flat = mats.reshape(len(mats), mats.shape[1] * mats.shape[2])
     keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
     _, first, group = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)  # groups by first occurrence
@@ -252,6 +273,13 @@ def _left_products(base, mats):
     return out.reshape(count * m, p, p)
 
 
+def _check_cap(depth, formed):
+    if formed > SUPPORT_CAP:
+        raise MatcascadeError(
+            f"depth {depth} would form {formed} products, "
+            f"exceeding cap {SUPPORT_CAP}; use a smaller depth")
+
+
 def intensity_measure(model, n):
     """Exact weighted support of the depth-n path products, each shallower
     depth linked below it.
@@ -268,11 +296,7 @@ def intensity_measure(model, n):
     nu = IntensityMeasure(depth=1, weights=base_w, matrices=base_m, below=None)
     weights, mats = _merge(base_w, base_m)
     for depth in range(2, n + 1):
-        formed = len(base_w) * len(weights)
-        if formed > SUPPORT_CAP:
-            raise MatcascadeError(
-                f"depth {depth} would form {formed} products, "
-                f"exceeding cap {SUPPORT_CAP}; use a smaller depth")
+        _check_cap(depth, len(base_w) * len(weights))
         # left-multiply each depth-1 matrix onto the accumulated products
         new_w = np.multiply.outer(base_w, weights).reshape(-1)
         weights, mats = _merge(new_w, _left_products(base_m, mats))
@@ -280,11 +304,58 @@ def intensity_measure(model, n):
     return nu
 
 
+def _deepest_power_sums(model, ts, n):
+    """(below, sums, nonzero): below is intensity_measure(model, n - 1)
+    (None when n = 1), sums the depth-n power sum at each order in ts, and
+    nonzero whether any depth-n product is nonzero.  Each sum has the bits
+    of _power_sum over intensity_measure(model, n).
+
+    When no level below merged, depth n is never stored: it is formed in
+    blocks, each one depth-1 child times a SUM_BLOCK slice of level n - 1,
+    in the build's order, and each block is raised to every order onto
+    that order's running sum.  The blocks' _merge hashes are kept; if two
+    are equal, or if a level below merged, depth n is formed whole and
+    merged as the build merges it.  Either way SUPPORT_CAP applies to the
+    products formed at depth n.
+    """
+    base_w, base_m = _child_stack(model)
+    if n < 1:
+        raise MatcascadeError("depth n must be >= 1")
+    if n == 1:
+        return None, [_power_sum(base_w, base_m, t) for t in ts], base_m.any()
+    below = intensity_measure(model, n - 1)
+    weights, mats = below.weights, below.matrices
+    if n == 2:  # depth 2 is formed from the merged child stack
+        weights, mats = _merge(weights, mats)
+    formed = len(base_w) * len(weights)
+    _check_cap(n, formed)
+    if len(weights) == len(base_w) ** (n - 1):  # no level below merged
+        p = model.p
+        sums = [np.zeros((p, p)) for _ in ts]
+        hashes = np.empty(formed, np.uint64)
+        nonzero = False
+        for a in range(len(base_w)):
+            for i in range(0, len(weights), SUM_BLOCK):
+                block = _left_products(base_m[a:a + 1], mats[i:i + SUM_BLOCK])
+                block_w = base_w[a] * weights[i:i + SUM_BLOCK]
+                at = a * len(weights) + i
+                hashes[at:at + len(block)] = _hashes(block)
+                nonzero = nonzero or block.any()
+                sums = [_power_sum(block_w, block, t, s)
+                        for t, s in zip(ts, sums)]
+        if not _equal_hashes(hashes):
+            return below, sums, nonzero
+    level_w, level_m = _merge(np.multiply.outer(base_w, weights).reshape(-1),
+                              _left_products(base_m, mats))
+    return below, [_power_sum(level_w, level_m, t) for t in ts], level_m.any()
+
+
 def n_step_moment_matrix(model, t, n):
     """Exact E sum over depth-n nodes of entrywise t-powers of the products.
 
     For n = 1 this is moment_matrix(model, t), bit for bit; its Perron
-    triple carries the depth-n eigendata.
+    triple carries the depth-n eigendata.  The depth-n level is streamed
+    and never stored when its products cannot merge (see
+    _deepest_power_sums); SUPPORT_CAP still bounds the products it forms.
     """
-    nu = intensity_measure(model, n)
-    return _power_sum(nu.weights, nu.matrices, t)
+    return _deepest_power_sums(model, [t], n)[1][0]

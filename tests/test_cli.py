@@ -203,8 +203,8 @@ class TestCheck:
         assert "Infinity" in (out / "conditions.json").read_text()
 
     def test_failed_complex_solve_noted(self, tmp_path, capsys):
-        # every entry of M(1100) underflows to 0: that row is noted and
-        # undecided, and the alpha = 1.5 row is still written
+        # every entry of M(1100) underflows to 0: that row notes the
+        # underflow and is undecided, and the alpha = 1.5 row is still written
         path = tmp_path / "model.json"
         path.write_text(json.dumps(PHASE))
         out = tmp_path / "check"
@@ -217,7 +217,7 @@ class TestCheck:
         assert t61[0]["verdict"] == "holds"
         assert t61[1]["verdict"] == "undecided"
         assert t61[1]["notes"] == [
-            "rho_hat(alpha) unavailable: matrix is not primitive"]
+            "rho_hat(alpha) unavailable: M(alpha) underflows to the zero matrix"]
 
     def test_underflow_noted(self, tmp_path, capsys):
         # M_1(1100) = 2 * 0.5^1100 underflows to the zero matrix: the note
@@ -268,10 +268,11 @@ class TestCheck:
     def test_no_order_builds_no_measure(self, tmp_path, monkeypatch):
         # 7^8 depth-8 products would exceed SUPPORT_CAP, but no --alpha
         # asks for the measure, so only the validation and T2.2 rows are made
-        from matcascade import conditions
+        from matcascade import spectral
         built = []
-        monkeypatch.setattr(conditions, "intensity_measure",
-                            lambda *a, **k: built.append(a))
+        for name in ("intensity_measure", "_left_products"):
+            monkeypatch.setattr(spectral, name,
+                                lambda *a, name=name: built.append(name))
         rng = random.Random(11)
         mats = [[[rng.uniform(0.01, 0.15) for _ in range(3)] for _ in range(3)]
                 for _ in range(7)]

@@ -6,7 +6,7 @@ import pytest
 from matcascade.conditions import (check_alpha_moments, check_complex,
                                    check_harmonic, exponential_profile,
                                    positive_column_probability)
-from matcascade import conditions
+from matcascade import conditions, spectral
 from matcascade.mbrw import build_cascade_from_mbrw, spec_from_dict
 from matcascade.model import (CascadeModel, MatcascadeError, model_from_dict,
                               normalize_model, scale_model)
@@ -213,22 +213,32 @@ class TestSharedMeasures:
         return normalize_model(make_model(3, [(0.25, mats[:3]), (0.75, mats[3:])]))
 
     @pytest.fixture
-    def built_depths(self, monkeypatch):
-        depths = []
-        build = conditions.intensity_measure
+    def built(self, monkeypatch):
+        """What the exact layer builds: the depth of every intensity_measure
+        call, and the count of products _left_products forms, stored
+        levels and the streamed deepest level alike."""
+        record = {"depths": [], "products": 0}
+        build, left = spectral.intensity_measure, spectral._left_products
 
-        def counting(model, n, **kwargs):
-            depths.append(n)
-            return build(model, n, **kwargs)
+        def counting_build(model, n):
+            record["depths"].append(n)
+            return build(model, n)
 
-        monkeypatch.setattr(conditions, "intensity_measure", counting)
-        return depths
+        def counting_left(base, mats):
+            record["products"] += len(base) * len(mats)
+            return left(base, mats)
 
-    def test_one_build_per_depth(self, model7, built_depths):
-        # one call at n_max builds each depth once, from the one below
+        monkeypatch.setattr(spectral, "intensity_measure", counting_build)
+        monkeypatch.setattr(spectral, "_left_products", counting_left)
+        return record
+
+    def test_one_build_per_depth(self, model7, built):
+        # one build to n_max - 1 forms each stored depth once, from the one
+        # below, and depth n_max is formed once for every alpha: 7^d
+        # products at each depth d >= 2, none merged
         alphas = [1.5, 2, 3]
         reports = conditions.check_alpha_moments(model7, alphas, n_max=6)
-        assert built_depths == [6]
+        assert built == {"depths": [5], "products": sum(7 ** d for d in range(2, 7))}
         assert [r.quantities["alpha"] for r in reports] == alphas
         for alpha, rep in zip(alphas, reports):
             for n in range(1, 7):
@@ -240,9 +250,9 @@ class TestSharedMeasures:
         single = [check_alpha_moments(model_c, [a], n_max=3)[0] for a in (2, 2, 1.5)]
         assert [r.to_dict() for r in reports] == [r.to_dict() for r in single]
 
-    def test_failed_alpha_stops_alone(self, model7, built_depths, monkeypatch):
+    def test_failed_alpha_stops_alone(self, model7, built, monkeypatch):
         # the Perron solve of M_3(3) fails: alpha = 3 stops at depth 3, the
-        # others go on, and the measure is still built once, at n_max
+        # others go on, and the measure is still built once, to n_max - 1
         bad = n_step_moment_matrix(model7, 3, 3)
 
         def failing(mat):
@@ -256,20 +266,20 @@ class TestSharedMeasures:
         assert "rho_2(alpha)" in rep_3.quantities
         assert "rho_3(alpha)" not in rep_3.quantities
         assert "rho_3(alpha) unavailable: planted failure" in rep_3.notes
-        built_depths.clear()
+        built.update(depths=[], products=0)
         conditions.check_alpha_moments(model7, [3], n_max=5)
-        assert built_depths == [5]
+        assert built == {"depths": [4], "products": sum(7 ** d for d in range(2, 6))}
 
-    def test_childless_builds_once(self, built_depths):
+    def test_childless_builds_once(self, built):
         m = make_model(1, [(1.0, [])])
         for rep in check_alpha_moments(m, [2, 3], n_max=4):
             assert "rho_1(alpha) unavailable: matrix is not primitive" in rep.notes
-        assert built_depths == [4]
+        assert built == {"depths": [3], "products": 0}
 
-    def test_no_alpha_builds_nothing(self, model7, built_depths):
+    def test_no_alpha_builds_nothing(self, model7, built):
         # depth 8 would form 7^8 products, past SUPPORT_CAP, had it been built
         assert conditions.check_alpha_moments(model7, [], n_max=8) == []
-        assert built_depths == []
+        assert built == {"depths": [], "products": 0}
 
     def test_no_alpha_still_needs_finite_atoms(self):
         sampler = model_from_dict({"p": 2, "mode": "sampler", "sampler": {
@@ -421,11 +431,13 @@ class TestComplexCase:
             check_complex(self.phase_model(), 3, beta_grid=[2.5])
 
     def test_failed_alpha_solve_noted(self):
-        # every entry of M(1100) underflows to 0
+        # every entry of M(1100) underflows to 0: the note names the
+        # underflow, not primitivity
         rep = check_complex(self.phase_model(), 1100, beta_grid=[2.0])
         assert rep.verdict == "undecided"
         assert "rho_hat(alpha)" not in rep.quantities
-        assert rep.notes == ["rho_hat(alpha) unavailable: matrix is not primitive"]
+        assert rep.notes == [
+            "rho_hat(alpha) unavailable: M(alpha) underflows to the zero matrix"]
 
     def test_failed_beta_solve_skipped(self, monkeypatch):
         model = self.phase_model()

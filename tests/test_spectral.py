@@ -400,6 +400,117 @@ class TestLeftProducts:
             assert got.tobytes() == want.tobytes()
 
 
+def _complex_no_merge_model():
+    """Random complex p = 2 model, three distinct children: no products of
+    any depth merge."""
+    rng = np.random.default_rng(5)
+    a, b, c = rng.uniform(0.05, 0.6, (3, 2, 2)) * np.exp(
+        2j * np.pi * rng.random((3, 2, 2)))
+    return make_model(2, [(0.5, [a, b]), (0.5, [c])], field_kind="complex")
+
+
+# (model, depth, SUM_BLOCK, the path _deepest_power_sums takes at depth n)
+DEEPEST_CASES = {
+    # depth 5 holds 7^5 products, so each child's slices cross SUM_BLOCK
+    "no-merge-depth-6": (lambda: make_model(3, NO_MERGE_MODEL), 6,
+                         spectral.SUM_BLOCK, "streamed"),
+    # p = 1 products commute: depth 1 merges nothing, depth 2 merges
+    "first-merge-at-deepest": (
+        lambda: make_model(1, [(0.5, [[[0.3]], [[0.7]]]), (0.5, [[[0.45]]])]),
+        2, spectral.SUM_BLOCK, "fallback"),
+    "merged-below-walk": (_walk_model, 6, spectral.SUM_BLOCK, "direct"),
+    "merged-below-scalar": (_scalar_model, 5, 4, "direct"),
+    "complex-depth-4": (_complex_no_merge_model, 4, 7, "streamed"),
+    "complex-repeated-child": (lambda: _repeated_child_model("complex"), 3, 7,
+                               "direct"),
+}
+
+
+class TestDeepestPowerSums:
+    """_deepest_power_sums against the reference measure and the reference
+    power sum, which take one product at a time: the same bits on every
+    path it can take at depth n."""
+
+    @pytest.mark.parametrize("case", sorted(DEEPEST_CASES))
+    def test_bitwise_against_reference(self, case, monkeypatch):
+        make, n, block, want_path = DEEPEST_CASES[case]
+        model = make()
+        branch = sum(a.n_children for a in model.atoms)
+        want_w, want_m = reference_intensity_measure(model, n)
+        assert (len(want_w) < branch ** n) == (want_path != "streamed")
+        monkeypatch.setattr(spectral, "SUM_BLOCK", block)
+        # the base sizes of the _left_products calls that form depth n: one
+        # child per block when streamed, the whole child stack when depth n
+        # is formed whole, after the blocks (fallback) or alone (direct)
+        calls = []
+        build, left = spectral.intensity_measure, spectral._left_products
+
+        def building(model, n):
+            nu = build(model, n)
+            calls.clear()
+            return nu
+
+        def recording(base, mats):
+            calls.append(len(base))
+            return left(base, mats)
+
+        monkeypatch.setattr(spectral, "intensity_measure", building)
+        monkeypatch.setattr(spectral, "_left_products", recording)
+        ts = (1, 1.5, 2, 3)
+        below, sums, nonzero = spectral._deepest_power_sums(model, ts, n)
+        assert calls == {"streamed": [1] * len(calls),
+                         "fallback": [1] * (len(calls) - 1) + [branch],
+                         "direct": [branch]}[want_path]
+        assert len(calls) > 1 or want_path == "direct"
+        for t, got in zip(ts, sums):
+            want = reference_power_sum(want_w, want_m, t)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert n_step_moment_matrix(model, t, n).tobytes() == want.tobytes()
+        assert nonzero == want_m.any()
+        below_w, below_m = reference_intensity_measure(model, n - 1)
+        assert below.depth == n - 1
+        if n > 2:  # depth 1 is stored unmerged
+            assert below.weights.tobytes() == below_w.tobytes()
+            assert below.matrices.tobytes() == below_m.tobytes()
+
+    @pytest.mark.parametrize("case", sorted(DEEPEST_CASES))
+    def test_cap_applies_at_depth_n(self, case, monkeypatch):
+        # the refusal of the stored build, at the same depth with the same text
+        make, n, _, _ = DEEPEST_CASES[case]
+        model = make()
+        formed = (sum(a.n_children for a in model.atoms)
+                  * len(reference_intensity_measure(model, n - 1)[0]))
+        monkeypatch.setattr(spectral, "SUPPORT_CAP", formed - 1)
+        with pytest.raises(MatcascadeError) as stored:
+            intensity_measure(model, n)
+        with pytest.raises(MatcascadeError) as streamed:
+            spectral._deepest_power_sums(model, [2], n)
+        assert str(streamed.value) == str(stored.value) == (
+            f"depth {n} would form {formed} products, exceeding cap "
+            f"{formed - 1}; use a smaller depth")
+
+
+class TestDeepestLevelMemory:
+    """The deepest level is never stored on a model whose products do not
+    merge: the peak stays below half of that level's bytes."""
+
+    @pytest.mark.parametrize("call", [
+        lambda model: check_alpha_moments(model, [1.5, 2, 3], 6),
+        lambda model: n_step_moment_matrix(model, 2, 6)],
+        ids=["check_alpha_moments", "n_step_moment_matrix"])
+    def test_peak_below_half_the_deepest_level(self, call):
+        model = make_model(3, NO_MERGE_MODEL)
+        level = 7 ** 6 * (1 + 9) * np.float64().itemsize  # weights, matrices
+        tracemalloc.start()
+        try:
+            call(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < level / 2
+
+
 class TestPowerSumMemory:
     def test_peak_below_one_and_a_quarter_stacks(self):
         # the powers are the one (N, p, p) array the sum allocates
