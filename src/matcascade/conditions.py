@@ -92,7 +92,8 @@ def check_alpha_moments(model, alphas, n_max=3, validation=None):
     Returns one report per alpha, in the given order.  The intensity
     measure is built once, to depth n_max - 1, and every alpha reads all
     its levels; depth n_max is formed once and raised to every alpha as it
-    is formed, and stored only when products merge.  With no alpha,
+    is formed, never merged or stored, so its sums equal those over the
+    merged level up to rounding.  With no alpha,
     nothing is built.  An alpha whose Perron solve fails at depth n stops
     there.
     validation, the model's validate_model row if the caller has

@@ -16,12 +16,12 @@ streams the stack through one buffer of SUM_BLOCK rows: each block is
 raised, scaled by its weights and accumulated in order onto the running
 sum, so no second array of the stack's size is made.
 
-The deepest level a caller asks for feeds only power sums, so it is not
-stored when its products cannot merge: _deepest_power_sums forms it in
-blocks of SUM_BLOCK products, in the order the build forms them, and
-raises each block to every order as it forms it.  When a level below
-merged, or two of the deepest products hash equal, that level is formed
-whole and merged instead, so the sums keep the bits of the stored level's.
+The deepest level a caller asks for feeds only power sums, and a power
+sum does not depend on whether equal products are merged first, so that
+level is never merged or stored: _deepest_power_sums forms it in blocks
+of SUM_BLOCK products, in the order the build forms them, and raises each
+block to every order as it forms it.  Its sums equal those over the
+merged level up to rounding.
 """
 
 from __future__ import annotations
@@ -206,12 +206,6 @@ def moment_matrix(model, t):
     return _power_sum(*_child_stack(model), t)
 
 
-def _equal_hashes(hashes):
-    """Whether two of the hashes are equal; sorts them in place."""
-    hashes.sort()
-    return bool((hashes[1:] == hashes[:-1]).any())
-
-
 def _hashes(mats):
     """One uint64 per matrix: its 64-bit words weighted by the powers of
     HASH_BASE and added modulo 2^64, so bitwise-equal matrices hash equal."""
@@ -231,7 +225,9 @@ def _merge(weights, mats):
     the merge would give the same arrays, sorting 72-byte keys (p = 3) to
     find that out.
     """
-    if not _equal_hashes(_hashes(mats)):
+    hashes = _hashes(mats)
+    hashes.sort()
+    if not (hashes[1:] == hashes[:-1]).any():
         return weights, mats
     flat = mats.reshape(len(mats), mats.shape[1] * mats.shape[2])
     keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
@@ -307,16 +303,14 @@ def intensity_measure(model, n):
 def _deepest_power_sums(model, ts, n):
     """(below, sums, nonzero): below is intensity_measure(model, n - 1)
     (None when n = 1), sums the depth-n power sum at each order in ts, and
-    nonzero whether any depth-n product is nonzero.  Each sum has the bits
-    of _power_sum over intensity_measure(model, n).
+    nonzero whether any depth-n product is nonzero.
 
-    When no level below merged, depth n is never stored: it is formed in
-    blocks, each one depth-1 child times a SUM_BLOCK slice of level n - 1,
-    in the build's order, and each block is raised to every order onto
-    that order's running sum.  The blocks' _merge hashes are kept; if two
-    are equal, or if a level below merged, depth n is formed whole and
-    merged as the build merges it.  Either way SUPPORT_CAP applies to the
-    products formed at depth n.
+    Depth n is never merged or stored: it is formed in blocks, each one
+    depth-1 child times a SUM_BLOCK slice of level n - 1 as the build
+    stores it (the unmerged child stack when n = 2), and each block is
+    raised to every order onto that order's running sum.  The sums equal
+    those over the merged intensity_measure(model, n) up to rounding.
+    SUPPORT_CAP applies to the products formed at depth n.
     """
     base_w, base_m = _child_stack(model)
     if n < 1:
@@ -325,37 +319,25 @@ def _deepest_power_sums(model, ts, n):
         return None, [_power_sum(base_w, base_m, t) for t in ts], base_m.any()
     below = intensity_measure(model, n - 1)
     weights, mats = below.weights, below.matrices
-    if n == 2:  # depth 2 is formed from the merged child stack
-        weights, mats = _merge(weights, mats)
-    formed = len(base_w) * len(weights)
-    _check_cap(n, formed)
-    if len(weights) == len(base_w) ** (n - 1):  # no level below merged
-        p = model.p
-        sums = [np.zeros((p, p)) for _ in ts]
-        hashes = np.empty(formed, np.uint64)
-        nonzero = False
-        for a in range(len(base_w)):
-            for i in range(0, len(weights), SUM_BLOCK):
-                block = _left_products(base_m[a:a + 1], mats[i:i + SUM_BLOCK])
-                block_w = base_w[a] * weights[i:i + SUM_BLOCK]
-                at = a * len(weights) + i
-                hashes[at:at + len(block)] = _hashes(block)
-                nonzero = nonzero or block.any()
-                sums = [_power_sum(block_w, block, t, s)
-                        for t, s in zip(ts, sums)]
-        if not _equal_hashes(hashes):
-            return below, sums, nonzero
-    level_w, level_m = _merge(np.multiply.outer(base_w, weights).reshape(-1),
-                              _left_products(base_m, mats))
-    return below, [_power_sum(level_w, level_m, t) for t in ts], level_m.any()
+    _check_cap(n, len(base_w) * len(weights))
+    sums = [np.zeros((model.p, model.p)) for _ in ts]
+    nonzero = False
+    for a in range(len(base_w)):
+        for i in range(0, len(weights), SUM_BLOCK):
+            block = _left_products(base_m[a:a + 1], mats[i:i + SUM_BLOCK])
+            block_w = base_w[a] * weights[i:i + SUM_BLOCK]
+            nonzero = nonzero or block.any()
+            sums = [_power_sum(block_w, block, t, s) for t, s in zip(ts, sums)]
+    return below, sums, nonzero
 
 
 def n_step_moment_matrix(model, t, n):
     """Exact E sum over depth-n nodes of entrywise t-powers of the products.
 
     For n = 1 this is moment_matrix(model, t), bit for bit; its Perron
-    triple carries the depth-n eigendata.  The depth-n level is streamed
-    and never stored when its products cannot merge (see
-    _deepest_power_sums); SUPPORT_CAP still bounds the products it forms.
+    triple carries the depth-n eigendata.  The depth-n level is streamed,
+    never merged or stored (see _deepest_power_sums), so the sum equals
+    that over the merged level up to rounding; SUPPORT_CAP still bounds
+    the products it forms.
     """
     return _deepest_power_sums(model, [t], n)[1][0]

@@ -137,16 +137,21 @@ def brute_force_moment_matrix(model, t, n):
 
 
 
+def _reference_child_stack(model):
+    """Atom probability and matrix of every child, in atom order."""
+    dtype = complex if model.is_complex else float
+    return (np.array([a.prob for a in model.atoms for _ in a.matrices]),
+            np.stack([np.asarray(m, dtype=dtype)
+                      for a in model.atoms for m in a.matrices]))
+
+
 def reference_intensity_measure(model, n):
     """(weights, matrices) of the depth-n intensity measure, with bitwise
     equal products merged through a dict keyed on their bytes: the support
     in order of first occurrence, each weight summed in input order.  The
     products come from np.einsum, which the library no longer uses: an
     independent oracle of the bits its own passes form."""
-    dtype = complex if model.is_complex else float
-    base_w = np.array([a.prob for a in model.atoms for _ in a.matrices])
-    base_m = np.stack([np.asarray(m, dtype=dtype)
-                       for a in model.atoms for m in a.matrices])
+    base_w, base_m = _reference_child_stack(model)
 
     def merge(weights, mats):
         seen = {}
@@ -167,6 +172,19 @@ def reference_intensity_measure(model, n):
         new_m = np.einsum("apq,mqr->ampr", base_m, mats)
         weights, mats = merge(new_w, new_m.reshape(-1, model.p, model.p))
     return weights, mats
+
+
+def reference_deepest_level(model, n):
+    """(weights, matrices) of the unmerged depth-n level, n >= 2: each
+    child times each product of level n - 1 as the library stores it (the
+    unmerged child stack at n = 2, reference_intensity_measure deeper),
+    child-major, the products by np.einsum and the weights as an outer
+    product."""
+    base_w, base_m = _reference_child_stack(model)
+    below_w, below_m = ((base_w, base_m) if n == 2
+                        else reference_intensity_measure(model, n - 1))
+    return (np.multiply.outer(base_w, below_w).reshape(-1),
+            np.einsum("apq,mqr->ampr", base_m, below_m).reshape(-1, model.p, model.p))
 
 
 def reference_power_sum(weights, mats, t):

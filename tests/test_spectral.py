@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -12,8 +13,8 @@ from matcascade.spectral import (IntensityMeasure, intensity_measure, matrix_nor
                                  moment_matrix, n_step_moment_matrix, perron)
 from matcascade.mbrw import build_cascade_from_mbrw, spec_from_dict
 from conftest import (brute_force_moment_matrix, eig_perron_oracle, make_model,
-                      random_primitive_model, reference_intensity_measure,
-                      reference_power_sum)
+                      random_primitive_model, reference_deepest_level,
+                      reference_intensity_measure, reference_power_sum)
 
 
 class TestMatrixNorm:
@@ -237,7 +238,8 @@ REFERENCE_CASES = {
 
 class TestAgainstReference:
     """The array merge and power sums against the reference that takes one
-    product at a time: equal bits, in the same support order."""
+    product at a time: equal bits, in the same support order.  The depth-n
+    power sum is over the unmerged depth-n level, which is never merged."""
 
     @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
     def test_intensity_measure_bitwise(self, case):
@@ -276,13 +278,13 @@ class TestAgainstReference:
     def test_power_sums_bitwise(self, case):
         make, n = REFERENCE_CASES[case]
         model = make()
-        measure = reference_intensity_measure(model, n)
+        level = reference_deepest_level(model, n)
         probs = np.array([a.prob for a in model.atoms for _ in a.matrices])
         children = np.stack([m for a in model.atoms for m in a.matrices])
         for t in (1, 1.5, 2, 3):
             for got, want in (
                     (n_step_moment_matrix(model, t, n),
-                     reference_power_sum(*measure, t)),
+                     reference_power_sum(*level, t)),
                     (moment_matrix(model, t), reference_power_sum(probs, children, t)),
                     (n_step_moment_matrix(model, t, 1), moment_matrix(model, t))):
                 assert got.dtype == want.dtype and got.shape == want.shape
@@ -300,17 +302,6 @@ NO_MERGE_MODEL = [
            [[0.07, 0.28, 0.09], [0.08, 0.42, 0.11], [0.37, 0.25, 0.28]],
            [[0.28, 0.13, 0.08], [0.34, 0.1, 0.08], [0.07, 0.32, 0.48]]]),
 ]
-
-
-def _products(model, n):
-    """The unmerged depth-n products and weights, from the library's
-    depth-(n-1) level.  The products come from np.einsum, which the
-    library no longer uses, so they are an independent oracle of its
-    product bits."""
-    w, m = spectral._child_stack(model)
-    below = intensity_measure(model, n - 1)
-    return (np.multiply.outer(w, below.weights).reshape(-1),
-            np.einsum("apq,mqr->ampr", m, below.matrices).reshape(-1, model.p, model.p))
 
 
 class TestMergePrecheck:
@@ -356,7 +347,7 @@ class TestMergePrecheck:
     def test_planted_collision_falls_back(self, monkeypatch):
         # every hash equal: the full merge runs, with the same output
         model = make_model(3, NO_MERGE_MODEL)
-        weights, products = _products(model, 4)
+        weights, products = reference_deepest_level(model, 4)
         fast_w, fast_m = spectral._merge(weights, products)
         unique = np.unique
         calls = []
@@ -409,39 +400,37 @@ def _complex_no_merge_model():
     return make_model(2, [(0.5, [a, b]), (0.5, [c])], field_kind="complex")
 
 
-# (model, depth, SUM_BLOCK, the path _deepest_power_sums takes at depth n)
+# (model, depth, SUM_BLOCK); the first two merge no products, the others
+# merge below depth n or at it
 DEEPEST_CASES = {
     # depth 5 holds 7^5 products, so each child's slices cross SUM_BLOCK
     "no-merge-depth-6": (lambda: make_model(3, NO_MERGE_MODEL), 6,
-                         spectral.SUM_BLOCK, "streamed"),
+                         spectral.SUM_BLOCK),
+    "complex-depth-4": (_complex_no_merge_model, 4, 7),
     # p = 1 products commute: depth 1 merges nothing, depth 2 merges
     "first-merge-at-deepest": (
         lambda: make_model(1, [(0.5, [[[0.3]], [[0.7]]]), (0.5, [[[0.45]]])]),
-        2, spectral.SUM_BLOCK, "fallback"),
-    "merged-below-walk": (_walk_model, 6, spectral.SUM_BLOCK, "direct"),
-    "merged-below-scalar": (_scalar_model, 5, 4, "direct"),
-    "complex-depth-4": (_complex_no_merge_model, 4, 7, "streamed"),
-    "complex-repeated-child": (lambda: _repeated_child_model("complex"), 3, 7,
-                               "direct"),
+        2, spectral.SUM_BLOCK),
+    "merged-below-walk": (_walk_model, 6, spectral.SUM_BLOCK),
+    "merged-below-scalar": (_scalar_model, 5, 4),
+    "complex-repeated-child": (lambda: _repeated_child_model("complex"), 3, 7),
 }
 
 
 class TestDeepestPowerSums:
-    """_deepest_power_sums against the reference measure and the reference
-    power sum, which take one product at a time: the same bits on every
-    path it can take at depth n."""
+    """_deepest_power_sums against the reference power sum over the
+    unmerged depth-n level, one product at a time: the same bits, whether
+    or not products merge, with depth n formed one child per block."""
 
     @pytest.mark.parametrize("case", sorted(DEEPEST_CASES))
     def test_bitwise_against_reference(self, case, monkeypatch):
-        make, n, block, want_path = DEEPEST_CASES[case]
+        make, n, block = DEEPEST_CASES[case]
         model = make()
         branch = sum(a.n_children for a in model.atoms)
-        want_w, want_m = reference_intensity_measure(model, n)
-        assert (len(want_w) < branch ** n) == (want_path != "streamed")
+        want_w, want_m = reference_deepest_level(model, n)
         monkeypatch.setattr(spectral, "SUM_BLOCK", block)
-        # the base sizes of the _left_products calls that form depth n: one
-        # child per block when streamed, the whole child stack when depth n
-        # is formed whole, after the blocks (fallback) or alone (direct)
+        # the base sizes of the _left_products calls that form depth n:
+        # one child per call, one call per child and SUM_BLOCK slice
         calls = []
         build, left = spectral.intensity_measure, spectral._left_products
 
@@ -458,10 +447,7 @@ class TestDeepestPowerSums:
         monkeypatch.setattr(spectral, "_left_products", recording)
         ts = (1, 1.5, 2, 3)
         below, sums, nonzero = spectral._deepest_power_sums(model, ts, n)
-        assert calls == {"streamed": [1] * len(calls),
-                         "fallback": [1] * (len(calls) - 1) + [branch],
-                         "direct": [branch]}[want_path]
-        assert len(calls) > 1 or want_path == "direct"
+        assert calls == [1] * (branch * math.ceil(len(below.weights) / block))
         for t, got in zip(ts, sums):
             want = reference_power_sum(want_w, want_m, t)
             assert got.dtype == want.dtype and got.shape == want.shape
@@ -477,7 +463,7 @@ class TestDeepestPowerSums:
     @pytest.mark.parametrize("case", sorted(DEEPEST_CASES))
     def test_cap_applies_at_depth_n(self, case, monkeypatch):
         # the refusal of the stored build, at the same depth with the same text
-        make, n, _, _ = DEEPEST_CASES[case]
+        make, n, _ = DEEPEST_CASES[case]
         model = make()
         formed = (sum(a.n_children for a in model.atoms)
                   * len(reference_intensity_measure(model, n - 1)[0]))
@@ -492,8 +478,10 @@ class TestDeepestPowerSums:
 
 
 class TestDeepestLevelMemory:
-    """The deepest level is never stored on a model whose products do not
-    merge: the peak stays below half of that level's bytes."""
+    """The deepest level is never stored: the peak stays below half of that
+    level's bytes on a model whose products do not merge, and below twice
+    them on one whose products merge, where the stored levels below are
+    no longer small beside it."""
 
     @pytest.mark.parametrize("call", [
         lambda model: check_alpha_moments(model, [1.5, 2, 3], 6),
@@ -509,6 +497,19 @@ class TestDeepestLevelMemory:
         finally:
             tracemalloc.stop()
         assert peak < level / 2
+
+    def test_merging_model_peak_below_twice_the_deepest_level(self):
+        model = _repeated_child_model("real")
+        formed = 5 * len(intensity_measure(model, 9).weights)
+        assert formed == 98_415
+        level = formed * (1 + 4) * np.float64().itemsize  # weights, matrices
+        tracemalloc.start()
+        try:
+            check_alpha_moments(model, [1.5, 2, 3], 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * level
 
 
 class TestPowerSumMemory:
