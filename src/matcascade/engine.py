@@ -25,16 +25,22 @@ A chunk of replicates is simulated in two passes that follow the recursion
 Y = sum_k A_k Y(k): a top-down pass grows only the tree topology (the
 atom drawn at each node and the offset of its first child, nodes kept in
 canonical (replicate, parent, child) order), and a bottom-up pass folds
-the p-vectors back to the roots.  The fold keeps each depth's values as
-a (p, nodes) array, so every multiply-add runs over a contiguous node
-vector: coordinate i of A y is a_i0 y_0 + a_i1 y_1 + ..., with a_iq one
-number for a finite-atom group and a node vector for a sampler group,
-and the roots are transposed to (R, p) once.  Every depth-n node carries
-V, so the depth-(n-1) nodes fold their child matrices against V itself
-and no depth-n leaf is ever built.  A node's arithmetic depends only on
-its own subtree, so results do not depend on the chunking.  A SampleBatch
-holds the draw alone (n, values and the extinct and capped flags); its
-provenance is the caller's to record.
+the p-vectors back to the roots.  A node's atom is the number of
+cumulative atom probabilities below its uniform, one comparison pass per
+atom.  The top-down pass keeps per-replicate counts, not a replicate
+index per node: a replicate's stream base is spread over its nodes by
+np.repeat, and its children are the difference of the prefix sums of its
+nodes' child counts.  The fold keeps each depth's values as a (p, nodes)
+array, so every multiply-add runs over a contiguous node vector:
+coordinate i of A y is a_i0 y_0 + a_i1 y_1 + ..., with a_iq one number
+for a finite-atom group and a node vector for a sampler group, and the
+roots are transposed to (R, p) once.  Every depth-n node carries V, so
+the depth-(n-1) nodes fold their child matrices against V itself: no
+array of depth-n leaves, nor a replicate index for them, is ever built,
+and the fold is told only their number.  A node's arithmetic depends
+only on its own subtree, so results do not depend on the chunking.  A
+SampleBatch holds the draw alone (n, values and the extinct and capped
+flags); its provenance is the caller's to record.
 
 simulate_batch and batch_to_csv split a run into shards of at most CHUNK
 rows, as many per process and as equal as whole rows allow.  They hand
@@ -163,6 +169,17 @@ def _sampler_matrices(model, u):
     return np.exp(params["mu"] + params["sigma"] * normals).reshape(shape)
 
 
+def _draw_atoms(bounds, u):
+    """The atom of each uniform u: the number of bounds below it, bounds
+    being the first A - 1 cumulative atom probabilities.  This is
+    np.searchsorted(cum, u, side="left") over all A of them, since the last
+    is 1 > u, drawn by one comparison pass per bound."""
+    atom = np.zeros(len(u), dtype=np.intp)
+    for b in bounds:
+        atom += u > b
+    return atom
+
+
 def _apply(mats, y):
     """Products A y for the columns y of a (p, m) array, as a (p, m) array.
 
@@ -172,11 +189,13 @@ def _apply(mats, y):
     ufuncs over node vectors, so a column's bits do not depend on how many
     columns are folded together; a BLAS matmul rounds a column differently
     with its position and the batch size, which would make the output
-    depend on the chunking.
+    depend on the chunking.  The terms after the first share one scratch
+    array.
     """
     out = mats[:, 0] * y[0]
+    term = np.empty_like(out)
     for q in range(1, len(y)):
-        out += mats[:, q] * y[q]
+        out += np.multiply(mats[:, q], y[q], out=term)
     return out
 
 
@@ -207,7 +226,8 @@ def _fold(levels, sizes, depth, v):
             acc = _apply(mats[0], leaf if y is None else y.take(first, axis=1))
             for k in range(1, len(mats)):
                 acc += _apply(mats[k], leaf if y is None else y.take(first + k, axis=1))
-            parent[:, sel] = acc
+            for row, value in zip(parent, acc):  # one 1-D scatter per coordinate
+                row[sel] = value
         y = parent
     return y.T
 
@@ -215,12 +235,25 @@ def _fold(levels, sizes, depth, v):
 def _run_chunk(model, n, rows, master_seed, rng, v, cap, identity_root):
     """Simulate the replicates `rows` (a range) with rng, re-keyed for each
     replicate's window and spills; returns (Y_n, extinct, capped)."""
+    # the top-down pass frees its window and node arrays before the fold,
+    # which reuses that memory instead of touching fresh pages
+    levels, sizes, counts, capped = _grow(model, n, rows, master_seed, rng, v.dtype,
+                                          cap, identity_root)
+    extinct = (counts == 0) & ~capped
+    y = np.array(_fold(levels, sizes, n, v))
+    y[capped] = np.nan
+    return y, extinct, capped
+
+
+def _grow(model, n, rows, master_seed, rng, dtype, cap, identity_root):
+    """The top-down pass over the replicates `rows`: per depth, the groups
+    of (nodes, first-child offsets, slot matrices) that _fold reads, the
+    node counts (sizes), and each replicate's depth-n node count and
+    capped flag."""
     m0 = len(rows)
-    dtype = v.dtype
     finite = model.mode == "finite-atom"
     if finite:
-        cum = np.cumsum([a.prob for a in model.atoms])
-        cum[-1] = 1.0
+        bounds = np.cumsum([a.prob for a in model.atoms])[:-1]
         nch = np.array([a.n_children for a in model.atoms])
         # (N, p, p, 1): each child matrix shared by every node of its group
         stacks = [a.matrices[..., None] for a in model.atoms]
@@ -232,47 +265,56 @@ def _run_chunk(model, n, rows, master_seed, rng, v, cap, identity_root):
     window = np.empty((m0, width))
     for row, r in zip(window, rows):
         replicate_rng(master_seed, r, rng).random(out=row)
+    row_start = width * np.arange(m0)  # flat window index of each replicate's row
     used = np.zeros(m0, dtype=np.int64)  # uniforms each replicate has used
 
-    rep = np.arange(m0)  # replicate of each node at the current depth
-    counts = np.ones(m0, dtype=np.int64)  # nodes of each replicate at that depth
+    counts = np.ones(m0, dtype=np.int64)  # nodes of each replicate at this depth
     sizes = [m0]
     levels = []  # per depth: groups of (nodes, first-child offsets, slot matrices)
     capped = np.zeros(m0, dtype=bool)  # population cap breached
 
     for gen in range(n):
-        first_node = np.cumsum(counts) - counts
-        # each node's c stream positions, from used + c * (rank at this depth)
-        start = (used - c * first_node)[rep] + c * np.arange(len(rep))
-        pos = start[:, None] + np.arange(c)
-        # one flat read of the window; the positions past it are drawn below
-        u = window.take(pos + width * rep[:, None], mode="clip")
-        inside = pos < width
-        if not inside.all():
-            owner = np.broadcast_to(rep[:, None], pos.shape)
-            spill = np.bincount(owner[~inside], minlength=m0)
-            u[~inside] = np.concatenate(
-                [_stream_draws(rng, master_seed, rows[i], max(int(used[i]), width),
-                               int(spill[i]))
-                 for i in np.flatnonzero(spill)])
+        ends = np.cumsum(counts)
+        first_node = ends - counts
+        # a node's c uniforms start at its replicate's row + used + c * (its
+        # rank at this depth): one base per replicate, spread over its nodes
+        at = np.repeat(row_start + used - c * first_node, counts)
+        at += np.arange(0, c * sizes[gen], c)
+        if not finite:
+            at = at[:, None] + np.arange(c)
+        u = window.take(at, mode="clip")
+        spilt = used + c * counts > width  # replicates that read past their row
+        if spilt.any():
+            # each uniform's position in its stream (at is (nodes,) or
+            # (nodes, c)); those past the window are drawn anew
+            pos = (at.T - np.repeat(row_start, counts)).T
+            resume = np.maximum(used, width)
+            u[pos >= width] = np.concatenate(
+                [_stream_draws(rng, master_seed, rows[i], int(resume[i]),
+                               int(used[i] + c * counts[i] - resume[i]))
+                 for i in np.flatnonzero(spilt)])
         used += c * counts
         if finite:
-            atom = np.searchsorted(cum, u[:, 0], side="left")
+            atom = _draw_atoms(bounds, u)
             k = nch[atom]
         else:
             mats = _sampler_matrices(model, u).astype(dtype, copy=False)
-            k = np.full(len(rep), nch[0])
+            k = np.full(sizes[gen], nch[0])
 
-        child_rep = np.repeat(rep, k)
-        counts = np.bincount(child_rep, minlength=m0)
-        breach = counts > cap
+        # first[j]: the offset of node j's first child; first[-1] the population
+        first = np.zeros(sizes[gen] + 1, dtype=np.int64)
+        np.cumsum(k, out=first[1:])
+        children = first[ends] - first[first_node]  # of each replicate
+        breach = children > cap
         if breach.any():
             capped |= breach
-            counts[breach] = 0
-            k[breach[rep]] = 0
-            child_rep = np.repeat(rep, k)
-        first = np.cumsum(k) - k
+            children[breach] = 0
+            k[np.repeat(breach, counts)] = 0
+            np.cumsum(k, out=first[1:])
+        counts = children
         grow = k > 0
+        sizes.append(int(first[-1]))
+        first = first[:-1]
 
         groups = []
         if finite:
@@ -290,13 +332,7 @@ def _run_chunk(model, n, rows, master_seed, rng, v, cap, identity_root):
             groups = [(sel, f, np.broadcast_to(eye, m.shape))
                       for sel, f, m in groups]
         levels.append(groups)
-        rep = child_rep
-        sizes.append(len(rep))
-
-    extinct = (counts == 0) & ~capped
-    y = np.array(_fold(levels, sizes, n, v))
-    y[capped] = np.nan
-    return y, extinct, capped
+    return levels, sizes, counts, capped
 
 
 def usable_cores():

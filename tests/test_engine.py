@@ -114,6 +114,19 @@ class TestSeedMatchedOracle:
             np.testing.assert_allclose(y, self.oracle(model_d1, 4, seed),
                                        rtol=1e-12)
 
+    def test_many_atoms_some_empty(self):
+        # 40 atoms, 8 of them of probability zero (repeated cumulative
+        # bounds): every node's atom is the one searchsorted picks
+        rng = np.random.default_rng(40)
+        probs = rng.random(40)
+        probs[rng.choice(40, 8, replace=False)] = 0.0
+        model = make_model(2, [(prob, rng.uniform(0.05, 0.5, (int(rng.integers(1, 4)), 2, 2)))
+                               for prob in probs / probs.sum()])
+        batch = simulate_batch(model, 3, 30, 9)
+        for r in range(30):
+            np.testing.assert_allclose(batch.values[r], self.oracle(model, 3, 9, r=r),
+                                       rtol=1e-12, atol=1e-14)
+
     @staticmethod
     def node_matrices(model, rng):
         """One node's (N, p, p) child matrices, drawn from the next outputs
@@ -190,6 +203,82 @@ class TestSeedMatchedOracle:
                 batch.values[r],
                 self.sampler_oracle(model, 3, seed, r, identity_root=True),
                 rtol=1e-12)
+
+
+class TestAtomDraw:
+    """A node's atom is the number of cumulative bounds below its uniform,
+    the index np.searchsorted(cum, u, side="left") gives, element for
+    element."""
+
+    @staticmethod
+    def probs_with_empty_atoms(count, empty, seed):
+        rng = np.random.default_rng(seed)
+        probs = rng.random(count)
+        probs[rng.choice(count, empty, replace=False)] = 0.0
+        return probs / probs.sum()
+
+    PROBS = {
+        "three": [0.3, 0.3, 0.4],
+        "one": [1.0],
+        # zero-probability atoms repeat a bound, first, inside and last
+        "empty-atoms": [0.0, 0.25, 0.0, 0.0, 0.5, 0.25, 0.0],
+        "forty": probs_with_empty_atoms(40, 8, 3),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PROBS))
+    def test_equals_searchsorted(self, case):
+        cum = np.cumsum(self.PROBS[case])
+        cum[-1] = 1.0
+        bounds = cum[:-1]
+        # every bound and the doubles either side of it, 0, the largest
+        # double below 1, and uniforms drawn at random
+        u = np.concatenate([bounds, np.nextafter(bounds, 0), np.nextafter(bounds, 1),
+                            [0.0, np.nextafter(1.0, 0)],
+                            np.random.default_rng(1).random(10**4)])
+        u = u[u < 1]
+        assert np.isin(bounds[bounds < 1], u).all()
+        np.testing.assert_array_equal(engine._draw_atoms(bounds, u),
+                                      np.searchsorted(cum, u, side="left"))
+
+
+class TestLastGeneration:
+    """The last generation counts each replicate's children without forming
+    the depth-n population or a replicate index for it, and the fold is
+    still told that population's size."""
+
+    @pytest.mark.usefixtures("one_process")
+    @pytest.mark.parametrize("cap", [10**7, 100])
+    def test_no_depth_n_array(self, cap, monkeypatch):
+        # two or three children per node, so every depth outnumbers the one
+        # above it; a cap of 100 halts some replicates in the last generation
+        model, n, reps = TestDrawWindow.BRANCHING, 5, 50
+        lengths = []
+        repeat = np.repeat
+
+        def recording_repeat(*args, **kwargs):
+            out = repeat(*args, **kwargs)
+            lengths.append(out.size)
+            return out
+
+        trees = []
+        fold = engine._fold
+
+        def recording_fold(levels, sizes, depth, v):
+            trees.append((levels, sizes))
+            return fold(levels, sizes, depth, v)
+
+        monkeypatch.setattr(np, "repeat", recording_repeat)
+        monkeypatch.setattr(engine, "_fold", recording_fold)
+        batch = simulate_batch(model, n, reps, 2, cap)
+        monkeypatch.undo()
+        if cap < 10**7:
+            before = simulate_batch(model, n - 1, reps, 2, cap).capped
+            assert (batch.capped & ~before).any()
+        (levels, sizes), = trees
+        # N children for each depth n - 1 node of an N-matrix group
+        population = sum(len(first) * len(mats) for _, first, mats in levels[n - 1])
+        assert len(sizes) == n + 1 and sizes[n] == population
+        assert lengths and max(lengths) < population
 
 
 def varying_offspring_model():
