@@ -6,7 +6,10 @@ version) sufficient to reproduce their outputs bitwise.  simulate runs
 on the usable cores (`taskset` limits them), at most one process per
 CHUNK replicates, and in one process without fork or beside another
 Python thread (engine.process_count, recorded as the manifest's
-processes); its batch_meta.json records where its batch came from;
+processes).  It forks one pool, whose workers draw, fold and format
+their shards' CSV rows; the command writes batch.csv from them in shard
+order, under a temporary name until no refusal can follow, and
+batch.bin from the gathered batch.  Its batch_meta.json records where its batch came from;
 estimate reads only that batch, checks the metadata against the model
 and batch.bin, and copies the batch's n, replicates, seed and cap into
 its own manifest.  mbrw-build prints a walk's alpha criterion as T2.1a
@@ -39,8 +42,8 @@ from .model import (MatcascadeError, load_model, parses, read_json, save_model,
                     validate_model)
 from .conditions import (check_alpha_moments, check_complex, check_harmonic,
                          exponential_profile)
-from .engine import (batch_from_binary, batch_to_binary, batch_to_csv,
-                     process_count, simulate_batch, DEFAULT_CAP)
+from .engine import (batch_from_binary, batch_to_binary, process_count,
+                     simulate_batch, DEFAULT_CAP)
 from .estimate import (estimate_harmonic, estimate_laplace, estimate_moment,
                        fit_power_decay, fit_stretched_exponential)
 from .mbrw import build_cascade_from_mbrw, load_mbrw_spec, mbrw_condition_report
@@ -134,13 +137,16 @@ def cmd_simulate(args):
         raise MatcascadeError(f"--seed must lie in [0, 2^64), got {args.seed}")
     model = load_model(args.model)
     os.makedirs(args.out, exist_ok=True)
+    # written under a temporary name, so that a refusal leaves no batch.csv
+    csv = os.path.join(args.out, "batch.csv.partial")
     batch = simulate_batch(model, args.n, args.replicates, args.seed,
-                           cap=args.cap)
+                           cap=args.cap, csv_path=csv)
     if batch.capped_count == batch.replicates:
+        os.remove(csv)
         print("error: every replicate exceeded the population cap",
               file=sys.stderr)
         return EXIT_ALL_FAILED
-    batch_to_csv(batch, os.path.join(args.out, "batch.csv"))
+    os.replace(csv, os.path.join(args.out, "batch.csv"))
     batch_to_binary(batch, os.path.join(args.out, "batch.bin"))
     meta = {
         "model_hash": model.source_hash,

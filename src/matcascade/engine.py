@@ -42,15 +42,18 @@ only on its own subtree, so results do not depend on the chunking.  A
 SampleBatch holds the draw alone (n, values and the extinct and capped
 flags); its provenance is the caller's to record.
 
-simulate_batch and batch_to_csv split a run into shards of at most CHUNK
-rows, as many per process and as equal as whole rows allow.  They hand
-the shards to forked worker processes, at most one per usable core
-(`taskset` limits them) and per CHUNK rows (process_count), and gather
-the results in shard order; a run of at most one CHUNK stays in this
-process, as does one without fork or beside another Python thread.
-Every replicate is keyed and formatted as in one process, so the values
-and the bytes written never depend on the process count or the shard
-sizes.
+simulate_batch splits a run into shards of at most CHUNK rows, as many
+per process and as equal as whole rows allow.  It hands the shards to one
+pool of forked worker processes, at most one per usable core (`taskset`
+limits them) and per CHUNK rows (process_count), and gathers the results
+in shard order; a run of at most one CHUNK stays in this process, as does
+one without fork or beside another Python thread.  Given a CSV path, the
+process that draws and folds a shard also formats its CSV rows, and this
+process writes them in shard order as they arrive, so writing the CSV
+forks no second pool; batch_to_csv writes the same bytes in its own
+process.  Every replicate is keyed and formatted as in one process, so
+the values and the bytes written never depend on the process count or
+the shard sizes.
 """
 
 from __future__ import annotations
@@ -356,9 +359,9 @@ def process_count(replicates):
 def _shards(replicates, processes):
     """(start, stop) row ranges of a run over `processes`: the fewest
     shards of at most CHUNK rows whose count is a multiple of processes,
-    as equal as whole rows allow, so that every process simulates or
-    formats the same share (5 chunks of CHUNK rows over 2 processes
-    would leave one of them idle for the fifth)."""
+    as equal as whole rows allow, so that every process simulates the
+    same share (5 chunks of CHUNK rows over 2 processes would leave one
+    of them idle for the fifth)."""
     count = min(processes * -(-replicates // (processes * CHUNK)), replicates) or 1
     bounds = [i * replicates // count for i in range(count + 1)]
     return list(zip(bounds, bounds[1:]))
@@ -413,7 +416,7 @@ def _in_workers(fn, shards, processes):
 
 
 def simulate_batch(model, n, replicates, master_seed, cap=DEFAULT_CAP,
-                   identity_root=False):
+                   identity_root=False, *, csv_path=None):
     """R independent draws of the depth-n martingale value Y_n.
 
     Replicate r draws from its own stream, keyed by (master_seed, r).
@@ -436,6 +439,11 @@ def simulate_batch(model, n, replicates, master_seed, cap=DEFAULT_CAP,
     the identity, whatever law drew them, with the same offspring law and
     the same draws (the seeded corruption of the fixed-point check).  The
     tilted martingale is this recursion run on model.tilt_model(model, t).
+
+    With csv_path set, the batch is also written there as batch_to_csv
+    writes it: each shard's process formats its rows, and they are written
+    in shard order as they arrive.  A run that raises, for whatever reason,
+    removes that file.
     """
     if n < 0:
         raise MatcascadeError("n must be >= 0")
@@ -457,15 +465,32 @@ def simulate_batch(model, n, replicates, master_seed, cap=DEFAULT_CAP,
     def run(shard):
         # a product past the float range is refused below, without a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            return _run_chunk(model, n, range(*shard), master_seed, rng, v, cap,
-                              identity_root)
+            y, e, c = _run_chunk(model, n, range(*shard), master_seed, rng, v, cap,
+                                 identity_root)
+        return y, e, c, None if csv_path is None else _csv_rows(shard, y, e, c)
 
-    for (start, stop), (y, e, c) in zip(shards, _in_workers(run, shards, processes)):
-        values[start:stop], extinct[start:stop], capped[start:stop] = y, e, c
-    overflowed = np.flatnonzero(~capped & ~np.isfinite(values).all(axis=1))
-    if len(overflowed):
-        raise MatcascadeError(f"replicate {overflowed[0]} overflowed: its depth-{n} "
-                              "value is not finite")
+    results = _in_workers(run, shards, processes)
+    csv = None if csv_path is None else open(csv_path, "w", encoding="utf-8")
+    try:
+        if csv is not None:
+            csv.write(_csv_header(model.p, model.is_complex))
+        for (start, stop), (y, e, c, text) in zip(shards, results):
+            overflowed = np.flatnonzero(~c & ~np.isfinite(y).all(axis=1))
+            if len(overflowed):
+                raise MatcascadeError(f"replicate {start + overflowed[0]} overflowed: "
+                                      f"its depth-{n} value is not finite")
+            values[start:stop], extinct[start:stop], capped[start:stop] = y, e, c
+            if csv is not None:
+                csv.write(text)
+        if csv is not None:
+            csv.close()
+    except BaseException:
+        if csv is not None:
+            csv.close()
+            os.remove(csv_path)
+        raise
+    finally:
+        results.close()  # ends the workers before a refusal is raised
     return SampleBatch(n=n, values=values, extinct=extinct, capped=capped)
 
 
@@ -480,36 +505,39 @@ def _float_columns(values):
 _FLAG_TEXT = ("0,0", "1,0", "0,1", "1,1")  # extinct + 2 capped -> CSV flag columns
 
 
+def _csv_header(p, complex_values):
+    """The CSV header line: replicate, extinct, capped, then the Y columns,
+    re/im pairs when complex."""
+    if complex_values:
+        cols = [f"Y{j+1}_re,Y{j+1}_im" for j in range(p)]
+    else:
+        cols = [f"Y{j+1}" for j in range(p)]
+    return "replicate,extinct,capped," + ",".join(cols) + "\n"
+
+
+def _csv_rows(shard, values, extinct, capped):
+    """The CSV lines of the replicates range(*shard), whose values and flags
+    these are: formatted column by column, the repr of each float, then one
+    join per row."""
+    flags = map(_FLAG_TEXT.__getitem__, (extinct + 2 * capped).tolist())
+    cols = (map(float.__repr__, col) for col in _float_columns(values).T.tolist())
+    return "\n".join(map(",".join, zip(map(str, range(*shard)), flags, *cols))) + "\n"
+
+
 def batch_to_csv(batch, path):
     """CSV: replicate, extinct_flag, capped_flag, then Y columns.
 
     Complex batches write re/im column pairs.  Floats use repr so a
-    rerun with identical flags reproduces the file bytes, whatever the
-    number of processes (process_count) that format the rows.
+    rerun with identical flags reproduces the file bytes; simulate_batch
+    writes the same bytes through its csv_path.
     """
-    p = batch.p
-    if np.iscomplexobj(batch.values):
-        cols = [f"Y{j+1}_re,Y{j+1}_im" for j in range(p)]
-    else:
-        cols = [f"Y{j+1}" for j in range(p)]
-    columns = _float_columns(batch.values)
-
-    def text(shard):
-        # formatted column by column: repr of each float, then one join per row
-        block = slice(*shard)
-        flags = map(_FLAG_TEXT.__getitem__,
-                    (batch.extinct[block] + 2 * batch.capped[block]).tolist())
-        cols = (map(float.__repr__, col) for col in columns[block].T.tolist())
-        return "\n".join(map(",".join, zip(map(str, range(*shard)), flags, *cols))) + "\n"
-
     with open(path, "w", encoding="utf-8") as f:
-        f.write("replicate,extinct,capped," + ",".join(cols) + "\n")
+        f.write(_csv_header(batch.p, np.iscomplexobj(batch.values)))
         # rows become Python floats and text one shard at a time, to bound
-        # memory, and each shard goes to the file in one write, in order
-        processes = process_count(batch.replicates)
-        for chunk in _in_workers(text, _shards(batch.replicates, processes),
-                                 processes):
-            f.write(chunk)
+        # memory, and each shard goes to the file in one write
+        for start, stop in _shards(batch.replicates, 1):
+            f.write(_csv_rows((start, stop), batch.values[start:stop],
+                              batch.extinct[start:stop], batch.capped[start:stop]))
 
 
 def batch_to_binary(batch, path):

@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import copy
 import hashlib
 import json
@@ -445,14 +446,42 @@ class TestSimulate:
                      "--out", str(tmp_path / "o")])
         assert code == 1
 
-    def test_all_capped_exit3(self, model_a_path, tmp_path, capsys):
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_all_capped_exit3(self, cores, model_a_path, tmp_path, capsys,
+                              monkeypatch):
+        # on two cores, over two workers and four shards of 5 replicates
+        monkeypatch.setattr(engine, "CHUNK", 7)
+        monkeypatch.setattr(engine, "usable_cores", lambda: cores)
         code = main(["simulate", "--model", model_a_path, "--n", "10",
-                     "--replicates", "5", "--seed", "1", "--cap", "8",
+                     "--replicates", "20", "--seed", "1", "--cap", "8",
                      "--out", str(tmp_path / "o")])
         assert code == 3
         assert capsys.readouterr().err == (
             "error: every replicate exceeded the population cap\n")
         assert list((tmp_path / "o").iterdir()) == []
+        assert multiprocessing.active_children() == []
+
+    def test_one_pool_per_command(self, tmp_path, monkeypatch):
+        # the workers that simulate a shard also format its CSV rows, so
+        # the command forks one pool, over two workers and four shards
+        monkeypatch.setattr(engine, "CHUNK", 7)
+        monkeypatch.setattr(engine, "usable_cores", lambda: 2)
+        pools = []
+
+        class Counted(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(args)
+                super().__init__(*args, **kwargs)
+
+        # _in_workers imports ProcessPoolExecutor from here when it forks
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+        model = tmp_path / "model-r.json"
+        model.write_text(json.dumps(MODEL_R))
+        assert main(["simulate", "--model", str(model), "--n", "5",
+                     "--replicates", "20", "--seed", "3",
+                     "--out", str(tmp_path / "sim")]) == 0
+        assert pools == [(2,)]
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("cores", [1, 2])
     def test_overflow_exit2_no_batch(self, cores, tmp_path, capfd, monkeypatch):
@@ -1278,7 +1307,7 @@ class TestWorkerFailure:
         # read at the file descriptor, so a worker's stderr would show too
         err = capfd.readouterr().err
         assert err.startswith(want) and err.count("\n") == 1, err
-        assert not (out / "batch.csv").exists()
+        assert list(out.iterdir()) == []
         assert multiprocessing.active_children() == []
 
 

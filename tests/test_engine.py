@@ -972,6 +972,11 @@ class TestWorkers:
             batch_to_csv(batch, str(csv))
             batch_to_binary(batch, str(binary))
             files[cores] = (batch, csv.read_bytes(), binary.read_bytes())
+            # the rows the shards' processes format are batch_to_csv's
+            streamed = tmp_path / f"{cores}-streamed.csv"
+            again = simulate_batch(model, n, 50, 4, cap=cap, csv_path=str(streamed))
+            assert again.values.tobytes() == batch.values.tobytes()
+            assert streamed.read_bytes() == files[cores][1]
         one, csv1, bin1 = files[1]
         if case == "extinct":
             assert 0 < one.extinct_count < 50
@@ -982,6 +987,27 @@ class TestWorkers:
             np.testing.assert_array_equal(batch.extinct, one.extinct)
             np.testing.assert_array_equal(batch.capped, one.capped)
             assert csv == csv1 and binary == bin1
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, MatcascadeError])
+    def test_raising_run_removes_csv(self, cores, error, tmp_path, monkeypatch):
+        # the shard that holds the last replicate raises, in this process
+        # on one core and in a worker on two, after earlier shards were written
+        run_chunk = engine._run_chunk
+
+        def failing(model, n, rows, *rest):
+            if rows[-1] == 49:
+                raise error("planted")
+            return run_chunk(model, n, rows, *rest)
+
+        monkeypatch.setattr(engine, "usable_cores", lambda: cores)
+        monkeypatch.setattr(engine, "_run_chunk", failing)
+        path = tmp_path / "batch.csv"
+        with pytest.raises(error, match="planted"):
+            simulate_batch(random_primitive_model(np.random.default_rng(1), p=2), 2, 50,
+                           1, csv_path=str(path))
+        assert list(tmp_path.iterdir()) == []
+        assert multiprocessing.active_children() == []
 
     @staticmethod
     def logged_pids(monkeypatch, log, replicates):
