@@ -13,13 +13,15 @@ alone and independent of batch size or process count.  A run builds one
 generator, from a fixed seed and without reading OS entropy, which each
 process (forked workers inherit it) re-keys for every replicate of its
 shard, drawing the replicate's first uniforms into a window row in one
-call.  A node reads c uniforms (_uniforms_per_node) from its stream
-position: the uniforms its replicate used before, plus c times its rank
-at its depth.  The window holds as many as a tree of the law can use
-before depth n (c sum_{g<n} Nmax^g), capped at WINDOW; a replicate that
-outruns it re-keys the generator at the counter block of its position,
-once per generation, and draws the rest in one call, so every law reads
-its stream in order.
+call; each keying rewrites the counter and key of one state dict per
+thread, which the state setter copies.  A node reads c uniforms
+(_uniforms_per_node) from its stream position: the uniforms its
+replicate used before, plus c times its rank at its depth.  The window
+holds as many as a tree of the law can use before depth n
+(c sum_{g<n} Nmax^g), capped at WINDOW; a replicate that outruns it
+re-keys the generator at the counter block of its position, once per
+generation, and draws the rest in one call, so every law reads its
+stream in order.
 
 A chunk of replicates is simulated in two passes that follow the recursion
 Y = sum_k A_k Y(k): a top-down pass grows only the tree topology (the
@@ -36,28 +38,31 @@ coordinate i of A y is a_i0 y_0 + a_i1 y_1 + ..., with a_iq one number
 for a finite-atom group and a node vector for a sampler group, and the
 roots are transposed to (R, p) once.  Every depth-n node carries V, so
 the depth-(n-1) nodes fold their child matrices against V itself: no
-array of depth-n leaves, nor a replicate index for them, is ever built,
-and the fold is told only their number.  A node's arithmetic depends
-only on its own subtree, so results do not depend on the chunking.  A
-SampleBatch holds the draw alone (n, values and the extinct and capped
-flags); its provenance is the caller's to record.
+array of depth-n leaves, nor a replicate index or offset for them, is
+ever built, and the fold is told only their number.  A node's arithmetic
+depends only on its own subtree, so results do not depend on the
+chunking.  A SampleBatch holds the draw alone (n, values and the extinct
+and capped flags); its provenance is the caller's to record.
 
 simulate_batch splits a run into shards of at most CHUNK rows, as many
 per process and as equal as whole rows allow.  It hands the shards to one
 pool of forked worker processes, at most one per usable core (`taskset`
 limits them) and per CHUNK rows (process_count), and gathers the results
 in shard order; a run of at most one CHUNK stays in this process, as does
-one without fork or beside another Python thread.  Given a CSV path, the
-process that draws and folds a shard also formats its CSV rows, and this
-process writes them in shard order as they arrive, so writing the CSV
-forks no second pool; batch_to_csv writes the same bytes in its own
-process.  Every replicate is keyed and formatted as in one process, so
-the values and the bytes written never depend on the process count or
-the shard sizes.
+one without fork or beside another Python thread.  Each worker has
+glibc's allocator keep the memory it frees (_keep_heap), so its chunks
+after the first reuse the pages the first one faulted in; this process
+keeps its allocator as it is.  Given a CSV path, the process that draws
+and folds a shard also formats its CSV rows, and this process writes
+them in shard order as they arrive, so writing the CSV forks no second
+pool; batch_to_csv writes the same bytes in its own process.  Every
+replicate is keyed and formatted as in one process, so the values and
+the bytes written never depend on the process count or the shard sizes.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 import struct
 import threading
@@ -124,13 +129,30 @@ def replicate_rng(master_seed, r, rng=None):
     return rng
 
 
+class _PhiloxState(threading.local):
+    """One Philox state dict per thread, which _philox_state rewrites for
+    each keying: the state setter copies its values, and a thread of its
+    own keeps two threads that simulate at once from keying each other's
+    generators."""
+
+    def __init__(self):
+        self.state = {"bit_generator": "Philox", "state": {},
+                      "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0,
+                      "uinteger": 0}
+
+
+_philox = _PhiloxState()
+
+
 def _philox_state(master_seed, r, block):
     """Philox state of replicate r's stream when its first `block` 4-word
-    counter blocks are spent: the next 64-bit output is number 4 * block."""
-    return {"bit_generator": "Philox",
-            "state": {"counter": (block, 0, 0, 0),
-                      "key": (master_seed % 2**64, r % 2**64)},
-            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    counter blocks are spent: the next 64-bit output is number 4 * block.
+    The dict is this thread's one, valid until its next call."""
+    state = _philox.state
+    inner = state["state"]
+    inner["counter"] = (block, 0, 0, 0)
+    inner["key"] = (master_seed % 2**64, r % 2**64)
+    return state
 
 
 def _stream_draws(rng, master_seed, r, pos, count):
@@ -250,9 +272,10 @@ def _run_chunk(model, n, rows, master_seed, rng, v, cap, identity_root):
 
 def _grow(model, n, rows, master_seed, rng, dtype, cap, identity_root):
     """The top-down pass over the replicates `rows`: per depth, the groups
-    of (nodes, first-child offsets, slot matrices) that _fold reads, the
-    node counts (sizes), and each replicate's depth-n node count and
-    capped flag."""
+    of (nodes, first-child offsets, slot matrices) that _fold reads (the
+    offsets None at depth n - 1, whose children are leaves), the node
+    counts (sizes), and each replicate's depth-n node count and capped
+    flag."""
     m0 = len(rows)
     finite = model.mode == "finite-atom"
     if finite:
@@ -317,6 +340,9 @@ def _grow(model, n, rows, master_seed, rng, dtype, cap, identity_root):
         counts = children
         grow = k > 0
         sizes.append(int(first[-1]))
+        # _fold folds the depth-(n - 1) nodes against V, so it reads no
+        # offsets of theirs
+        last = gen == n - 1
         first = first[:-1]
 
         groups = []
@@ -325,11 +351,12 @@ def _grow(model, n, rows, master_seed, rng, dtype, cap, identity_root):
                 mask = grow & (atom == a)
                 if mask.any():
                     sel = _select(mask)
-                    groups.append((sel, first[sel], stack))
+                    groups.append((sel, None if last else first[sel], stack))
         elif grow.any():
             sel = _select(grow)
             # (N, p, p, nodes): each entry a node vector
-            groups.append((sel, first[sel], np.moveaxis(mats[sel], 0, -1)))
+            groups.append((sel, None if last else first[sel],
+                           np.moveaxis(mats[sel], 0, -1)))
         if identity_root and gen == 0:
             eye = np.eye(model.p, dtype=dtype)[..., None]
             groups = [(sel, f, np.broadcast_to(eye, m.shape))
@@ -374,6 +401,21 @@ def _call_task(shard):
     return _task(shard)
 
 
+def _keep_heap():
+    """Pool initializer: have glibc's allocator keep the memory a worker
+    frees, so that each chunk after its first reuses the pages the first
+    one faulted in.  Both thresholds are set, since setting either one
+    turns off the dynamic thresholds that the sizes freed would move.
+    Without glibc's mallopt (another libc, macOS) it does nothing; it
+    never raises, since an initializer that raises breaks the pool."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD: keep up to 1 GiB free at the top
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: blocks below 32 MiB from the heap
+
+
 def _in_workers(fn, shards, processes):
     """Yield fn(shard) for each shard, in shard order.
 
@@ -381,8 +423,9 @@ def _in_workers(fn, shards, processes):
     inherit fn through the module global _task, so only shards and
     results are pickled, and at most two shards per worker are in flight
     beyond the one yielded next, which bounds the results the parent
-    holds.  A worker's exception is raised here; a worker that dies
-    raises MatcascadeError.  No worker outlives the generator.
+    holds.  Each worker runs _keep_heap when it starts.  A worker's
+    exception is raised here; a worker that dies raises MatcascadeError.
+    No worker outlives the generator.
     """
     if processes <= 1:
         yield from map(fn, shards)
@@ -399,7 +442,8 @@ def _in_workers(fn, shards, processes):
     global _task
     _task = fn
     pool = ProcessPoolExecutor(processes,
-                               mp_context=multiprocessing.get_context("fork"))
+                               mp_context=multiprocessing.get_context("fork"),
+                               initializer=_keep_heap)
     try:
         pending = []
         for shard in shards:

@@ -211,11 +211,21 @@ def reference_fold(levels, sizes, depth, v):
     leaf built as a row of V and gathered per child slot, each depth's
     values a row-major (nodes, p) array.  The engine records a group's
     slot matrices as (N, p, p, 1) or (N, p, p, nodes); here they become
-    (N, 1 or nodes, p, p) stacks of rows."""
+    (N, 1 or nodes, p, p) stacks of rows.  The engine records no offsets
+    for the depth - 1 groups, so the leaves' offsets are worked out here:
+    each group's child count N placed at its nodes, then the exclusive
+    prefix sum."""
     y = np.broadcast_to(v, (sizes[depth], v.size))
     for d in range(depth - 1, -1, -1):
         parent = np.zeros((sizes[d], v.size), dtype=v.dtype)
+        if d == depth - 1:
+            children = np.zeros(sizes[d], dtype=np.int64)
+            for sel, _, mats in levels[d]:
+                children[sel] = len(mats)
+            leaf_first = np.cumsum(children) - children
         for sel, first, mats in levels[d]:
+            if d == depth - 1:
+                first = leaf_first[sel]
             rows = np.moveaxis(mats, -1, 1)
             acc = _row_apply(rows[0], y[first])
             for k in range(1, len(rows)):

@@ -470,7 +470,7 @@ class TestSimulate:
 
         class Counted(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
-                pools.append(args)
+                pools.append((args, kwargs))
                 super().__init__(*args, **kwargs)
 
         # _in_workers imports ProcessPoolExecutor from here when it forks
@@ -480,7 +480,9 @@ class TestSimulate:
         assert main(["simulate", "--model", str(model), "--n", "5",
                      "--replicates", "20", "--seed", "3",
                      "--out", str(tmp_path / "sim")]) == 0
-        assert pools == [(2,)]
+        assert [args for args, _ in pools] == [(2,)]
+        # each worker keeps its freed heap across its shards
+        assert pools[0][1]["initializer"] is engine._keep_heap
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("cores", [1, 2])

@@ -1,9 +1,11 @@
 import cProfile
+import ctypes
 import hashlib
 import math
 import multiprocessing
 import os
 import pstats
+import sys
 import threading
 
 import numpy as np
@@ -276,7 +278,8 @@ class TestLastGeneration:
             assert (batch.capped & ~before).any()
         (levels, sizes), = trees
         # N children for each depth n - 1 node of an N-matrix group
-        population = sum(len(first) * len(mats) for _, first, mats in levels[n - 1])
+        population = sum(len(np.arange(sizes[n - 1])[sel]) * len(mats)
+                         for sel, _, mats in levels[n - 1])
         assert len(sizes) == n + 1 and sizes[n] == population
         assert lengths and max(lengths) < population
 
@@ -854,6 +857,43 @@ class TestReplicateStreams:
         assert "replicate_rng" in called
         assert not any("urandom" in name or "getrandbits" in name for name in called)
 
+    def test_state_dict_per_thread(self):
+        # a thread rewrites a state dict of its own at every keying
+        here = engine._philox_state(1, 2, 0)
+        there = []
+        thread = threading.Thread(
+            target=lambda: there.append(engine._philox_state(1, 2, 0)))
+        thread.start()
+        thread.join()
+        assert there[0] is not here
+        assert engine._philox_state(3, 4, 5) is here
+
+    def test_threads_simulate_at_once(self, model_rand, monkeypatch):
+        # two threads, switched every microsecond, key their generators
+        # in turn; a window of 3 makes most replicates re-key for spills too
+        monkeypatch.setattr(engine, "WINDOW", 3)
+        alone = {seed: simulate_batch(model_rand, 4, 2000, seed) for seed in (1, 2)}
+        together = {}
+        start = threading.Barrier(2)
+
+        def run(seed):
+            start.wait()
+            together[seed] = simulate_batch(model_rand, 4, 2000, seed)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(seed,)) for seed in (1, 2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        for seed in (1, 2):
+            assert together[seed].values.tobytes() == alone[seed].values.tobytes()
+            np.testing.assert_array_equal(together[seed].extinct, alone[seed].extinct)
+
     @staticmethod
     def count_philox(monkeypatch):
         built = []
@@ -907,6 +947,37 @@ class TestReplicateStreams:
         monkeypatch.setattr(engine, "WINDOW", window)
         simulate_batch(model_rand, 3, 10, 1)
         assert calls == list(range(10))
+
+
+class TestKeepHeap:
+    """The pool initializer sets glibc's two thresholds, and returns quietly
+    where it cannot; a fake C library stands in for the real allocator."""
+
+    def test_sets_both_thresholds(self, monkeypatch):
+        calls = []
+
+        class Libc:
+            def __init__(self, name):
+                assert name is None
+
+            def mallopt(self, param, value):
+                calls.append((param, value))
+                return 1
+
+        monkeypatch.setattr(ctypes, "CDLL", Libc)
+        assert engine._keep_heap() is None
+        assert calls == [(-1, 1 << 30), (-3, 32 << 20)]
+
+    def test_no_library(self, monkeypatch):
+        def missing(name):
+            raise OSError("no such library")
+
+        monkeypatch.setattr(ctypes, "CDLL", missing)
+        assert engine._keep_heap() is None
+
+    def test_no_mallopt(self, monkeypatch):
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+        assert engine._keep_heap() is None
 
 
 class TestShards:
