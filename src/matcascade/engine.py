@@ -129,29 +129,24 @@ def replicate_rng(master_seed, r, rng=None):
     return rng
 
 
-class _PhiloxState(threading.local):
-    """One Philox state dict per thread, which _philox_state rewrites for
-    each keying: the state setter copies its values, and a thread of its
-    own keeps two threads that simulate at once from keying each other's
-    generators."""
-
-    def __init__(self):
-        self.state = {"bit_generator": "Philox", "state": {},
-                      "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0,
-                      "uinteger": 0}
-
-
-_philox = _PhiloxState()
+_keying = threading.local()  # .state: this thread's Philox state dict
 
 
 def _philox_state(master_seed, r, block):
     """Philox state of replicate r's stream when its first `block` 4-word
     counter blocks are spent: the next 64-bit output is number 4 * block.
-    The dict is this thread's one, valid until its next call."""
-    state = _philox.state
-    inner = state["state"]
-    inner["counter"] = (block, 0, 0, 0)
-    inner["key"] = (master_seed % 2**64, r % 2**64)
+
+    It rewrites and returns one dict per thread: the state setter copies
+    its values, and each thread has its own, so that two threads that
+    simulate at once never key each other's generators."""
+    try:
+        state = _keying.state
+    except AttributeError:  # this thread's first keying
+        state = _keying.state = {"bit_generator": "Philox", "state": {},
+                                 "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+                                 "has_uint32": 0, "uinteger": 0}
+    state["state"]["counter"] = (block, 0, 0, 0)
+    state["state"]["key"] = (master_seed % 2**64, r % 2**64)
     return state
 
 
@@ -412,6 +407,7 @@ def _keep_heap():
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError, TypeError):
         return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD: keep up to 1 GiB free at the top
     mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: blocks below 32 MiB from the heap
 

@@ -864,17 +864,19 @@ class TestReplicateStreams:
         thread = threading.Thread(
             target=lambda: there.append(engine._philox_state(1, 2, 0)))
         thread.start()
-        thread.join()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
         assert there[0] is not here
         assert engine._philox_state(3, 4, 5) is here
 
     def test_threads_simulate_at_once(self, model_rand, monkeypatch):
-        # two threads, switched every microsecond, key their generators
+        # three threads, switched every microsecond, key their generators
         # in turn; a window of 3 makes most replicates re-key for spills too
         monkeypatch.setattr(engine, "WINDOW", 3)
-        alone = {seed: simulate_batch(model_rand, 4, 2000, seed) for seed in (1, 2)}
+        seeds = (1, 2, 3)
+        alone = {seed: simulate_batch(model_rand, 4, 2000, seed) for seed in seeds}
         together = {}
-        start = threading.Barrier(2)
+        start = threading.Barrier(len(seeds))
 
         def run(seed):
             start.wait()
@@ -883,14 +885,15 @@ class TestReplicateStreams:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=run, args=(seed,)) for seed in (1, 2)]
+            threads = [threading.Thread(target=run, args=(seed,)) for seed in seeds]
             for thread in threads:
                 thread.start()
             for thread in threads:
-                thread.join()
+                thread.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
-        for seed in (1, 2):
+        assert not any(thread.is_alive() for thread in threads)
+        for seed in seeds:
             assert together[seed].values.tobytes() == alone[seed].values.tobytes()
             np.testing.assert_array_equal(together[seed].extinct, alone[seed].extinct)
 
@@ -959,10 +962,7 @@ class TestKeepHeap:
         class Libc:
             def __init__(self, name):
                 assert name is None
-
-            def mallopt(self, param, value):
-                calls.append((param, value))
-                return 1
+                self.mallopt = lambda param, value: calls.append((param, value)) or 1
 
         monkeypatch.setattr(ctypes, "CDLL", Libc)
         assert engine._keep_heap() is None
