@@ -58,11 +58,20 @@ them in shard order as they arrive, so writing the CSV forks no second
 pool; batch_to_csv writes the same bytes in its own process.  Every
 replicate is keyed and formatted as in one process, so the values and
 the bytes written never depend on the process count or the shard sizes.
+
+A shard's CSV rows (_csv_rows) are built as bytes by array code, with
+no Python object per value: each float is written as repr writes it,
+the shortest decimal that reads back as the same float, its digits found
+by Schubfach on the float's bits as uint64 arrays and laid out by one
+byte template per sign, digit count and layout.  Every field sits at a
+fixed column of one byte matrix whose unused cells hold NUL, and one
+translate removes them.  The CSV file is written in binary mode.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import os
 import struct
 import threading
@@ -510,18 +519,18 @@ def simulate_batch(model, n, replicates, master_seed, cap=DEFAULT_CAP,
         return y, e, c, None if csv_path is None else _csv_rows(shard, y, e, c)
 
     results = _in_workers(run, shards, processes)
-    csv = None if csv_path is None else open(csv_path, "w", encoding="utf-8")
+    csv = None if csv_path is None else open(csv_path, "wb")
     try:
         if csv is not None:
-            csv.write(_csv_header(model.p, model.is_complex))
-        for (start, stop), (y, e, c, text) in zip(shards, results):
+            csv.write(_csv_header(model.p, model.is_complex).encode())
+        for (start, stop), (y, e, c, rows) in zip(shards, results):
             overflowed = np.flatnonzero(~c & ~np.isfinite(y).all(axis=1))
             if len(overflowed):
                 raise MatcascadeError(f"replicate {start + overflowed[0]} overflowed: "
                                       f"its depth-{n} value is not finite")
             values[start:stop], extinct[start:stop], capped[start:stop] = y, e, c
             if csv is not None:
-                csv.write(text)
+                csv.write(rows)
         if csv is not None:
             csv.close()
     except BaseException:
@@ -542,9 +551,6 @@ def _float_columns(values):
     return np.ascontiguousarray(values).view(np.float64)
 
 
-_FLAG_TEXT = ("0,0", "1,0", "0,1", "1,1")  # extinct + 2 capped -> CSV flag columns
-
-
 def _csv_header(p, complex_values):
     """The CSV header line: replicate, extinct, capped, then the Y columns,
     re/im pairs when complex."""
@@ -556,25 +562,272 @@ def _csv_header(p, complex_values):
 
 
 def _csv_rows(shard, values, extinct, capped):
-    """The CSV lines of the replicates range(*shard), whose values and flags
-    these are: formatted column by column, the repr of each float, then one
-    join per row."""
-    flags = map(_FLAG_TEXT.__getitem__, (extinct + 2 * capped).tolist())
-    cols = (map(float.__repr__, col) for col in _float_columns(values).T.tolist())
-    return "\n".join(map(",".join, zip(map(str, range(*shard)), flags, *cols))) + "\n"
+    """The CSV lines, as bytes, of the replicates range(*shard), whose
+    values and flags these are: each line is
+    f"{r},{int(e)},{int(c)}," + ",".join(map(repr, floats)) + "\n".
+
+    Every field sits at a fixed column of one (rows, width) byte matrix,
+    the cells a field does not use holding NUL, and one translate removes
+    the NULs: the replicate's 20 digits with the leading zeros blanked,
+    the flags, then each float's cell from _float_cells."""
+    floats = _float_columns(values)
+    rows, width = floats.shape
+    lines = np.empty((rows, 24 + _CELL * width + 1), dtype=np.uint8)
+    ids = np.arange(*shard, dtype=np.uint64)
+    lines[:, :20] = (_digit_words(ids) & _digit_masks()[_digit_count(ids)]).view(np.uint8)
+    lines[:, 20] = lines[:, 22] = ord(",")
+    lines[:, 21] = extinct + ord("0")
+    lines[:, 23] = capped + ord("0")
+    lines[:, 24:-1] = _float_cells(floats.ravel()).reshape(rows, _CELL * width)
+    lines[:, -1] = ord("\n")
+    return lines.tobytes().translate(None, b"\0")
+
+
+# Floats are written as repr writes them: the shortest decimal that reads
+# back as the same float, the closest to it among those, ties to an even
+# last digit.  _shortest finds its digits by Schubfach (R. Giulietti, "The
+# Schubfach way to render doubles", 2020, as in Java's DoubleToDecimal),
+# run on uint64 arrays, and _float_cells lays them out as repr does.
+
+_C_TINY = 3  # subnormal significands below this are scaled by 10, as in Java
+_K_MIN, _K_MAX = -324, 292  # decimal exponents k of Schubfach's 10^-k
+_M32 = 0xFFFFFFFF
+_M63 = 2**63 - 1
+
+
+def _flog2pow10(e):
+    """floor(log2(10^e)), exact for |e| <= 1233, of an int or int64 array."""
+    return e * 913_124_641_741 >> 38
+
+
+@functools.cache
+def _g_table():
+    """The 617 entries of g(k) = floor(10^-k 2^-r) + 1, with r such that
+    2^125 <= 10^-k 2^-r < 2^126, as (g >> 63, g mod 2^63) uint64 pairs
+    indexed by k - _K_MIN, filled on demand by _g; a row of zeros is not
+    filled yet, since g >> 63 >= 2^62."""
+    return np.zeros((_K_MAX - _K_MIN + 1, 2), dtype=np.uint64)
+
+
+def _g(k):
+    """The (g1, g0) halves of g(k) for each k of an int64 array, computing
+    exactly, from Python ints, the entries of _g_table still missing."""
+    table = _g_table()
+    g = table[k - _K_MIN]
+    missing = g[:, 0] == 0
+    if missing.any():
+        for k1 in set(k[missing].tolist()):
+            r = _flog2pow10(-k1) - 125
+            num, den = (10 ** -k1, 1) if k1 <= 0 else (1, 10 ** k1)
+            beta = num // (den << r) if r >= 0 else (num << -r) // den
+            g1, g0 = divmod(beta + 1, 2**63)
+            # g0 first: a reader takes a row with g1 set as filled
+            table[k1 - _K_MIN, 1] = g0
+            table[k1 - _K_MIN, 0] = g1
+        g = table[k - _K_MIN]
+    return g[:, 0], g[:, 1]
+
+
+def _mulhi(a1, a0, b1, b0):
+    """The high 64 bits of each 128-bit product a b of uint64 arrays, given
+    as 32-bit halves a = a1 2^32 + a0, b = b1 2^32 + b0, from the four
+    partial products."""
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> 32) + (p01 & _M32) + (p10 & _M32)
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+
+
+def _rop(g, cp):
+    """Schubfach's rop(g cp 2^-127): its floor, with the lowest bit set
+    when it is inexact; g = g1 2^63 + g0, given as (g1, g1's 32-bit
+    halves, g0's)."""
+    g1, g11, g10, g01, g00 = g
+    cp1, cp0 = cp >> 32, cp & _M32
+    z = (g1 * cp >> 1) + _mulhi(g01, g00, cp1, cp0)
+    return _mulhi(g11, g10, cp1, cp0) + (z >> 63) | (z & _M63) + _M63 >> 63
+
+
+def _shortest(bits):
+    """(f, e) with f 10^e the decimal repr writes for each finite nonzero
+    float whose uint64 bits these are, sign aside: f has no trailing zero
+    digit."""
+    bq = (bits >> 52 & 0x7FF).astype(np.int64)
+    t = bits & (2**52 - 1)
+    c = np.where(bq > 0, t | 2**52, t)
+    q = np.maximum(bq, 1) - 1075
+    # subnormals below C_TINY get one more digit's precision, as in Java
+    tiny = c < _C_TINY
+    c = np.where(tiny, 10 * c, c)
+    # c = 2^52 with q above the least exponent has a narrower lower half
+    irregular = (c == 2**52) & (q > -1074)
+    # floor(log10(2^q)), or floor(log10(3/4 2^q)) when irregular, exact
+    # for |q| <= 5456721
+    k = q * 661_971_961_083 - irregular * 274_743_187_321 >> 41
+    h = (q + _flog2pow10(-k) + 2).astype(np.uint64)
+    g1, g0 = _g(k)
+    g = g1, g1 >> 32, g1 & _M32, g0 >> 32, g0 & _M32
+    cb = c << 2
+    vb = _rop(g, cb << h)
+    vbl = _rop(g, cb - 2 + irregular << h)
+    vbr = _rop(g, cb + 2 << h)
+    out = c & 1  # the interval is closed when c is even
+    s = vb >> 2
+    # the one-digit-shorter candidates u' <= v < w'; Java tries them only
+    # when s >= 100, as it writes at least two digits, and repr does not
+    sp10 = s // 10 * 10
+    upin = vbl + out <= sp10 << 2
+    wpin = (sp10 + 10 << 2) + out <= vbr
+    uin = vbl + out <= s << 2
+    win = (s + 1 << 2) + out <= vbr
+    # both s and s + 1 in the interval: the closer, the even one on a tie
+    cmp = vb.astype(np.int64) - (2 * s + 1 << 1).astype(np.int64)
+    lower = np.where(uin != win, uin, (cmp < 0) | (cmp == 0) & ((s & 1) == 0))
+    f = np.where(upin != wpin, np.where(upin, sp10, sp10 + 10),
+                 np.where(lower, s, s + 1))
+    # c 10^(k - 1) for a tiny subnormal, whose c was scaled by 10; Java
+    # leaves this correction off u' and w', which it never tries there
+    e = k - tiny
+    for p in (16, 8, 4, 2, 1):  # strip the trailing zeros, up to 31
+        fp = f // 10**p
+        zeros = fp * 10**p == f
+        f = np.where(zeros, fp, f)
+        e += p * zeros
+    return f, e
+
+
+@functools.cache
+def _powers_of_ten():
+    return 10 ** np.arange(20, dtype=np.uint64)
+
+
+def _digit_count(x):
+    """The decimal digits of each uint64, 1 for 0."""
+    return np.searchsorted(_powers_of_ten()[1:], x, side="right") + 1
+
+
+@functools.cache
+def _digit_masks():
+    """Row d: the (5,) uint32 words that keep the last d of 20 digits and
+    blank the others to NUL."""
+    keep = np.arange(20) >= 20 - np.arange(21)[:, None]
+    return (keep * 0xFF).astype(np.uint8).view(np.uint32)
+
+
+@functools.cache
+def _four_digits():
+    """10 000 uint32 words, word i holding the ASCII digits of f"{i:04d}"."""
+    x = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    return (x + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+
+
+def _digit_words(x):
+    """The 20 ASCII digits of each uint64, zero-padded, as (m, 5) uint32
+    words of four digits, looked up four at a time."""
+    groups = np.empty((len(x), 5), dtype=np.intp)
+    for j, p in enumerate((16, 12, 8, 4)):
+        hi = x // 10**p
+        groups[:, j] = hi
+        x = x - hi * 10**p  # a - a // d * d: uint64 % is several times slower
+    groups[:, 4] = x
+    return _four_digits().take(groups)
+
+
+# A float's cell: a comma, then its repr, in _CELL bytes padded with NUL.
+# It gathers its bytes from a 32-byte source row per float: the 20 digits
+# of f, the 4 digits of |exponent|, the exponent's sign, then "-.0e,"
+# and NUL; a template per (sign, digit count, layout) names the source
+# byte of each cell byte.
+_CELL = 25  # ",-1.7976931348623157e+308" is the longest
+_ESIGN, _MINUS, _DOT, _ZERO, _E, _COMMA, _NUL = range(24, 31)
+
+
+@functools.cache
+def _templates():
+    """The source byte of each byte of a cell, as (2 * 18 * 22, _CELL)
+    uint8, by (negative, digit count (0 unused), layout); layout is decpt + 3 for
+    the positional -4 < decpt <= 16, where the value is 0.d1d2... 10^decpt,
+    and 20 and 21 for d[.ddd]e+XX with 2 and 3 exponent digits."""
+    neg, nd, layout, j = np.ix_(range(2), range(18), range(22), range(_CELL))
+    o = j - 1 - neg  # position after the comma and the sign
+    pos, dp, xd = layout < 20, layout - 3, layout - 18
+    e0 = np.where(nd > 1, nd + 1, 1)  # position of the "e"
+
+    def digit(i):  # source byte of digit i of nd
+        return 20 - nd + i
+
+    small, large, sci = pos & (dp <= 0), pos & (dp > 0), ~pos
+    cases = [
+        (j == 0, _COMMA),
+        (o < 0, _MINUS),
+        # 0.00ddd
+        (small & (o == 1), _DOT),
+        (small & (o < 2 - dp), _ZERO),
+        (small & (o < 2 - dp + nd), digit(o - 2 + dp)),
+        # ddd.ddd, or ddd000.0
+        (large & (o == dp), _DOT),
+        (large & (o < dp) & (o < nd), digit(o)),
+        (large & (o < dp), _ZERO),
+        (large & (o <= nd), digit(o - 1)),
+        (large & (o == dp + 1), _ZERO),
+        # d.ddde-05, or de+100
+        (sci & (o == 0), digit(0)),
+        (sci & (o == 1) & (nd > 1), _DOT),
+        (sci & (o < e0), digit(o - 1)),
+        (sci & (o == e0), _E),
+        (sci & (o == e0 + 1), _ESIGN),
+        (sci & (o < e0 + 2 + xd), 24 - xd + o - e0 - 2),
+    ]
+    return np.select(*zip(*cases), _NUL).astype(np.uint8).reshape(-1, _CELL)
+
+
+@functools.cache
+def _special_cells():
+    """The cells of 0.0, -0.0, inf, -inf and nan (repr(-nan) is "nan")."""
+    cells = b"".join(s.ljust(_CELL, b"\0")
+                     for s in (b",0.0", b",-0.0", b",inf", b",-inf", b",nan"))
+    return np.frombuffer(cells, dtype=np.uint8).reshape(5, _CELL)
+
+
+def _float_cells(x):
+    """The (m, _CELL) uint8 cells of a float64 vector: a comma, then repr
+    of the float, then NUL."""
+    bits = x.view(np.uint64)
+    neg = (bits >> 63).astype(np.intp)
+    mag = bits & _M63
+    regular = (mag != 0) & (mag < 0x7FF << 52)
+    f, e = _shortest(np.where(regular, mag, 0x3FF << 52))  # 1.0 stands in for the rest
+    nd = _digit_count(f)
+    decpt = nd + e
+    exp = decpt - 1
+    layout = np.where((decpt > -4) & (decpt <= 16), decpt + 3,
+                      np.where(np.abs(exp) < 100, 20, 21))
+    source = np.empty((len(x), 8), dtype=np.uint32)
+    source[:, :5] = _digit_words(f)
+    source[:, 5] = _four_digits()[np.abs(exp)]
+    source = source.view(np.uint8)
+    source[:, 24] = np.where(exp < 0, ord("-"), ord("+"))
+    source[:, 25:] = np.frombuffer(b"-.0e,\0\0", dtype=np.uint8)
+    key = (neg * 18 + nd) * 22 + layout
+    cells = source.ravel().take(_templates().take(key, axis=0)
+                                + 32 * np.arange(len(x))[:, None])
+    special = ~regular
+    if special.any():
+        kind = np.where(mag == 0, neg, np.where(mag == 0x7FF << 52, 2 + neg, 4))
+        cells[special] = _special_cells()[kind[special]]
+    return cells
 
 
 def batch_to_csv(batch, path):
     """CSV: replicate, extinct_flag, capped_flag, then Y columns.
 
-    Complex batches write re/im column pairs.  Floats use repr so a
-    rerun with identical flags reproduces the file bytes; simulate_batch
-    writes the same bytes through its csv_path.
+    Complex batches write re/im column pairs.  Floats are written as
+    repr writes them (_csv_rows), so a rerun with identical flags
+    reproduces the file bytes; simulate_batch writes the same bytes
+    through its csv_path.
     """
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(_csv_header(batch.p, np.iscomplexobj(batch.values)))
-        # rows become Python floats and text one shard at a time, to bound
-        # memory, and each shard goes to the file in one write
+    with open(path, "wb") as f:
+        f.write(_csv_header(batch.p, np.iscomplexobj(batch.values)).encode())
+        # one shard at a time, to bound memory, each in one write
         for start, stop in _shards(batch.replicates, 1):
             f.write(_csv_rows((start, stop), batch.values[start:stop],
                               batch.extinct[start:stop], batch.capped[start:stop]))

@@ -1,11 +1,18 @@
 """Shared fixtures: reference models and independent oracles."""
 
+import os
 import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from matcascade.model import CascadeModel, Atom, model_from_dict
+
+# HYPOTHESIS_PROFILE=ci runs more examples of every property test without
+# its own max_examples
+settings.register_profile("ci", max_examples=2000, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def make_model(p, atoms, field_kind="real"):

@@ -5,16 +5,18 @@ import math
 import multiprocessing
 import os
 import pstats
+import struct
 import sys
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import stats
 
 from matcascade import engine
-from matcascade.engine import (batch_from_binary, batch_to_binary, batch_to_csv,
-                               replicate_rng, simulate_batch)
+from matcascade.engine import (SampleBatch, batch_from_binary, batch_to_binary,
+                               batch_to_csv, replicate_rng, simulate_batch)
 from matcascade.model import (MatcascadeError, model_from_dict, normalize_model,
                               tilt_model)
 from matcascade.spectral import moment_matrix, perron
@@ -746,13 +748,57 @@ class TestSerialization:
         assert p1.read_bytes() == p2.read_bytes()
 
     @staticmethod
-    def reference_csv_rows(batch):
-        """The data rows, written one replicate at a time."""
+    def reference_csv_rows(batch, start=0):
+        """The data rows, written one replicate at a time, the first being
+        replicate `start`."""
         columns = np.ascontiguousarray(batch.values).view(np.float64)
         return "".join(
             f"{r},{int(e)},{int(c)}," + ",".join(map(repr, row)) + "\n"
             for r, (e, c, row) in enumerate(zip(batch.extinct, batch.capped,
-                                                columns.tolist())))
+                                                columns.tolist()), start))
+
+    def assert_rows_match(self, values, start=0, flags=None):
+        """_csv_rows of the (rows, p) values, replicates start, start + 1,
+        ..., equals the per-row writer's bytes; flags is extinct + 2 capped
+        per row, 0 by default."""
+        flags = np.zeros(len(values), dtype=int) if flags is None else np.asarray(flags)
+        batch = SampleBatch(n=0, values=values, extinct=flags % 2 == 1, capped=flags >= 2)
+        rows = engine._csv_rows((start, start + len(values)), batch.values,
+                                batch.extinct, batch.capped)
+        assert rows == self.reference_csv_rows(batch, start).encode()
+
+    # float64 bit patterns: any uint64, or the bits of a float hypothesis
+    # favours (nan, inf, subnormals, +-0, round numbers)
+    float_bits = st.one_of(
+        st.integers(0, 2**64 - 1),
+        st.floats().map(lambda v: struct.unpack("<Q", struct.pack("<d", v))[0]))
+
+    @given(st.data())
+    def test_rows_match_repr(self, data):
+        rows = data.draw(st.integers(0, 6), label="rows")
+        p = data.draw(st.integers(1, 4), label="p")
+        is_complex = data.draw(st.booleans(), label="complex")
+        cols = 2 * p if is_complex else p
+        bits = data.draw(st.lists(self.float_bits, min_size=rows * cols,
+                                  max_size=rows * cols), label="bits")
+        values = np.array(bits, dtype=np.uint64).view(np.float64).reshape(rows, cols)
+        self.assert_rows_match(values.view(complex) if is_complex else values,
+                               start=data.draw(st.integers(0, 2**63), label="start"),
+                               flags=data.draw(st.lists(st.integers(0, 3), min_size=rows,
+                                                        max_size=rows), label="flags"))
+
+    @pytest.mark.parametrize("case", ["subnormals", "powers-of-two", "pinned"])
+    def test_rows_match_repr_at_edges(self, case):
+        if case == "subnormals":  # mantissa 1 ... 10^5
+            values = np.arange(1, 10**5 + 1, dtype=np.uint64).view(np.float64)
+        elif case == "powers-of-two":  # 2^-1074 ... 2^1023, both signs
+            values = np.ldexp(1.0, np.arange(-1074, 1024))
+            values = np.concatenate([values, -values])
+        else:
+            values = np.array([1e-5, 1e-4, 1e15, 1e16, 2**53 - 1, 2**53 + 1, 0.1, 0.3,
+                               2 / 3, sys.float_info.max, 0.0, -0.0, math.inf,
+                               -math.inf, math.nan])
+        self.assert_rows_match(values[:, None])
 
     @pytest.mark.parametrize("case", ["chunk-boundary", "complex", "capped"])
     def test_csv_matches_per_row_writer(self, case, model_rand, tmp_path):
