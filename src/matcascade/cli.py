@@ -8,8 +8,10 @@ CHUNK replicates, and in one process without fork or beside another
 Python thread (engine.process_count, recorded as the manifest's
 processes).  It forks one pool, whose workers draw, fold and format
 their shards' CSV rows; the command writes batch.csv from them in shard
-order, under a temporary name until no refusal can follow, and
-batch.bin from the gathered batch.  Its batch_meta.json records where its batch came from;
+order, under a temporary name that it removes on a refusal and renames
+as its last write, after batch.bin, batch_meta.json and the manifest,
+so that a batch.csv in --out means the run finished.  Its
+batch_meta.json records where its batch came from;
 estimate reads only that batch, checks the metadata against the model
 and batch.bin, and copies the batch's n, replicates, seed and cap into
 its own manifest.  mbrw-build prints a walk's alpha criterion as T2.1a
@@ -137,30 +139,36 @@ def cmd_simulate(args):
         raise MatcascadeError(f"--seed must lie in [0, 2^64), got {args.seed}")
     model = load_model(args.model)
     os.makedirs(args.out, exist_ok=True)
-    # written under a temporary name, so that a refusal leaves no batch.csv
-    csv = os.path.join(args.out, "batch.csv.partial")
-    batch = simulate_batch(model, args.n, args.replicates, args.seed,
-                           cap=args.cap, csv_path=csv)
-    if batch.capped_count == batch.replicates:
-        os.remove(csv)
-        print("error: every replicate exceeded the population cap",
-              file=sys.stderr)
-        return EXIT_ALL_FAILED
-    os.replace(csv, os.path.join(args.out, "batch.csv"))
-    batch_to_binary(batch, os.path.join(args.out, "batch.bin"))
-    meta = {
-        "model_hash": model.source_hash,
-        "model_id": model.content_hash(),
-        "n": batch.n, "replicates": batch.replicates,
-        "seed": args.seed, "cap": args.cap,
-        "extinct_count": batch.extinct_count,
-        "capped_count": batch.capped_count,
-        "field": model.field_kind,
-    }
-    _write_json(os.path.join(args.out, "batch_meta.json"), meta)
-    _write_manifest(args.out, args, {
-        "model_hash": meta["model_hash"],
-        "processes": process_count(batch.replicates)})
+    # written under a temporary name and renamed as the last write, so that
+    # a batch.csv in --out is a finished run's
+    partial = os.path.join(args.out, "batch.csv.partial")
+    try:
+        with open(partial, "wb") as csv:
+            batch = simulate_batch(model, args.n, args.replicates, args.seed,
+                                   cap=args.cap, csv=csv)
+        if batch.capped_count == batch.replicates:
+            print("error: every replicate exceeded the population cap",
+                  file=sys.stderr)
+            return EXIT_ALL_FAILED
+        batch_to_binary(batch, os.path.join(args.out, "batch.bin"))
+        meta = {
+            "model_hash": model.source_hash,
+            "model_id": model.content_hash(),
+            "n": batch.n, "replicates": batch.replicates,
+            "seed": args.seed, "cap": args.cap,
+            "extinct_count": batch.extinct_count,
+            "capped_count": batch.capped_count,
+            "field": model.field_kind,
+        }
+        _write_json(os.path.join(args.out, "batch_meta.json"), meta)
+        _write_manifest(args.out, args, {
+            "model_hash": meta["model_hash"],
+            "processes": process_count(batch.replicates)})
+        os.replace(partial, os.path.join(args.out, "batch.csv"))
+    finally:
+        # a refusal, an interrupt or a run with every replicate capped
+        if os.path.exists(partial):
+            os.remove(partial)
     print(f"wrote {batch.replicates} replicates "
           f"({batch.extinct_count} extinct, {batch.capped_count} capped)")
     return EXIT_OK

@@ -52,12 +52,13 @@ in shard order; a run of at most one CHUNK stays in this process, as does
 one without fork or beside another Python thread.  Each worker has
 glibc's allocator keep the memory it frees (_keep_heap), so its chunks
 after the first reuse the pages the first one faulted in; this process
-keeps its allocator as it is.  Given a CSV path, the process that draws
-and folds a shard also formats its CSV rows, and this process writes
-them in shard order as they arrive, so writing the CSV forks no second
-pool; batch_to_csv writes the same bytes in its own process.  Every
-replicate is keyed and formatted as in one process, so the values and
-the bytes written never depend on the process count or the shard sizes.
+keeps its allocator as it is.  Given a binary file for the CSV, the
+process that draws and folds a shard also formats its CSV rows, and this
+process writes them to that file in shard order as they arrive, so
+writing the CSV forks no second pool.  The engine never opens, renames
+or removes that file: its caller owns it.  Every replicate is keyed and
+formatted as in one process, so the values and the bytes written never
+depend on the process count or the shard sizes.
 
 A shard's CSV rows (_csv_rows) are built as bytes by array code, with
 no Python object per value: each float is written as repr writes it,
@@ -65,7 +66,9 @@ the shortest decimal that reads back as the same float, its digits found
 by Schubfach on the float's bits as uint64 arrays and laid out by one
 byte template per sign, digit count and layout.  Every field sits at a
 fixed column of one byte matrix whose unused cells hold NUL, and one
-translate removes them.  The CSV file is written in binary mode.
+translate removes them.  Each formatting table is built whole at its
+first use; a run that writes CSV builds the large ones before it forks,
+so that its workers inherit them.
 """
 
 from __future__ import annotations
@@ -465,7 +468,7 @@ def _in_workers(fn, shards, processes):
 
 
 def simulate_batch(model, n, replicates, master_seed, cap=DEFAULT_CAP,
-                   identity_root=False, *, csv_path=None):
+                   identity_root=False, *, csv=None):
     """R independent draws of the depth-n martingale value Y_n.
 
     Replicate r draws from its own stream, keyed by (master_seed, r).
@@ -477,7 +480,8 @@ def simulate_batch(model, n, replicates, master_seed, cap=DEFAULT_CAP,
     whose population at some depth up to n would exceed cap (at least 1)
     stops growing there: its value is NaN and its capped flag is set.  Any
     other replicate whose value is not finite (its products overflow the
-    float range) makes the run fail with MatcascadeError.
+    float range) makes the run fail with MatcascadeError, as does a
+    replicate count whose batch cannot be allocated.
 
     A depth-m run (m <= n) draws a prefix of each stream of the depth-n
     run, so it grows the same trees to depth m, and its values are their
@@ -489,10 +493,11 @@ def simulate_batch(model, n, replicates, master_seed, cap=DEFAULT_CAP,
     the same draws (the seeded corruption of the fixed-point check).  The
     tilted martingale is this recursion run on model.tilt_model(model, t).
 
-    With csv_path set, the batch is also written there as batch_to_csv
-    writes it: each shard's process formats its rows, and they are written
-    in shard order as they arrive.  A run that raises, for whatever reason,
-    removes that file.
+    Given csv, a file open for binary writing, the batch is also written
+    to it as CSV: the header, then each shard's rows, formatted by the
+    process that drew the shard and written in shard order as they
+    arrive.  A run that raises leaves what it wrote so far; the caller
+    owns the file and decides what becomes of it.
     """
     if n < 0:
         raise MatcascadeError("n must be >= 0")
@@ -502,9 +507,13 @@ def simulate_batch(model, n, replicates, master_seed, cap=DEFAULT_CAP,
         raise MatcascadeError(f"population cap must be >= 1, got {cap}")
     dtype = complex if model.is_complex else float
     v = perron(model.mean_matrix()).v.astype(dtype)
-    values = np.empty((replicates, model.p), dtype=dtype)
-    extinct = np.zeros(replicates, dtype=bool)
-    capped = np.zeros(replicates, dtype=bool)
+    try:
+        values = np.empty((replicates, model.p), dtype=dtype)
+        extinct = np.zeros(replicates, dtype=bool)
+        capped = np.zeros(replicates, dtype=bool)
+    except (MemoryError, ValueError) as e:
+        raise MatcascadeError(f"a batch of {replicates} replicates "
+                              "cannot be allocated") from e
 
     processes = process_count(replicates)
     shards = _shards(replicates, processes)
@@ -516,13 +525,15 @@ def simulate_batch(model, n, replicates, master_seed, cap=DEFAULT_CAP,
         with np.errstate(over="ignore", invalid="ignore"):
             y, e, c = _run_chunk(model, n, range(*shard), master_seed, rng, v, cap,
                                  identity_root)
-        return y, e, c, None if csv_path is None else _csv_rows(shard, y, e, c)
+        return y, e, c, None if csv is None else _csv_rows(shard, y, e, c)
 
+    if csv is not None:
+        # built once here, before the pool forks, so that workers inherit them
+        for table in (_templates, _four_digits, _g_table):
+            table()
+        csv.write(_csv_header(model.p, model.is_complex).encode())
     results = _in_workers(run, shards, processes)
-    csv = None if csv_path is None else open(csv_path, "wb")
     try:
-        if csv is not None:
-            csv.write(_csv_header(model.p, model.is_complex).encode())
         for (start, stop), (y, e, c, rows) in zip(shards, results):
             overflowed = np.flatnonzero(~c & ~np.isfinite(y).all(axis=1))
             if len(overflowed):
@@ -531,13 +542,6 @@ def simulate_batch(model, n, replicates, master_seed, cap=DEFAULT_CAP,
             values[start:stop], extinct[start:stop], capped[start:stop] = y, e, c
             if csv is not None:
                 csv.write(rows)
-        if csv is not None:
-            csv.close()
-    except BaseException:
-        if csv is not None:
-            csv.close()
-            os.remove(csv_path)
-        raise
     finally:
         results.close()  # ends the workers before a refusal is raised
     return SampleBatch(n=n, values=values, extinct=extinct, capped=capped)
@@ -603,29 +607,15 @@ def _flog2pow10(e):
 @functools.cache
 def _g_table():
     """The 617 entries of g(k) = floor(10^-k 2^-r) + 1, with r such that
-    2^125 <= 10^-k 2^-r < 2^126, as (g >> 63, g mod 2^63) uint64 pairs
-    indexed by k - _K_MIN, filled on demand by _g; a row of zeros is not
-    filled yet, since g >> 63 >= 2^62."""
-    return np.zeros((_K_MAX - _K_MIN + 1, 2), dtype=np.uint64)
-
-
-def _g(k):
-    """The (g1, g0) halves of g(k) for each k of an int64 array, computing
-    exactly, from Python ints, the entries of _g_table still missing."""
-    table = _g_table()
-    g = table[k - _K_MIN]
-    missing = g[:, 0] == 0
-    if missing.any():
-        for k1 in set(k[missing].tolist()):
-            r = _flog2pow10(-k1) - 125
-            num, den = (10 ** -k1, 1) if k1 <= 0 else (1, 10 ** k1)
-            beta = num // (den << r) if r >= 0 else (num << -r) // den
-            g1, g0 = divmod(beta + 1, 2**63)
-            # g0 first: a reader takes a row with g1 set as filled
-            table[k1 - _K_MIN, 1] = g0
-            table[k1 - _K_MIN, 0] = g1
-        g = table[k - _K_MIN]
-    return g[:, 0], g[:, 1]
+    2^125 <= 10^-k 2^-r < 2^126, for k = _K_MIN, ..., _K_MAX, as
+    (g >> 63, g mod 2^63) uint64 pairs, computed exactly from Python ints."""
+    rows = []
+    for k in range(_K_MIN, _K_MAX + 1):
+        r = _flog2pow10(-k) - 125
+        num, den = (10 ** -k, 1) if k <= 0 else (1, 10 ** k)
+        beta = num // (den << r) if r >= 0 else (num << -r) // den
+        rows.append(divmod(beta + 1, 2**63))
+    return np.array(rows, dtype=np.uint64)
 
 
 def _mulhi(a1, a0, b1, b0):
@@ -664,7 +654,7 @@ def _shortest(bits):
     # for |q| <= 5456721
     k = q * 661_971_961_083 - irregular * 274_743_187_321 >> 41
     h = (q + _flog2pow10(-k) + 2).astype(np.uint64)
-    g1, g0 = _g(k)
+    g1, g0 = _g_table()[k - _K_MIN].T
     g = g1, g1 >> 32, g1 & _M32, g0 >> 32, g0 & _M32
     cb = c << 2
     vb = _rop(g, cb << h)
@@ -815,22 +805,6 @@ def _float_cells(x):
         kind = np.where(mag == 0, neg, np.where(mag == 0x7FF << 52, 2 + neg, 4))
         cells[special] = _special_cells()[kind[special]]
     return cells
-
-
-def batch_to_csv(batch, path):
-    """CSV: replicate, extinct_flag, capped_flag, then Y columns.
-
-    Complex batches write re/im column pairs.  Floats are written as
-    repr writes them (_csv_rows), so a rerun with identical flags
-    reproduces the file bytes; simulate_batch writes the same bytes
-    through its csv_path.
-    """
-    with open(path, "wb") as f:
-        f.write(_csv_header(batch.p, np.iscomplexobj(batch.values)).encode())
-        # one shard at a time, to bound memory, each in one write
-        for start, stop in _shards(batch.replicates, 1):
-            f.write(_csv_rows((start, stop), batch.values[start:stop],
-                              batch.extinct[start:stop], batch.capped[start:stop]))
 
 
 def batch_to_binary(batch, path):

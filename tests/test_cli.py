@@ -1,6 +1,7 @@
 import argparse
 import concurrent.futures
 import copy
+import errno
 import hashlib
 import json
 import math
@@ -15,7 +16,7 @@ import sys
 
 import pytest
 
-from matcascade import engine, spectral
+from matcascade import cli, engine, spectral
 from matcascade.cli import build_parser, main
 from matcascade.model import (MatcascadeError, load_model, model_from_dict,
                               model_to_dict, scale_model)
@@ -499,6 +500,48 @@ class TestSimulate:
         # read at the file descriptor, so a worker's warning would show too
         assert capfd.readouterr().err == (
             "error: replicate 0 overflowed: its depth-3 value is not finite\n")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, MatcascadeError])
+    def test_raising_run_leaves_no_csv(self, cores, error, model_c_path, tmp_path,
+                                       monkeypatch):
+        # the shard that holds the last replicate raises, in this process
+        # on one core and in a worker on two, after earlier shards were
+        # written; eight shards of 6 or 7 replicates
+        run_chunk = engine._run_chunk
+
+        def failing(model, n, rows, *rest):
+            if rows[-1] == 49:
+                raise error("planted")
+            return run_chunk(model, n, rows, *rest)
+
+        monkeypatch.setattr(engine, "CHUNK", 7)
+        monkeypatch.setattr(engine, "usable_cores", lambda: cores)
+        monkeypatch.setattr(engine, "_run_chunk", failing)
+        out = tmp_path / "o"
+        argv = ["simulate", "--model", model_c_path, "--n", "3",
+                "--replicates", "50", "--seed", "1", "--out", str(out)]
+        if error is KeyboardInterrupt:
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+        else:
+            assert main(argv) == 2
+        assert list(out.iterdir()) == []
+        assert multiprocessing.active_children() == []
+
+    def test_failed_bin_write_leaves_no_csv(self, model_c_path, tmp_path, capsys,
+                                            monkeypatch):
+        # batch.csv is renamed into place last, so a failed later write
+        # leaves no batch.csv and no partial file
+        def full(batch, path):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli, "batch_to_binary", full)
+        out = tmp_path / "o"
+        assert main(["simulate", "--model", model_c_path, "--n", "3",
+                     "--replicates", "20", "--seed", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
         assert list(out.iterdir()) == []
 
 
@@ -1052,6 +1095,9 @@ MALFORMED_INPUTS = {
     "simulate-seed-negative": _simulate_model(MODEL_C, "--seed", "-1"),
     "simulate-seed-2-64": _simulate_model(MODEL_C, "--seed", str(2**64)),
     "simulate-sampler-overflow": _simulate_model(OVERFLOWING),
+    # no batch of so many rows can be allocated
+    "simulate-replicates-2-62": _simulate_model(MODEL_A, "--replicates", str(2**62)),
+    "simulate-replicates-1e20": _simulate_model(MODEL_A, "--replicates", str(10**20)),
     # a flag that the model cannot serve is refused, not dropped
     "check-lambda-complex": _check_model(PHASE, "--lambda", "1"),
     "check-epsilon-complex": _check_model(PHASE, "--epsilon", "0.5"),
@@ -1075,6 +1121,8 @@ FLAG_NAMED = {"check-n-max-0-complex": "--n-max", "estimate-n-max-0": "--n-max",
               "mbrw-build-epsilon-without-lambda": "--epsilon",
               "simulate-seed-negative": "--seed",
               "simulate-seed-2-64": "--seed",
+              "simulate-replicates-2-62": "replicates",
+              "simulate-replicates-1e20": "replicates",
               "simulate-sampler-text-mu": "params.mu",
               "simulate-sampler-nan-mu": "params.mu",
               "simulate-sampler-text-high": "params.high",
@@ -1192,6 +1240,10 @@ PINNED_ERRORS = {
         "the float range",
     "simulate-sampler-overflow":
         "error: replicate 0 overflowed: its depth-3 value is not finite",
+    "simulate-replicates-2-62":
+        "error: a batch of 4611686018427387904 replicates cannot be allocated",
+    "simulate-replicates-1e20":
+        "error: a batch of 100000000000000000000 replicates cannot be allocated",
     "simulate-sampler-nan-mu":
         "error: sampler params.mu must be a finite number, got 'nan'",
     "simulate-sampler-string-low":

@@ -1,7 +1,8 @@
 """The quick demos run to completion against the library in src/.
 
 Demos 02 and 03 simulate large batches (about half a minute each) and
-are not run; every demo's imports from matcascade are checked instead.
+are not run here (CI runs them in a step of their own); every demo's
+imports from matcascade are checked instead.
 """
 
 import ast

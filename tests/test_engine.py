@@ -1,6 +1,7 @@
 import cProfile
 import ctypes
 import hashlib
+import io
 import math
 import multiprocessing
 import os
@@ -8,6 +9,7 @@ import pstats
 import struct
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from scipy import stats
 
 from matcascade import engine
 from matcascade.engine import (SampleBatch, batch_from_binary, batch_to_binary,
-                               batch_to_csv, replicate_rng, simulate_batch)
+                               replicate_rng, simulate_batch)
 from matcascade.model import (MatcascadeError, model_from_dict, normalize_model,
                               tilt_model)
 from matcascade.spectral import moment_matrix, perron
@@ -730,22 +732,21 @@ class TestComplex:
 
 
 class TestSerialization:
-    def test_csv_format(self, model_c, tmp_path):
-        batch = simulate_batch(model_c, 3, 5, 1)
-        path = tmp_path / "b.csv"
-        batch_to_csv(batch, str(path))
-        lines = path.read_text().strip().split("\n")
+    def test_csv_format(self, model_c):
+        csv = io.BytesIO()
+        batch = simulate_batch(model_c, 3, 5, 1, csv=csv)
+        lines = csv.getvalue().decode().strip().split("\n")
         assert lines[0] == "replicate,extinct,capped,Y1,Y2"
         assert len(lines) == 6
         first = lines[1].split(",")
         assert first[0] == "0"
         assert float(first[3]) == batch.values[0, 0]
 
-    def test_csv_rerun_bitwise(self, model_rand, tmp_path):
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        batch_to_csv(simulate_batch(model_rand, 4, 30, 5), str(p1))
-        batch_to_csv(simulate_batch(model_rand, 4, 30, 5), str(p2))
-        assert p1.read_bytes() == p2.read_bytes()
+    def test_csv_rerun_bitwise(self, model_rand):
+        first, second = io.BytesIO(), io.BytesIO()
+        simulate_batch(model_rand, 4, 30, 5, csv=first)
+        simulate_batch(model_rand, 4, 30, 5, csv=second)
+        assert first.getvalue() == second.getvalue()
 
     @staticmethod
     def reference_csv_rows(batch, start=0):
@@ -801,18 +802,33 @@ class TestSerialization:
         self.assert_rows_match(values[:, None])
 
     @pytest.mark.parametrize("case", ["chunk-boundary", "complex", "capped"])
-    def test_csv_matches_per_row_writer(self, case, model_rand, tmp_path):
+    def test_csv_matches_per_row_writer(self, case, model_rand):
+        csv = io.BytesIO()
         if case == "chunk-boundary":
-            batch = simulate_batch(model_rand, 2, engine.CHUNK + 3, 4)
+            batch = simulate_batch(model_rand, 2, engine.CHUNK + 3, 4, csv=csv)
         elif case == "complex":
-            batch = simulate_batch(complex_model([0.5j, 0.25 + 0.25j, 0.1]), 3, 9, 2)
+            batch = simulate_batch(complex_model([0.5j, 0.25 + 0.25j, 0.1]), 3, 9, 2,
+                                   csv=csv)
         else:
-            batch = simulate_batch(varying_offspring_model(), 6, 50, 3, cap=20)
+            batch = simulate_batch(varying_offspring_model(), 6, 50, 3, cap=20, csv=csv)
             assert 0 < batch.capped_count < 50
-        path = tmp_path / "b.csv"
-        batch_to_csv(batch, str(path))
-        rows = path.read_bytes().split(b"\n", 1)[1]
+        rows = csv.getvalue().split(b"\n", 1)[1]
         assert rows == self.reference_csv_rows(batch).encode()
+
+    def test_g_table_exact(self):
+        # g(k) = floor(10^-k 2^-r) + 1 with 2^125 <= 10^-k 2^-r < 2^126, for
+        # every decimal exponent k of a float64, from exact rationals
+        table = engine._g_table()
+        assert table.shape == (617, 2) and table.dtype == np.uint64
+        for (g1, g0), k in zip(table.tolist(), range(-324, 293)):
+            x = Fraction(10) ** -k
+            r = math.floor(math.log2(x.numerator) - math.log2(x.denominator)) - 125
+            while x / Fraction(2) ** r >= 2**126:
+                r += 1
+            while x / Fraction(2) ** r < 2**125:
+                r -= 1
+            assert g0 < 2**63
+            assert g1 * 2**63 + g0 == math.floor(x / Fraction(2) ** r) + 1, k
 
     def test_binary_roundtrip(self, model_rand, tmp_path):
         batch = simulate_batch(model_rand, 4, 30, 5)
@@ -1084,17 +1100,12 @@ class TestWorkers:
         for cores in (1, 2, 3):
             monkeypatch.setattr(engine, "usable_cores", lambda: cores)
             assert engine.process_count(50) == cores
-            batch = simulate_batch(model, n, 50, 4, cap=cap)
-            csv, binary = tmp_path / f"{cores}.csv", tmp_path / f"{cores}.bin"
-            batch_to_csv(batch, str(csv))
+            csv, binary = io.BytesIO(), tmp_path / f"{cores}.bin"
+            batch = simulate_batch(model, n, 50, 4, cap=cap, csv=csv)
             batch_to_binary(batch, str(binary))
-            files[cores] = (batch, csv.read_bytes(), binary.read_bytes())
-            # the rows the shards' processes format are batch_to_csv's
-            streamed = tmp_path / f"{cores}-streamed.csv"
-            again = simulate_batch(model, n, 50, 4, cap=cap, csv_path=str(streamed))
-            assert again.values.tobytes() == batch.values.tobytes()
-            assert streamed.read_bytes() == files[cores][1]
+            files[cores] = (batch, csv.getvalue(), binary.read_bytes())
         one, csv1, bin1 = files[1]
+        assert csv1.split(b"\n", 1)[1] == TestSerialization.reference_csv_rows(one).encode()
         if case == "extinct":
             assert 0 < one.extinct_count < 50
         if case == "capped":
@@ -1105,25 +1116,24 @@ class TestWorkers:
             np.testing.assert_array_equal(batch.capped, one.capped)
             assert csv == csv1 and binary == bin1
 
-    @pytest.mark.parametrize("cores", [1, 2])
-    @pytest.mark.parametrize("error", [KeyboardInterrupt, MatcascadeError])
-    def test_raising_run_removes_csv(self, cores, error, tmp_path, monkeypatch):
-        # the shard that holds the last replicate raises, in this process
-        # on one core and in a worker on two, after earlier shards were written
-        run_chunk = engine._run_chunk
+    def test_tables_built_before_fork(self, model_rand, monkeypatch):
+        # the forking process builds each formatting table once, before the
+        # pool starts, so that no worker builds its own
+        tables = (engine._templates, engine._four_digits, engine._g_table)
+        for table in tables:
+            table.cache_clear()
+        built = []
+        in_workers = engine._in_workers
 
-        def failing(model, n, rows, *rest):
-            if rows[-1] == 49:
-                raise error("planted")
-            return run_chunk(model, n, rows, *rest)
+        def recording(*args):
+            built.append([table.cache_info().currsize for table in tables])
+            return in_workers(*args)
 
-        monkeypatch.setattr(engine, "usable_cores", lambda: cores)
-        monkeypatch.setattr(engine, "_run_chunk", failing)
-        path = tmp_path / "batch.csv"
-        with pytest.raises(error, match="planted"):
-            simulate_batch(random_primitive_model(np.random.default_rng(1), p=2), 2, 50,
-                           1, csv_path=str(path))
-        assert list(tmp_path.iterdir()) == []
+        monkeypatch.setattr(engine, "usable_cores", lambda: 2)
+        monkeypatch.setattr(engine, "_in_workers", recording)
+        simulate_batch(model_rand, 3, 50, 1, csv=io.BytesIO())
+        assert built == [[1, 1, 1]]
+        assert [table.cache_info().misses for table in tables] == [1, 1, 1]
         assert multiprocessing.active_children() == []
 
     @staticmethod
