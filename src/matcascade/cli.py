@@ -8,9 +8,11 @@ CHUNK replicates, and in one process without fork or beside another
 Python thread (engine.process_count, recorded as the manifest's
 processes).  It forks one pool, whose workers draw, fold and format
 their shards' CSV rows; the command writes batch.csv from them in shard
-order, under a temporary name that it removes on a refusal and renames
-as its last write, after batch.bin, batch_meta.json and the manifest,
-so that a batch.csv in --out means the run finished.  Its
+order.  It writes batch.bin, batch_meta.json, the manifest and batch.csv
+under temporary names, which it removes on a refusal, and renames the
+four into place only once all are written, batch.csv last, so that a
+failed run leaves an earlier run's files in --out as they were and a
+batch.csv there means the run finished.  Its
 batch_meta.json records where its batch came from;
 estimate reads only that batch, checks the metadata against the model
 and batch.bin, and copies the batch's n, replicates, seed and cap into
@@ -65,7 +67,7 @@ def _write_json(path, doc):
     return text
 
 
-def _write_manifest(outdir, args_ns, extra):
+def _write_manifest(path, args_ns, extra):
     manifest = {
         "argv": args_ns.argv,
         "version": __version__,
@@ -75,7 +77,7 @@ def _write_manifest(outdir, args_ns, extra):
     manifest.update(extra)
     blob = json.dumps(manifest["config"], sort_keys=True, default=str)
     manifest["config_hash"] = hashlib.sha256(blob.encode()).hexdigest()
-    _write_json(os.path.join(outdir, "manifest.json"), manifest)
+    _write_json(path, manifest)
 
 
 def _render_table(reports):
@@ -130,7 +132,8 @@ def cmd_check(args):
               encoding="utf-8") as f:
         f.write(table)
     print(table)
-    _write_manifest(args.out, args, {"model_hash": model.source_hash})
+    _write_manifest(os.path.join(args.out, "manifest.json"), args,
+                    {"model_hash": model.source_hash})
     return EXIT_OK
 
 
@@ -139,18 +142,20 @@ def cmd_simulate(args):
         raise MatcascadeError(f"--seed must lie in [0, 2^64), got {args.seed}")
     model = load_model(args.model)
     os.makedirs(args.out, exist_ok=True)
-    # written under a temporary name and renamed as the last write, so that
-    # a batch.csv in --out is a finished run's
-    partial = os.path.join(args.out, "batch.csv.partial")
+    # each file is written under a temporary name, and the four are renamed
+    # into place only once all are written, batch.csv last, so that a
+    # failed run leaves an earlier run's files as they were
+    names = ("batch.bin", "batch_meta.json", "manifest.json", "batch.csv")
+    partial = {name: os.path.join(args.out, name + ".partial") for name in names}
     try:
-        with open(partial, "wb") as csv:
+        with open(partial["batch.csv"], "wb") as csv:
             batch = simulate_batch(model, args.n, args.replicates, args.seed,
                                    cap=args.cap, csv=csv)
         if batch.capped_count == batch.replicates:
             print("error: every replicate exceeded the population cap",
                   file=sys.stderr)
             return EXIT_ALL_FAILED
-        batch_to_binary(batch, os.path.join(args.out, "batch.bin"))
+        batch_to_binary(batch, partial["batch.bin"])
         meta = {
             "model_hash": model.source_hash,
             "model_id": model.content_hash(),
@@ -160,15 +165,17 @@ def cmd_simulate(args):
             "capped_count": batch.capped_count,
             "field": model.field_kind,
         }
-        _write_json(os.path.join(args.out, "batch_meta.json"), meta)
-        _write_manifest(args.out, args, {
+        _write_json(partial["batch_meta.json"], meta)
+        _write_manifest(partial["manifest.json"], args, {
             "model_hash": meta["model_hash"],
             "processes": process_count(batch.replicates)})
-        os.replace(partial, os.path.join(args.out, "batch.csv"))
+        for name in names:
+            os.replace(partial[name], os.path.join(args.out, name))
     finally:
         # a refusal, an interrupt or a run with every replicate capped
-        if os.path.exists(partial):
-            os.remove(partial)
+        for path in partial.values():
+            if os.path.exists(path):
+                os.remove(path)
     print(f"wrote {batch.replicates} replicates "
           f"({batch.extinct_count} extinct, {batch.capped_count} capped)")
     return EXIT_OK
@@ -259,7 +266,7 @@ def cmd_estimate(args):
                 f.write(f"{float(np.abs(t).sum())!r},{phi!r}\n")
 
     text = _write_json(os.path.join(args.out, "estimates.json"), out)
-    _write_manifest(args.out, args, {
+    _write_manifest(os.path.join(args.out, "manifest.json"), args, {
         "model_hash": model.source_hash,
         "batch": {k: meta.get(k) for k in ("n", "replicates", "seed", "cap")}})
     print(text)

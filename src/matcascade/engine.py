@@ -39,10 +39,18 @@ for a finite-atom group and a node vector for a sampler group, and the
 roots are transposed to (R, p) once.  Every depth-n node carries V, so
 the depth-(n-1) nodes fold their child matrices against V itself: no
 array of depth-n leaves, nor a replicate index or offset for them, is
-ever built, and the fold is told only their number.  A node's arithmetic
-depends only on its own subtree, so results do not depend on the
-chunking.  A SampleBatch holds the draw alone (n, values and the extinct
-and capped flags); its provenance is the caller's to record.
+ever built, and the fold is told only their number.  Under a finite-atom
+law a depth-(n-1) node takes one of A + 1 values (one per atom, or 0),
+so that generation records one state per node, in the smallest unsigned
+dtype that holds A, which the atoms are drawn into; the fold forms the
+A + 1 values once, and a depth-(n-2) group whose child-state
+combinations do not outnumber its nodes reads its values from a table
+over them.  A node's arithmetic depends only on its own subtree, so
+results do not depend on the chunking, with one exception: where numpy
+multiplies complex arrays with an FMA, it rounds the (1, 1) product of a
+p = 1 group of one node the plain way, so such a node rounds differently
+than in a larger group.  A SampleBatch holds the draw alone (n, values and the
+extinct and capped flags); its provenance is the caller's to record.
 
 simulate_batch splits a run into shards of at most CHUNK rows, as many
 per process and as equal as whole rows allow.  It hands the shards to one
@@ -205,10 +213,11 @@ def _draw_atoms(bounds, u):
     """The atom of each uniform u: the number of bounds below it, bounds
     being the first A - 1 cumulative atom probabilities.  This is
     np.searchsorted(cum, u, side="left") over all A of them, since the last
-    is 1 > u, drawn by one comparison pass per bound."""
-    atom = np.zeros(len(u), dtype=np.intp)
+    is 1 > u, drawn by one comparison pass per bound into the smallest
+    unsigned dtype that holds the atom count A."""
+    atom = np.zeros(len(u), dtype=np.min_scalar_type(len(bounds) + 1))
     for b in bounds:
-        atom += u > b
+        atom += (u > b).view(np.uint8)
     return atom
 
 
@@ -237,6 +246,15 @@ def _select(mask):
     return slice(None) if len(idx) == len(mask) else idx
 
 
+def _sum_children(mats, child):
+    """sum_k A_k y_k over the N slot matrices mats, added in k order, with
+    child(k) the (p, m) columns y_k of slot k."""
+    acc = _apply(mats[0], child(0))
+    for k in range(1, len(mats)):
+        acc += _apply(mats[k], child(k))
+    return acc
+
+
 def _fold(levels, sizes, depth, v):
     """Root values, as an (R, p) array, when the depth-`depth` nodes are
     leaves carrying V.
@@ -247,19 +265,56 @@ def _fold(levels, sizes, depth, v):
     same V, so a depth - 1 node folds its slot matrices against V directly:
     no leaf array is built or gathered, and a group sharing one stack
     computes its column once.
+
+    A finite-atom law's depth - 1 record is (states, stacks), one state per
+    node, and such a node takes one of A + 1 values, the columns of a table
+    T1: column 0 is zero and column 1 + a is atom a's sum_k A_{a,k} V.  A
+    depth - 2 group of N slot matrices whose (A + 1)^N child-state
+    combinations do not outnumber its nodes gets a table over those
+    combinations, each column summed over k in order as a node's is, and
+    each node reads its column at sum_k s_k (A + 1)^k; the other groups
+    fold per node from T1.  Either way every value has the bits of the
+    per-node fold.
     """
     if depth == 0:
         return np.broadcast_to(v, (sizes[0], v.size))
     leaf = v[:, None]
     y = None  # values of the depth d + 1 nodes, once they are not leaves
-    for d in range(depth - 1, -1, -1):
+    top = depth - 1  # the deepest depth the loop below folds
+    if isinstance(levels[top], tuple):
+        states, stacks = levels[top]
+        base = len(stacks) + 1
+        t1 = np.zeros((v.size, base), dtype=v.dtype)
+        for a, mats in enumerate(stacks):
+            if len(mats):
+                t1[:, 1 + a:2 + a] = _sum_children(mats, lambda k: leaf)
+        if top == 0:
+            return t1.take(states, axis=1).T
+        top -= 1
+        y = np.zeros((v.size, sizes[top]), dtype=v.dtype)
+        for sel, first, mats in levels[top]:
+            if base ** len(mats) <= len(first):  # no more columns than nodes
+                combos = np.arange(base ** len(mats))
+                table = _sum_children(
+                    mats, lambda k: t1.take(combos // base ** k % base, axis=1))
+                key = np.zeros(len(first), dtype=np.intp)
+                for k in range(len(mats) - 1, -1, -1):
+                    key *= base
+                    key += states.take(first + k)
+                value = table.take(key, axis=1)
+            else:
+                value = _sum_children(
+                    mats, lambda k: t1.take(states.take(first + k), axis=1))
+            for row, column in zip(y, value):  # one 1-D scatter per coordinate
+                row[sel] = column
+        top -= 1
+    for d in range(top, -1, -1):
         parent = np.zeros((v.size, sizes[d]), dtype=v.dtype)
         for sel, first, mats in levels[d]:
-            acc = _apply(mats[0], leaf if y is None else y.take(first, axis=1))
-            for k in range(1, len(mats)):
-                acc += _apply(mats[k], leaf if y is None else y.take(first + k, axis=1))
-            for row, value in zip(parent, acc):  # one 1-D scatter per coordinate
-                row[sel] = value
+            acc = _sum_children(
+                mats, lambda k: leaf if y is None else y.take(first + k, axis=1))
+            for row, column in zip(parent, acc):  # one 1-D scatter per coordinate
+                row[sel] = column
         y = parent
     return y.T
 
@@ -282,7 +337,12 @@ def _grow(model, n, rows, master_seed, rng, dtype, cap, identity_root):
     of (nodes, first-child offsets, slot matrices) that _fold reads (the
     offsets None at depth n - 1, whose children are leaves), the node
     counts (sizes), and each replicate's depth-n node count and capped
-    flag."""
+    flag.
+
+    A finite-atom law records its depth n - 1 as (states, stacks) instead:
+    each node's state, 0 when it has no children (its atom is childless,
+    or the cap halted it) and 1 + its atom otherwise, in the atoms' dtype,
+    beside every atom's slot matrices."""
     m0 = len(rows)
     finite = model.mode == "finite-atom"
     if finite:
@@ -290,6 +350,9 @@ def _grow(model, n, rows, master_seed, rng, dtype, cap, identity_root):
         nch = np.array([a.n_children for a in model.atoms])
         # (N, p, p, 1): each child matrix shared by every node of its group
         stacks = [a.matrices[..., None] for a in model.atoms]
+        # a last-generation node's state by its atom, before the cap
+        state_of = np.where(nch > 0, np.arange(1, len(nch) + 1), 0).astype(
+            np.min_scalar_type(len(nch)))
     else:
         nch = np.array([model.sampler["params"]["n_children"]])
     c = _uniforms_per_node(model)
@@ -305,6 +368,7 @@ def _grow(model, n, rows, master_seed, rng, dtype, cap, identity_root):
     sizes = [m0]
     levels = []  # per depth: groups of (nodes, first-child offsets, slot matrices)
     capped = np.zeros(m0, dtype=bool)  # population cap breached
+    eye = np.eye(model.p, dtype=dtype)[..., None]
 
     for gen in range(n):
         ends = np.cumsum(counts)
@@ -329,7 +393,7 @@ def _grow(model, n, rows, master_seed, rng, dtype, cap, identity_root):
         used += c * counts
         if finite:
             atom = _draw_atoms(bounds, u)
-            k = nch[atom]
+            k = nch.take(atom)
         else:
             mats = _sampler_matrices(model, u).astype(dtype, copy=False)
             k = np.full(sizes[gen], nch[0])
@@ -339,35 +403,44 @@ def _grow(model, n, rows, master_seed, rng, dtype, cap, identity_root):
         np.cumsum(k, out=first[1:])
         children = first[ends] - first[first_node]  # of each replicate
         breach = children > cap
-        if breach.any():
+        struck = breach.any()
+        if struck:
             capped |= breach
             children[breach] = 0
             k[np.repeat(breach, counts)] = 0
             np.cumsum(k, out=first[1:])
         counts = children
-        grow = k > 0
         sizes.append(int(first[-1]))
         # _fold folds the depth-(n - 1) nodes against V, so it reads no
         # offsets of theirs
         last = gen == n - 1
         first = first[:-1]
+        root = identity_root and gen == 0  # its matrices become the identity
 
         groups = []
         if finite:
-            for a, stack in enumerate(stacks):
-                mask = grow & (atom == a)
-                if mask.any():
+            gen_stacks = [np.broadcast_to(eye, s.shape) for s in stacks] if root else stacks
+            if last:
+                state = state_of.take(atom)
+                if struck:
+                    state[k == 0] = 0
+                levels.append((state, gen_stacks))
+                continue
+            for a, stack in enumerate(gen_stacks):
+                mask = atom == a
+                if struck:
+                    mask &= k > 0
+                if nch[a] and mask.any():
                     sel = _select(mask)
-                    groups.append((sel, None if last else first[sel], stack))
-        elif grow.any():
-            sel = _select(grow)
-            # (N, p, p, nodes): each entry a node vector
-            groups.append((sel, None if last else first[sel],
-                           np.moveaxis(mats[sel], 0, -1)))
-        if identity_root and gen == 0:
-            eye = np.eye(model.p, dtype=dtype)[..., None]
-            groups = [(sel, f, np.broadcast_to(eye, m.shape))
-                      for sel, f, m in groups]
+                    groups.append((sel, first[sel], stack))
+        else:
+            grow = k > 0
+            if grow.any():
+                sel = _select(grow)
+                # (N, p, p, nodes): each entry a node vector
+                mats = np.moveaxis(mats[sel], 0, -1)
+                groups.append((sel, None if last else first[sel],
+                               np.broadcast_to(eye, mats.shape) if root else mats))
         levels.append(groups)
     return levels, sizes, counts, capped
 

@@ -180,22 +180,22 @@ def _power_sum(weights, mats, t, start=None):
 
     The running sum is row 0 of a (SUM_BLOCK + 1, p^2) buffer.  Each block
     of SUM_BLOCK matrices is raised into the rows after it and scaled in
-    place, and an accumulation down the buffer adds the rows in order, for
-    every p (a sum over axis 0 would add one column pairwise); its last row
-    is carried to row 0 for the next block.
+    place, and a reduce over axis 0 adds the rows in order onto row 0 for
+    the next block: numpy adds a reduced axis row by row when each row
+    holds more than one number, and pairwise when it holds one, so when
+    p = 1 the buffer has a second column, of zeros.
     """
     n, p = mats.shape[:2]
-    buf = np.zeros((min(n, SUM_BLOCK) + 1, p * p))
+    buf = np.zeros((min(n, SUM_BLOCK) + 1, max(p * p, 2)))
     if start is not None:
-        buf[0] = start.reshape(p * p)
+        buf[0, :p * p] = start.reshape(p * p)
     for i in range(0, n, SUM_BLOCK):
         block = mats[i:i + SUM_BLOCK]
         rows = buf[:len(block) + 1]
-        _entry_power(block, t, rows[1:].reshape(block.shape))
+        _entry_power(block, t, rows[1:, :p * p].reshape(block.shape))
         rows[1:] *= weights[i:i + SUM_BLOCK, None]
-        np.add.accumulate(rows, axis=0, out=rows)
-        buf[0] = rows[-1]
-    return buf[0].reshape(p, p).copy()
+        buf[0] = np.add.reduce(rows, axis=0)
+    return buf[0, :p * p].reshape(p, p).copy()
 
 
 def moment_matrix(model, t):

@@ -221,8 +221,17 @@ def reference_fold(levels, sizes, depth, v):
     (N, 1 or nodes, p, p) stacks of rows.  The engine records no offsets
     for the depth - 1 groups, so the leaves' offsets are worked out here:
     each group's child count N placed at its nodes, then the exclusive
-    prefix sum."""
+    prefix sum.  A finite-atom law records depth - 1 as one state per node
+    (0 without children, else 1 + its atom) beside every atom's slot
+    matrices; each node of state 1 + a becomes a node of atom a's group
+    here, so its value is rebuilt per node from that atom's matrices and
+    the leaves' rows of V."""
     y = np.broadcast_to(v, (sizes[depth], v.size))
+    levels = list(levels[:depth])
+    if depth and isinstance(levels[-1], tuple):
+        states, stacks = levels[-1]
+        levels[-1] = [(np.flatnonzero(states == 1 + a), None, mats)
+                      for a, mats in enumerate(stacks) if len(mats)]
     for d in range(depth - 1, -1, -1):
         parent = np.zeros((sizes[d], v.size), dtype=v.dtype)
         if d == depth - 1:

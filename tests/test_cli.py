@@ -544,6 +544,28 @@ class TestSimulate:
         assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
         assert list(out.iterdir()) == []
 
+    def test_failed_rerun_keeps_earlier_files(self, model_c_path, tmp_path, capsys,
+                                              monkeypatch):
+        # a rerun into the same --out whose manifest write fails, after its
+        # batch.bin and batch_meta.json are written, renames none of them
+        # into place: the earlier run's four files keep their bytes
+        out = tmp_path / "o"
+        assert main(["simulate", "--model", model_c_path, "--n", "2",
+                     "--replicates", "5", "--seed", "1", "--out", str(out)]) == 0
+        before = {f.name: f.read_bytes() for f in out.iterdir()}
+        assert sorted(before) == ["batch.bin", "batch.csv", "batch_meta.json",
+                                  "manifest.json"]
+        capsys.readouterr()
+
+        def full(path, args_ns, extra):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli, "_write_manifest", full)
+        assert main(["simulate", "--model", model_c_path, "--n", "3",
+                     "--replicates", "7", "--seed", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+
 
 def _simulated(tmp_path, model_path, n, replicates, seed):
     """The directory of a simulate run of the model at depth n."""
